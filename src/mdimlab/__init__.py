@@ -43,6 +43,7 @@ from .solvers import (
     MDIM,
     Certificate,
     PhiResult,
+    SolveStats,
     forced_vertices_mdim,
     is_edge_resolving,
     is_mixed_resolving,

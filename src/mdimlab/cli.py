@@ -8,6 +8,7 @@ reports or DOT drawings, so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -108,7 +109,10 @@ def _expand_family_spec(spec: str, args) -> list[Instance]:
 
 
 def _file_instances(path: str) -> list[Instance]:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from exc
     graphs = read_graphs(data)
     stem = Path(path).name
     if len(graphs) == 1:
@@ -143,7 +147,7 @@ def _single_instance(args) -> Instance:
 
 def _write(args, payload: str | bytes) -> None:
     if isinstance(payload, str):
-        payload = payload.encode("ascii")
+        payload = payload.encode("utf-8")
     if getattr(args, "output", None):
         Path(args.output).write_bytes(payload)
     else:
@@ -232,6 +236,8 @@ def _cmd_solve(args) -> int:
         "graph": _graph_dict(g),
         "instance": inst.id,
     }
+    if args.stats:
+        payload["stats"] = dataclasses.asdict(cert.stats)
     _write(args, _json_out(payload))
     return 0
 
@@ -305,7 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p, multiple=False)
     p.add_argument("--kind", choices=list(KINDS), required=True)
     p.add_argument("--derived", choices=["none", "s", "m", "t"], default="none")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="cap on search nodes (default %(default)s)")
+    p.add_argument("--stats", action="store_true",
+                   help="add search nodes, separator masks kept and the starting "
+                        "lower bound to the output")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_solve)
 

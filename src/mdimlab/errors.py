@@ -34,10 +34,10 @@ class NotABasisError(GraphError):
 
 
 class SearchBudgetExceededError(GraphError):
-    """The solver hit its cap on subset-verification calls."""
+    """The solver hit its cap on search nodes."""
 
     def __init__(self, checked: int, budget: int):
-        super().__init__(f"search budget exhausted after {checked} subset verifications (budget {budget})")
+        super().__init__(f"search budget exhausted after {checked} search nodes (budget {budget})")
         self.checked = checked
         self.budget = budget
 

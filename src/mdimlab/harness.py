@@ -150,7 +150,8 @@ class _Skip(Exception):
 
 
 class _Lab:
-    """Per-instance cache so checks share expensive solver results."""
+    """Per-instance cache so checks share expensive results: solver values
+    and the derived graphs S(G), M(G) and T(G), each built at most once."""
 
     def __init__(self, g: Graph, budget: int, phi_cap: int):
         self.g = g
@@ -183,9 +184,12 @@ class _Lab:
             "mdim_s", lambda: solve_dimension(self.sgraph().graph, MDIM, self.budget).value
         )
 
+    def mgraph(self):
+        return self._memo("mgraph", lambda: middle(self.g))
+
     def dim_middle(self) -> int:
         return self._memo(
-            "dim_middle", lambda: solve_dimension(middle(self.g).graph, DIM, self.budget).value
+            "dim_middle", lambda: solve_dimension(self.mgraph().graph, DIM, self.budget).value
         )
 
     def tgraph(self):
@@ -202,7 +206,10 @@ class _Lab:
         )
 
     def phi(self):
-        return self._memo("phi", lambda: phi_of_graph(self.g, cap=self.phi_cap, budget=self.budget))
+        return self._memo(
+            "phi",
+            lambda: phi_of_graph(self.g, cap=self.phi_cap, budget=self.budget, sg=self.sgraph()),
+        )
 
     def cactus(self):
         return self._memo("cactus", lambda: cactus_decompose(self.g))
@@ -226,7 +233,7 @@ def _require_cactus(lab: _Lab):
 
 
 def _check_identities(lab: _Lab, inst: Instance):
-    report = check_distance_identities(lab.g)
+    report = check_distance_identities(lab.g, sg=lab.sgraph(), mg=lab.mgraph())
     values = {c.identity: c.pairs_checked for c in report.checks}
     if report.ok:
         return HOLDS, values

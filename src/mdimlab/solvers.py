@@ -3,31 +3,53 @@
 A vertex set W resolves a universe of elements when the distance vectors
 from the elements to W are pairwise distinct.  The three dimensions use
 three universes: all vertices (dim), all edges (edim), and vertices plus
-edges (mdim).  Signatures are exact integer vectors; duplicate detection
-hashes tuples, so collisions fall back to full tuple comparison.
+edges (mdim).
 
-The search enumerates candidate sets by increasing cardinality and, within
-a cardinality, in lexicographic order, returning the first verified set.
-Every minimum-cardinality witness this module returns is therefore the
-lexicographically smallest one, and repeated runs are byte-identical.
+Every minimum search runs on one core that treats a resolving set as a
+hitting set (Khuller, Raghavachari and Rosenfeld, *Landmarks in graphs*,
+1996).  Each pair of universe elements has a separator mask, the bitmask
+of vertices at different distances from the two, and W resolves exactly
+when it meets every separator mask.  The masks are built from packed
+columns: the distances from one element to all vertices sit in one int,
+one field per vertex, each field wide enough for the graph's diameter.
+The xor of two columns is nonzero in exactly the fields of the separating
+vertices.  Only the inclusion-minimal masks are kept.
 
-Two lower bounds prune cardinalities only, never subsets:
+Masks that share no vertex, even through other masks, form independent
+groups: a minimum hitting set is one minimum hitting set per group, and
+the lexicographically smallest one is the union of the groups' smallest.
+Each group is searched alone.
 
-* dim: vertices with identical neighborhoods outside the pair ("twins")
-  cannot be separated by anyone else, so each twin class of size c forces
-  at least c - 1 picks;
-* mdim: a vertex whose neighbor dominates its closed neighborhood can only
-  be told apart from that pendant-like edge by itself, so it belongs to
-  every mixed resolving set.  These forced vertices also seed every
-  candidate, and the enumeration only extends them.
+The search of a group picks vertices in increasing order, depth first,
+for k = L, L + 1, ... where L counts pairwise disjoint masks.  Its
+pruning loses no solution: a pick must lie at or below the last vertex
+of every open mask (the last chance to hit it), must hit an open mask (at
+the minimum k a pick hitting none would leave a smaller resolving set),
+and the final pick must hit every open mask; a branch ends when more
+open masks are pairwise disjoint above the next pick than picks are
+left.  A group's hitting sets therefore come out in lexicographic order,
+the first one found is its smallest, and repeated runs are
+byte-identical.  For phi the same search lists every minimum hitting set
+of each group of S(G), and every metric basis is one from each group.
+
+For mdim, the forced vertices (Kelenc, Kuziak, Taranenko and Yero, *Mixed
+metric dimension of graphs*, 2017) lie in every mixed resolving set; when
+they resolve the graph on their own they are the unique minimum, and no
+masks are built.
+
+The budget counts search nodes: every partial set the search visits,
+the empty set of each cardinality included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+import struct
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, product
+from operator import and_, or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EnumerationOverflowError,
@@ -37,7 +59,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .graph import Graph, MixedElement, mixed_distance
-from .transforms import SUBDIVISION, DerivedGraph
+from .transforms import SUBDIVISION, DerivedGraph, subdivision
 
 DIM = "dim"
 EDIM = "edim"
@@ -49,6 +71,17 @@ DEFAULT_PHI_CAP = 10**7
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """How a minimum was found: search nodes visited, separator masks kept
+    after dropping non-minimal ones, and the cardinality the search started
+    from.  The mdim forced-set shortcut builds no masks and visits no node."""
+
+    search_nodes: int
+    masks_kept: int
+    lower_bound: int
+
+
+@dataclass(frozen=True)
 class Certificate:
     """A verified minimum resolving set of the given kind."""
 
@@ -56,6 +89,7 @@ class Certificate:
     vertices: tuple[int, ...]
     value: int
     forced: tuple[int, ...] = ()
+    stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -133,71 +167,157 @@ def forced_vertices_mdim(g: Graph) -> tuple[int, ...]:
     return tuple(forced)
 
 
-def _twin_lower_bound(g: Graph) -> int:
-    """Sum of (class size - 1) over twin classes; a valid floor for dim."""
-    open_nb = [set(g.adjacency[v]) for v in range(g.n)]
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in combinations(range(g.n), 2):
-        if open_nb[u] - {v} == open_nb[v] - {u}:
-            parent[find(u)] = find(v)
-    sizes: dict[int, int] = {}
-    for v in range(g.n):
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sum(c - 1 for c in sizes.values())
-
-
-def _universe_rows(g: Graph, kind: str) -> list[tuple[int, ...]]:
-    """Per-vertex distance rows over the kind's element universe."""
+def _universe_columns(g: Graph, kind: str) -> list[Sequence[int]]:
+    """Per-element distances to every vertex, over the kind's universe."""
+    d = g.distances
     if kind == DIM:
-        return _vertex_rows(g, range(g.n))
-    if kind == EDIM:
-        return _edge_rows(g, range(g.n))
-    if kind == MDIM:
-        return [v + e for v, e in zip(_vertex_rows(g, range(g.n)), _edge_rows(g, range(g.n)))]
-    raise GraphError(f"unknown kind {kind!r}")
+        return list(d)
+    edges = [tuple(map(min, d[a], d[b])) for a, b in g.edges]
+    return edges if kind == EDIM else list(d) + edges
+
+
+def _mask_order(m: int) -> tuple[int, int]:
+    return m.bit_count(), m
+
+
+def _separator_masks(g: Graph, kind: str) -> list[int]:
+    """Inclusion-minimal separator masks of the kind's universe, smallest first."""
+    diameter = max(map(max, g.distances))
+    code = next(c for c in "BHIQ" if diameter < 1 << 8 * struct.calcsize(f"<{c}"))
+    step = struct.calcsize(f"<{code}")
+    width = 8 * step
+    low = int.from_bytes((b"\x01" + bytes(step - 1)) * g.n, "little")  # bit 0 of every field
+    high = low << (width - 1)
+    rest = high - low  # the other width - 1 bits of every field
+
+    pack = struct.Struct(f"<{g.n}{code}").pack  # little-endian, one field per vertex
+    columns = [int.from_bytes(pack(*c), "little") for c in _universe_columns(g, kind)]
+    fields = set()
+    for i, a in enumerate(columns):
+        # a field of a ^ b is nonzero iff adding `rest` to its low bits
+        # carries into the top bit, or the top bit is already set
+        fields.update([((((x := a ^ b) & rest) + rest) | x) & high for b in columns[i + 1:]])
+    to_digits = bytes.maketrans(b"\x00\x01", b"01")
+
+    def vertex_mask(nonzero: int) -> int:
+        # one 0/1 byte per vertex, read as a binary numeral with vertex 0 last
+        flags = (nonzero >> (width - 1)).to_bytes(step * g.n, "little")[::step]
+        return int(flags.translate(to_digits)[::-1], 2)
+
+    # the field tops keep the vertex order, so subsets and order carry over
+    kept: list[int] = []
+    for f in sorted(fields, key=_mask_order):
+        if all(k & f != k for k in kept):
+            kept.append(f)
+    return [vertex_mask(f) for f in kept]
+
+
+def _packing(masks: list[int], above: int = -1) -> int:
+    """Greedy count of masks pairwise disjoint on the vertices in ``above``;
+    each of them needs its own pick."""
+    used = count = 0
+    for m in masks:
+        m &= above
+        if not m & used:
+            used |= m
+            count += 1
+    return count
+
+
+def _components(masks: list[int]) -> list[list[int]]:
+    """Masks grouped by shared vertices, transitively.  Groups have disjoint
+    vertex sets, so a minimum hitting set is a union of one minimum hitting
+    set per group, and the lexicographically smallest one is the union of
+    the groups' smallest ones."""
+    groups: list[tuple[int, list[int]]] = []
+    for m in masks:
+        union, members, apart = m, [m], []
+        for group in groups:
+            if group[0] & m:
+                union |= group[0]
+                members += group[1]
+            else:
+                apart.append(group)
+        groups = apart + [(union, members)]
+    return [sorted(members, key=_mask_order) for _, members in groups]
+
+
+class _Search:
+    """Depth-first hitting-set search; every visited partial set costs one
+    node of the shared budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nodes = 0
+
+    def _visit(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise SearchBudgetExceededError(self.nodes, self.budget)
+
+    def smallest(self, masks: list[int]) -> tuple[int, ...]:
+        """The lexicographically smallest minimum set meeting every mask."""
+        for k in range(max(1, _packing(masks)), len(masks) + 1):
+            for found in self.of_size(masks, k):
+                return found
+        raise NoWitnessError("no hitting set found; input outside supported class")
+
+    def of_size(self, masks: list[int], k: int) -> Iterator[tuple[int, ...]]:
+        """Every k-set meeting all masks whose picks each meet an open mask,
+        in lexicographic order.  At the minimum k that is every k-set."""
+        self._visit()
+        yield from self._extend(masks, 0, k, ())
+
+    def _extend(self, open_masks, start, left, picked) -> Iterator[tuple[int, ...]]:
+        # the next pick comes at or after start and no later than the last
+        # vertex of any open mask, since later picks only grow
+        last_chance = min(map(int.bit_length, open_masks))
+        allowed = ((1 << last_chance) - 1) >> start << start
+        if left == 1:
+            for v in _bits(reduce(and_, open_masks) & allowed):
+                self._visit()
+                yield picked + (v,)
+            return
+        if _packing(open_masks, -1 << start) > left:
+            return
+        for v in _bits(reduce(or_, open_masks) & allowed):
+            self._visit()
+            bit = 1 << v
+            rest = [m for m in open_masks if not m & bit]
+            if rest:
+                yield from self._extend(rest, v + 1, left - 1, picked + (v,))
+
+
+def _bits(x: int) -> Iterator[int]:
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Minimum resolving set of the given kind, lexicographically smallest.
 
-    Budget counts subset-verification calls across the whole search and
-    raises SearchBudgetExceededError when exhausted.
+    Budget counts search nodes across the whole search and raises
+    SearchBudgetExceededError when exhausted.
     """
     if kind not in KINDS:
         raise GraphError(f"unknown kind {kind!r}")
-    rows = _universe_rows(g, kind)
-
     forced: tuple[int, ...] = ()
-    start = 1
     if kind == MDIM:
         forced = forced_vertices_mdim(g)
-        start = max(1, len(forced))
-    elif kind == DIM:
-        start = max(1, _twin_lower_bound(g))
-
-    forced_rows = [rows[v] for v in forced]
-    rest = [v for v in range(g.n) if v not in set(forced)]
-    checked = 0
-    for k in range(start, g.n + 1):
-        extra = k - len(forced)
-        if extra < 0 or extra > len(rest):
-            continue
-        for combo in combinations(rest, extra):
-            checked += 1
-            if checked > budget:
-                raise SearchBudgetExceededError(checked, budget)
-            if _columns_distinct(forced_rows + [rows[v] for v in combo]):
-                witness = tuple(sorted(forced + combo))
-                return Certificate(kind=kind, vertices=witness, value=k, forced=forced)
-    raise NoWitnessError(f"no {kind} resolving set found up to k = n; input outside supported class")
+        if forced and is_mixed_resolving(g, forced):
+            stats = SolveStats(search_nodes=0, masks_kept=0, lower_bound=len(forced))
+            return Certificate(kind=kind, vertices=forced, value=len(forced), forced=forced,
+                               stats=stats)
+    masks = _separator_masks(g, kind)
+    parts = _components(masks)
+    search = _Search(budget)
+    # with no pair to separate, any single vertex resolves
+    witness = tuple(sorted(v for part in parts for v in search.smallest(part))) or (0,)
+    stats = SolveStats(search_nodes=search.nodes, masks_kept=len(masks),
+                       lower_bound=max(1, sum(map(_packing, parts))))
+    return Certificate(kind=kind, vertices=witness, value=len(witness), forced=forced, stats=stats)
 
 
 def phi_set(sg: DerivedGraph, vertex_set: Iterable[int]) -> tuple[int, ...]:
@@ -228,38 +348,33 @@ def phi_of_graph(
     g: Graph,
     cap: int = DEFAULT_PHI_CAP,
     budget: int = DEFAULT_BUDGET,
+    *,
+    sg: DerivedGraph | None = None,
 ) -> PhiResult:
     """Enumerate every metric basis of S(G) and minimize the phi footprint.
 
-    Raises EnumerationOverflowError when the count of candidate k-subsets
-    of V(S(G)) exceeds the cap, with k = dim(S(G)).
+    ``sg`` is S(G) when the caller has already built it.  Raises
+    EnumerationOverflowError when the count of candidate k-subsets of
+    V(S(G)) exceeds the cap, with k = dim(S(G)).  Search nodes of the
+    minimum search and of the enumeration both count against the budget.
     """
-    from .transforms import subdivision
-
-    sg = subdivision(g)
-    k = solve_dimension(sg.graph, DIM, budget=budget).value
-    total = math.comb(sg.graph.n, k)
+    if sg is None:
+        sg = subdivision(g)
+    parts = _components(_separator_masks(sg.graph, DIM))
+    search = _Search(budget)
+    sizes = [len(search.smallest(part)) for part in parts]
+    total = math.comb(sg.graph.n, sum(sizes))
     if total > cap:
         raise EnumerationOverflowError(total, cap)
 
-    rows = _vertex_rows(sg.graph, range(sg.graph.n))
-    bases = 0
-    best_size: int | None = None
-    best_basis: tuple[int, ...] = ()
-    best_phi: tuple[int, ...] = ()
-    for combo in combinations(range(sg.graph.n), k):
-        if _columns_distinct([rows[v] for v in combo]):
-            bases += 1
-            phi = phi_set(sg, combo)
-            if best_size is None or len(phi) < best_size:
-                best_size = len(phi)
-                best_basis = combo
-                best_phi = phi
-    if best_size is None:
-        raise NoWitnessError("no metric basis found at the solved cardinality")
+    # every metric basis is one minimum hitting set per mask group
+    choices = [list(search.of_size(part, k)) for part, k in zip(parts, sizes)]
+    bases = (tuple(sorted(chain(*combo))) for combo in product(*choices))
+    best_basis = min(bases, key=lambda b: (len(phi_set(sg, b)), b))
+    best_phi = phi_set(sg, best_basis)
     return PhiResult(
-        phi_value=best_size,
-        bases_enumerated=bases,
+        phi_value=len(best_phi),
+        bases_enumerated=math.prod(map(len, choices)),
         witness_basis=best_basis,
         witness_phi_set=best_phi,
     )

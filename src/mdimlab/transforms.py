@@ -130,7 +130,11 @@ class IdentityReport:
         return [c for c in self.checks if not c.ok]
 
 
-def check_distance_identities(base: Graph) -> IdentityReport:
+def check_distance_identities(
+    base: Graph,
+    sg: DerivedGraph | None = None,
+    mg: DerivedGraph | None = None,
+) -> IdentityReport:
     """Exhaustively verify the distance identities tying G to S(G) and M(G).
 
     On the subdivision graph, for original vertices x, y and base edges
@@ -149,11 +153,14 @@ def check_distance_identities(base: Graph) -> IdentityReport:
             and d_M(x, s_e) = 1 when it is.
 
     Failures are reported with the first counterexample; a failure would
-    indicate a construction bug, so this doubles as a self-check.
+    indicate a construction bug, so this doubles as a self-check.  ``sg``
+    and ``mg`` are S(G) and M(G) when the caller has already built them.
     """
     n, m = base.n, base.m
-    sg = subdivision(base)
-    mg = middle(base)
+    if sg is None:
+        sg = subdivision(base)
+    if mg is None:
+        mg = middle(base)
     ds = sg.graph.distances
     dm = mg.graph.distances
     dg = base.distances

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mdimlab import complete_graph, cycle_graph, enumerate_small_trees, gn_graph, path_graph
+from mdimlab import transforms
 from mdimlab.cli import main
 from mdimlab.harness import (
     HOLDS,
@@ -63,6 +64,21 @@ def test_gn_gap_check():
     assert by_instance["gn:n=5"].values["gap"] >= 2
     assert by_instance["gn:n=2"].status == SKIPPED
     assert by_instance["cycle:n=5"].status == SKIPPED
+
+
+def test_each_derived_graph_is_built_once_per_instance(monkeypatch):
+    built = []
+    original = transforms.build_graph
+
+    def counting_build_graph(n, edges):
+        built.append(n)
+        return original(n, edges)
+
+    monkeypatch.setattr(transforms, "build_graph", counting_build_graph)
+    tree = list(enumerate_small_trees(6))[2]
+    report = run_checks([Instance(id="tree", graph=tree, family="trees", param_n=6)])
+    assert all(r.status != SKIPPED or r.reason.startswith("class") for r in report.records)
+    assert built == [tree.n + tree.m] * 3  # S(G), M(G) and T(G), once each
 
 
 def test_identity_and_forced_checks_hold():
@@ -250,6 +266,39 @@ def test_cli_bad_file_is_exit_2(tmp_path, capsys):
     bad.write_text("3 1\n0 3\n")
     assert main(["solve", "--input", str(bad), "--kind", "dim"]) == 2
     assert "mdimlab:" in capsys.readouterr().err
+
+
+def test_cli_missing_file_is_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["solve", "--input", str(missing), "--kind", "mdim"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdimlab: ") and len(err.splitlines()) == 1
+    assert "missing.txt" in err
+
+
+def test_cli_non_ascii_file_name_is_written_as_utf8(tmp_path):
+    graph_file = tmp_path / "grafo_\u00f1.txt"
+    graph_file.write_text("3 2\n0 1\n1 2\n")
+    out = tmp_path / "report.csv"
+    argv = ["verify", "--input", str(graph_file), "--theorems", "T3.1i"]
+    assert main(argv + ["--format", "csv", "--output", str(out)]) == 0
+    assert "file:grafo_\u00f1.txt,T3.1i,holds" in out.read_bytes().decode("utf-8")
+    assert main(argv + ["--output", str(out)]) == 0
+    out.read_bytes().decode("ascii")  # JSON escapes non-ASCII, as before
+
+
+def test_cli_solve_stats_is_opt_in(capsys):
+    argv = ["solve", "--family", "cycle", "--n", "8", "--kind", "mdim"]
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--stats"]) == 0
+    with_stats = json.loads(capsys.readouterr().out)
+    assert "stats" not in plain
+    stats = with_stats.pop("stats")
+    assert with_stats == plain
+    assert set(stats) == {"search_nodes", "masks_kept", "lower_bound"}
+    assert 1 <= stats["lower_bound"] <= plain["certificate"]["value"]
+    assert stats["search_nodes"] > 0 and stats["masks_kept"] > 0
 
 
 def test_cli_unknown_family_is_exit_2(capsys):

@@ -18,6 +18,7 @@ from mdimlab import (
     is_mixed_resolving,
     is_resolving,
     leaf_count,
+    middle,
     path_graph,
     phi_of_basis,
     phi_of_graph,
@@ -32,6 +33,10 @@ from mdimlab import (
 )
 
 from conftest import connected_graphs, oracle_min_witnesses
+
+KINDS = ("dim", "edim", "mdim")
+DERIVED = {"G": lambda g: g, "S": lambda g: subdivision(g).graph,
+           "M": lambda g: middle(g).graph, "T": lambda g: total(g).graph}
 
 
 def test_signature_examples(g2):
@@ -100,6 +105,33 @@ def test_solver_matches_exhaustive_oracle(g, kind):
     cert = solve_dimension(g, kind)
     assert cert.value == value
     assert cert.vertices == witnesses[0]  # lexicographically smallest minimum witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=5, max_extra=1))
+def test_search_core_matches_oracle_on_base_and_derived_graphs(g):
+    for name, derive in DERIVED.items():
+        h = derive(g)
+        for kind in KINDS:
+            value, witnesses = oracle_min_witnesses(h.n, h.edges, kind)
+            cert = solve_dimension(h, kind)
+            assert (cert.value, cert.vertices) == (value, witnesses[0]), (name, kind, h.edges)
+
+
+def test_single_edge_edim_has_no_masks():
+    # K2 has one edge, so no pair of edges needs separating
+    cert = solve_dimension(path_graph(2), "edim")
+    assert (cert.value, cert.vertices) == (1, (0,))
+    assert cert.stats.masks_kept == 0
+
+
+def test_distances_beyond_one_byte():
+    g = path_graph(300)  # diameter 299
+    for kind in ("dim", "edim"):
+        cert = solve_dimension(g, kind)
+        assert (cert.value, cert.vertices) == (1, (0,))
+        assert cert.stats.masks_kept > 0
+    assert solve_dimension(g, "mdim").vertices == (0, 299)
 
 
 def test_certificates_are_deterministic():
@@ -221,6 +253,17 @@ def test_phi_witness_consistency(g):
     assert is_resolving(sg.graph, result.witness_basis)
     assert phi_set(sg, result.witness_basis) == result.witness_phi_set
     assert result.bases_enumerated >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=6, max_extra=2))
+def test_phi_counts_every_metric_basis(g):
+    sg = subdivision(g)
+    _, bases = oracle_min_witnesses(sg.graph.n, sg.graph.edges, "dim")
+    result = phi_of_graph(g)
+    assert result.bases_enumerated == len(bases)
+    best = min(bases, key=lambda b: len(phi_set(sg, b)))  # first of the smallest, in lex order
+    assert (result.witness_basis, result.phi_value) == (best, len(phi_set(sg, best)))
 
 
 def test_certificate_shape():
