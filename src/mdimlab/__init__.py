@@ -18,7 +18,6 @@ from .errors import (
 from .graph import (
     Graph,
     MixedElement,
-    all_pairs_distances,
     build_graph,
     edge_edge_distance,
     edge_element,

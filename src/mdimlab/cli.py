@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import families
 from .errors import GraphError, ParseError
 from .formats import (
     EDGE_LIST,
@@ -25,6 +24,7 @@ from .formats import (
 )
 from .graph import Graph
 from .harness import (
+    DERIVED,
     EXPLORE_TARGETS,
     Instance,
     Report,
@@ -32,14 +32,11 @@ from .harness import (
     TOOL_VERSION,
     default_corpus,
     explore,
+    family_instances,
     run_checks,
 )
 from .solvers import DEFAULT_BUDGET, DEFAULT_PHI_CAP, KINDS, solve_dimension
-from .transforms import line_graph, middle, subdivision, total
-
-_DERIVED = {"s": subdivision, "m": middle, "t": total}
-
-_CORPUS_FAMILIES = set(families.FAMILIES) | {"trees"}
+from .transforms import line_graph
 
 
 def _parse_range(text: str) -> list[int]:
@@ -52,55 +49,27 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _family_instances(name: str, ns: list[int], cycles: list[int], seeds: list[int]) -> list[Instance]:
-    if name not in _CORPUS_FAMILIES:
-        raise GraphError(f"unknown family {name!r}; known: {', '.join(sorted(_CORPUS_FAMILIES))}")
-    out: list[Instance] = []
-    for n in ns:
-        if name == "trees":
-            for i, t in enumerate(families.enumerate_small_trees(n)):
-                out.append(Instance(id=f"trees:n={n},i={i:03d}", graph=t, family="trees", param_n=n))
-        elif name == families.RANDOM_TREE:
-            for s in seeds:
-                g = families.random_tree(n, s)
-                out.append(Instance(id=f"random_tree:n={n},seed={s:03d}", graph=g,
-                                    family=name, param_n=n))
-        elif name == families.RANDOM_CACTUS:
-            for c in cycles:
-                for s in seeds:
-                    g = families.random_cactus(n, c, s)
-                    out.append(Instance(id=f"random_cactus:n={n},cycles={c},seed={s:03d}",
-                                        graph=g, family=name, param_n=n))
-        else:
-            g = families.generate(families.FamilySpec(family=name, n=n))
-            out.append(Instance(id=f"{name}:n={n}", graph=g, family=name, param_n=n))
-    return out
-
-
 def _expand_family_spec(spec: str, args) -> list[Instance]:
     """'name' uses --n/--cycles/--seed; 'name:n=5..7,seed=1..30' is inline."""
-    if ":" not in spec:
+    name, inline, rest = spec.partition(":")
+    if not inline:
         if args.n is None:
             raise GraphError(f"family {spec!r} needs --n")
-        return _family_instances(
-            spec,
-            _parse_range(args.n),
-            _parse_range(args.cycles) if args.cycles else [1],
-            _parse_range(args.seed) if args.seed else [1],
-        )
-    name, _, rest = spec.partition(":")
-    params = {}
-    for part in rest.split(","):
-        key, _, value = part.partition("=")
-        if not value:
-            raise GraphError(f"bad family parameter {part!r} in {spec!r}")
-        params[key.strip()] = value.strip()
-    unknown = set(params) - {"n", "cycles", "seed"}
-    if unknown:
-        raise GraphError(f"unknown family parameters {sorted(unknown)} in {spec!r}")
-    if "n" not in params:
-        raise GraphError(f"family spec {spec!r} needs n=...")
-    return _family_instances(
+        params = {"n": args.n}
+        params.update((k, v) for k, v in (("cycles", args.cycles), ("seed", args.seed)) if v)
+    else:
+        params = {}
+        for part in rest.split(","):
+            key, _, value = part.partition("=")
+            if not value:
+                raise GraphError(f"bad family parameter {part!r} in {spec!r}")
+            params[key.strip()] = value.strip()
+        unknown = set(params) - {"n", "cycles", "seed"}
+        if unknown:
+            raise GraphError(f"unknown family parameters {sorted(unknown)} in {spec!r}")
+        if "n" not in params:
+            raise GraphError(f"family spec {spec!r} needs n=...")
+    return family_instances(
         name,
         _parse_range(params["n"]),
         _parse_range(params["cycles"]) if "cycles" in params else [1],
@@ -120,7 +89,8 @@ def _file_instances(path: str) -> list[Instance]:
     return [Instance(id=f"file:{stem}#{i:03d}", graph=g) for i, g in enumerate(graphs)]
 
 
-def _corpus(args) -> list[Instance]:
+def _corpus(args) -> tuple[list[Instance], str]:
+    """The instances the flags name, or the default corpus; plus the report source."""
     instances: list[Instance] = []
     for path in args.input or []:
         instances.extend(_file_instances(path))
@@ -128,7 +98,7 @@ def _corpus(args) -> list[Instance]:
         instances.extend(_expand_family_spec(spec, args))
     if not instances:
         instances = default_corpus()
-    return instances
+    return instances, "default-corpus" if not (args.input or args.family) else "flags"
 
 
 def _single_instance(args) -> Instance:
@@ -179,38 +149,24 @@ def _cmd_transform(args) -> int:
     inst = _single_instance(args)
     base = inst.graph
     if args.derived == "l":
-        lg = line_graph(base)
-        if args.format == "dot":
-            labels = {j: f"{j}: e{j}({u},{v})" for j, (u, v) in enumerate(base.edges)}
-            _write(args, graph_to_dot(lg, labels=labels, name="line"))
-        else:
-            payload = {
-                "base": _graph_dict(base),
-                "derived": "l",
-                "graph": _graph_dict(lg),
-                "instance": inst.id,
-                "vertices": [
-                    {"index": j, "base_edge": [u, v]} for j, (u, v) in enumerate(base.edges)
-                ],
-            }
-            _write(args, _json_out(payload))
-        return 0
-    dg = _DERIVED[args.derived](base)
-    if args.format == "dot":
-        _write(args, derived_to_dot(dg, name=args.derived))
+        graph = line_graph(base)
+        vertices = [{"index": j, "base_edge": [u, v]} for j, (u, v) in enumerate(base.edges)]
+        extra = {}
+        labels = {j: f"{j}: e{j}({u},{v})" for j, (u, v) in enumerate(base.edges)}
+        dot = graph_to_dot(graph, labels=labels, name="line")
     else:
-        payload = {
-            "base": _graph_dict(base),
-            "derived": args.derived,
-            "graph": _graph_dict(dg.graph),
-            "instance": inst.id,
-            "vertices": [
-                {"index": i, "provenance": f"{tag}:{idx}"}
-                for i, (tag, idx) in enumerate(dg.provenance)
-            ],
-            "edge_classes": list(dg.edge_classes),
-        }
-        _write(args, _json_out(payload))
+        dg = DERIVED[args.derived](base)
+        graph = dg.graph
+        vertices = [{"index": i, "provenance": f"{tag}:{idx}"}
+                    for i, (tag, idx) in enumerate(dg.provenance)]
+        extra = {"edge_classes": list(dg.edge_classes)}
+        dot = derived_to_dot(dg, name=args.derived)
+    if args.format == "dot":
+        _write(args, dot)
+    else:
+        _write(args, _json_out({"base": _graph_dict(base), "derived": args.derived,
+                                "graph": _graph_dict(graph), "instance": inst.id,
+                                "vertices": vertices, **extra}))
     return 0
 
 
@@ -218,7 +174,7 @@ def _cmd_solve(args) -> int:
     inst = _single_instance(args)
     g = inst.graph
     if args.derived != "none":
-        g = _DERIVED[args.derived](g).graph
+        g = DERIVED[args.derived](g).graph
     try:
         cert = solve_dimension(g, args.kind, budget=args.budget)
     except GraphError as exc:
@@ -250,11 +206,10 @@ def _emit_report(args, report: Report) -> None:
 
 
 def _cmd_verify(args) -> int:
-    instances = _corpus(args)
+    instances, source = _corpus(args)
     theorems = None
     if args.theorems and args.theorems != "all":
         theorems = [t.strip() for t in args.theorems.split(",") if t.strip()]
-    source = "default-corpus" if not (args.input or args.family) else "flags"
     report = run_checks(instances, theorems=theorems, budget=args.budget,
                         phi_cap=args.phi_cap, source=source)
     _emit_report(args, report)
@@ -262,8 +217,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    instances = _corpus(args)
-    source = "default-corpus" if not (args.input or args.family) else "flags"
+    instances, source = _corpus(args)
     report = explore(instances, target=args.target, budget=args.budget, source=source)
     _emit_report(args, report)
     return report.exit_code(strict=args.strict)
@@ -302,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="build a derived graph with provenance")
     _add_input_options(p, multiple=False)
-    p.add_argument("--derived", choices=["s", "m", "t", "l"], required=True)
+    p.add_argument("--derived", choices=[*DERIVED, "l"], required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_transform)
@@ -310,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact dimension with a witness certificate")
     _add_input_options(p, multiple=False)
     p.add_argument("--kind", choices=list(KINDS), required=True)
-    p.add_argument("--derived", choices=["none", "s", "m", "t"], default="none")
+    p.add_argument("--derived", choices=["none", *DERIVED], default="none")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="cap on search nodes (default %(default)s)")
     p.add_argument("--stats", action="store_true",

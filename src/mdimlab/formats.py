@@ -145,29 +145,36 @@ def emit_graph6(g: Graph) -> bytes:
     return head + body + b"\n"
 
 
-def parse_graph(data: bytes | str) -> Graph:
-    """Autodetect: digits lead an edge list, graph6 bytes lead graph6."""
+def _detect(data: bytes | str) -> tuple[str, str]:
+    """Decode an input and name its format: digits lead an edge list, the
+    graph6 header or a graph6 byte leads graph6."""
     text = _as_text(data)
     stripped = text.lstrip(" \t\r\n")
     if not stripped:
         raise ParseError("empty input")
     first = stripped[0]
-    if stripped.startswith(GRAPH6_HEADER) or (not first.isdigit() and 63 <= ord(first) <= 126):
-        return parse_graph6(stripped.splitlines()[0])
+    if stripped.startswith(GRAPH6_HEADER) or 63 <= ord(first) <= 126:
+        return GRAPH6, text
     if first.isdigit():
-        return parse_edge_list(text)
+        return EDGE_LIST, text
     raise ParseError(f"cannot recognize input starting with {first!r}")
+
+
+def _graph6_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.strip()]
+
+
+def parse_graph(data: bytes | str) -> Graph:
+    """Autodetect the format; of several graph6 lines, only the first is read."""
+    fmt, text = _detect(data)
+    return parse_graph6(_graph6_lines(text)[0]) if fmt == GRAPH6 else parse_edge_list(text)
 
 
 def read_graphs(data: bytes | str) -> list[Graph]:
     """All graphs in an input: one per line for graph6, one total otherwise."""
-    text = _as_text(data)
-    stripped = text.lstrip(" \t\r\n")
-    if not stripped:
-        raise ParseError("empty input")
-    first = stripped[0]
-    if stripped.startswith(GRAPH6_HEADER) or (not first.isdigit() and 63 <= ord(first) <= 126):
-        return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    fmt, text = _detect(data)
+    if fmt == GRAPH6:
+        return [parse_graph6(line) for line in _graph6_lines(text)]
     return [parse_edge_list(text)]
 
 

@@ -6,6 +6,10 @@ tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction (one BFS per source) and shared read-only, so distance
 queries are table lookups.  All arithmetic is exact integer hop counts.
+
+A disconnected input is rejected after at most one BFS: fewer than n - 1
+distinct edges fail before any table is allocated, and otherwise the first
+BFS row must reach every vertex.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         normalized.add((u, v) if u < v else (v, u))
+    if len(normalized) < n - 1:
+        raise DisconnectedError("graph is not connected")
     sorted_edges = tuple(sorted(normalized))
 
     neighbors: list[list[int]] = [[] for _ in range(n)]
@@ -91,13 +97,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
 
     distances = _all_pairs_bfs(n, adjacency)
-    for row in distances:
-        if any(d < 0 for d in row):
-            raise DisconnectedError("graph is not connected")
     return Graph(n=n, edges=sorted_edges, adjacency=adjacency, distances=distances)
 
 
 def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Distance rows of a connected graph; DisconnectedError if row 0 misses a vertex."""
     rows = []
     for source in range(n):
         dist = [-1] * n
@@ -110,13 +114,10 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[tupl
                 if dist[w] < 0:
                     dist[w] = du + 1
                     queue.append(w)
+        if not rows and -1 in dist:
+            raise DisconnectedError("graph is not connected")
         rows.append(tuple(dist))
     return tuple(rows)
-
-
-def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Hop-count distance matrix, d[u][v] = length of a shortest u,v-path."""
-    return g.distances
 
 
 def vertex_edge_distance(g: Graph, v: int, edge_idx: int) -> int:

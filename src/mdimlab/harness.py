@@ -6,6 +6,9 @@ derived graph) and records Holds / Violated / Skipped with the numbers on
 both sides.  Skips happen only for class mismatches and exhausted search
 budgets.  Reports serialize deterministically: records sorted by
 (instance, check), stable key order, timings omitted unless requested.
+
+``explore`` runs through the same record loop as ``run_checks``: each
+target is one more check, named ``explore:<target>``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     EnumerationOverflowError,
+    GraphError,
     NotCactusError,
     SearchBudgetExceededError,
 )
@@ -28,13 +32,14 @@ from .solvers import (
     DIM,
     EDIM,
     MDIM,
+    Certificate,
     forced_vertices_mdim,
     is_mixed_resolving,
     phi_of_graph,
     solve_dimension,
 )
 from .structural import LEAF_LAW_MIN_N, cactus_decompose, gn_family_facts, is_tree, leaf_count
-from .transforms import check_distance_identities, middle, subdivision, total
+from .transforms import DerivedGraph, check_distance_identities, middle, subdivision, total
 from . import families
 
 TOOL_VERSION = "0.1.0"
@@ -43,22 +48,16 @@ HOLDS = "holds"
 VIOLATED = "violated"
 SKIPPED = "skipped"
 
-THEOREM_IDS = (
-    "C3.2",
-    "C3.5-cactus",
-    "E1-E6-identities",
-    "L2.1-forced",
-    "P3.4",
-    "P4.5",
-    "T2.2-formula",
-    "T3.1i",
-    "T3.1ii",
-    "T4.1",
-    "T4.2",
-    "T4.3",
-)
+DERIVED = {"s": subdivision, "m": middle, "t": total}
 
-EXPLORE_TARGETS = ("gap_gt_2", "mdim_eq_mdims")
+_CORPUS_FAMILIES = frozenset(families.FAMILIES) | {"trees"}
+
+# target: (record value key, findings key, test on the gap mdim(G) - mdim(S(G)))
+_EXPLORE = {
+    "gap_gt_2": ("gap_gt_2", "gap_gt_2_instances_found", lambda gap: gap > 2),
+    "mdim_eq_mdims": ("equal", "equality_instances_found", lambda gap: gap == 0),
+}
+EXPLORE_TARGETS = tuple(_EXPLORE)
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,9 @@ class _Skip(Exception):
 
 
 class _Lab:
-    """Per-instance cache so checks share expensive results: solver values
-    and the derived graphs S(G), M(G) and T(G), each built at most once."""
+    """Per-instance cache so checks share expensive results: solver
+    certificates and the derived graphs S(G), M(G) and T(G), each built at
+    most once."""
 
     def __init__(self, g: Graph, budget: int, phi_cap: int):
         self.g = g
@@ -164,51 +164,20 @@ class _Lab:
             self._cache[key] = fn()
         return self._cache[key]
 
-    def dim(self) -> int:
-        return self._memo("dim", lambda: solve_dimension(self.g, DIM, self.budget).value)
+    def derived(self, letter: str) -> DerivedGraph:
+        """S(G), M(G) or T(G) for "s", "m" or "t"."""
+        return self._memo(letter, lambda: DERIVED[letter](self.g))
 
-    def edim(self) -> int:
-        return self._memo("edim", lambda: solve_dimension(self.g, EDIM, self.budget).value)
-
-    def mdim_cert(self):
-        return self._memo("mdim_cert", lambda: solve_dimension(self.g, MDIM, self.budget))
-
-    def mdim(self) -> int:
-        return self.mdim_cert().value
-
-    def sgraph(self):
-        return self._memo("sgraph", lambda: subdivision(self.g))
-
-    def mdim_s(self) -> int:
-        return self._memo(
-            "mdim_s", lambda: solve_dimension(self.sgraph().graph, MDIM, self.budget).value
-        )
-
-    def mgraph(self):
-        return self._memo("mgraph", lambda: middle(self.g))
-
-    def dim_middle(self) -> int:
-        return self._memo(
-            "dim_middle", lambda: solve_dimension(self.mgraph().graph, DIM, self.budget).value
-        )
-
-    def tgraph(self):
-        return self._memo("tgraph", lambda: total(self.g))
-
-    def mdim_total(self) -> int:
-        return self._memo(
-            "mdim_total", lambda: solve_dimension(self.tgraph().graph, MDIM, self.budget).value
-        )
-
-    def dim_total(self) -> int:
-        return self._memo(
-            "dim_total", lambda: solve_dimension(self.tgraph().graph, DIM, self.budget).value
-        )
+    def cert(self, kind: str, on: str | None = None) -> Certificate:
+        """Exact ``kind`` dimension of G, or of the derived graph ``on`` names."""
+        g = self.g if on is None else self.derived(on).graph
+        return self._memo((kind, on), lambda: solve_dimension(g, kind, self.budget))
 
     def phi(self):
         return self._memo(
             "phi",
-            lambda: phi_of_graph(self.g, cap=self.phi_cap, budget=self.budget, sg=self.sgraph()),
+            lambda: phi_of_graph(self.g, cap=self.phi_cap, budget=self.budget,
+                                 sg=self.derived("s")),
         )
 
     def cactus(self):
@@ -233,7 +202,7 @@ def _require_cactus(lab: _Lab):
 
 
 def _check_identities(lab: _Lab, inst: Instance):
-    report = check_distance_identities(lab.g, sg=lab.sgraph(), mg=lab.mgraph())
+    report = check_distance_identities(lab.g, sg=lab.derived("s"), mg=lab.derived("m"))
     values = {c.identity: c.pairs_checked for c in report.checks}
     if report.ok:
         return HOLDS, values
@@ -243,7 +212,7 @@ def _check_identities(lab: _Lab, inst: Instance):
 
 
 def _check_forced(lab: _Lab, inst: Instance):
-    cert = lab.mdim_cert()
+    cert = lab.cert(MDIM)
     forced = forced_vertices_mdim(lab.g)
     witness = set(cert.vertices)
     values = {"forced": list(forced), "mdim": cert.value, "witness": list(cert.vertices)}
@@ -259,20 +228,20 @@ def _check_forced(lab: _Lab, inst: Instance):
 
 def _check_cactus_formula(lab: _Lab, inst: Instance):
     report = _require_cactus(lab)
-    brute = lab.mdim()
+    brute = lab.cert(MDIM).value
     values = {"formula": report.mdim_formula, "brute": brute,
               "n1": report.n1, "epsilon": report.epsilon, "cycles": len(report.cycles)}
     return (HOLDS if report.mdim_formula == brute else VIOLATED), values
 
 
 def _check_subdivision_upper(lab: _Lab, inst: Instance):
-    values = {"mdim_s": lab.mdim_s(), "mdim": lab.mdim()}
+    values = {"mdim_s": lab.cert(MDIM, "s").value, "mdim": lab.cert(MDIM).value}
     return (HOLDS if values["mdim_s"] <= values["mdim"] else VIOLATED), values
 
 
 def _check_phi_lower(lab: _Lab, inst: Instance):
     phi = lab.phi()
-    values = {"phi": phi.phi_value, "dim": lab.dim(), "edim": lab.edim(),
+    values = {"phi": phi.phi_value, "dim": lab.cert(DIM).value, "edim": lab.cert(EDIM).value,
               "bases": phi.bases_enumerated}
     ok = phi.phi_value >= max(values["dim"], values["edim"])
     return (HOLDS if ok else VIOLATED), values
@@ -280,8 +249,8 @@ def _check_phi_lower(lab: _Lab, inst: Instance):
 
 def _check_chain(lab: _Lab, inst: Instance):
     phi = lab.phi()
-    values = {"dim": lab.dim(), "edim": lab.edim(), "phi": phi.phi_value,
-              "mdim_s": lab.mdim_s(), "mdim": lab.mdim()}
+    values = {"dim": lab.cert(DIM).value, "edim": lab.cert(EDIM).value, "phi": phi.phi_value,
+              "mdim_s": lab.cert(MDIM, "s").value, "mdim": lab.cert(MDIM).value}
     # halves compared in integer form: a/2 <= b  <=>  a <= 2b
     ok = (
         max(values["dim"], values["edim"]) <= values["phi"]
@@ -298,9 +267,9 @@ def _check_gn_gap(lab: _Lab, inst: Instance):
         raise _Skip("class: two-hub gap statement needs n >= 5")
     facts = gn_family_facts(inst.param_n)
     forced = forced_vertices_mdim(lab.g)
-    mdim = lab.mdim()
-    mdim_s = lab.mdim_s()
-    sn_ok = is_mixed_resolving(lab.sgraph().graph, facts.sn_vertices)
+    mdim = lab.cert(MDIM).value
+    mdim_s = lab.cert(MDIM, "s").value
+    sn_ok = is_mixed_resolving(lab.derived("s").graph, facts.sn_vertices)
     values = {
         "formula": facts.mdim_value,
         "mdim": mdim,
@@ -320,19 +289,19 @@ def _check_gn_gap(lab: _Lab, inst: Instance):
 
 def _check_cactus_equality(lab: _Lab, inst: Instance):
     _require_cactus(lab)
-    values = {"mdim": lab.mdim(), "mdim_s": lab.mdim_s()}
+    values = {"mdim": lab.cert(MDIM).value, "mdim_s": lab.cert(MDIM, "s").value}
     return (HOLDS if values["mdim"] == values["mdim_s"] else VIOLATED), values
 
 
 def _check_middle_bound(lab: _Lab, inst: Instance):
-    values = {"dim_middle": lab.dim_middle(), "mdim": lab.mdim()}
+    values = {"dim_middle": lab.cert(DIM, "m").value, "mdim": lab.cert(MDIM).value}
     return (HOLDS if values["dim_middle"] <= values["mdim"] else VIOLATED), values
 
 
 def _check_tree_middle(lab: _Lab, inst: Instance):
     _require_leaf_law_tree(lab)
     n1 = leaf_count(lab.g)
-    values = {"n1": n1, "mdim": lab.mdim(), "dim_middle": lab.dim_middle()}
+    values = {"n1": n1, "mdim": lab.cert(MDIM).value, "dim_middle": lab.cert(DIM, "m").value}
     ok = values["mdim"] == n1 and values["dim_middle"] == n1
     return (HOLDS if ok else VIOLATED), values
 
@@ -340,14 +309,15 @@ def _check_tree_middle(lab: _Lab, inst: Instance):
 def _check_tree_total(lab: _Lab, inst: Instance):
     _require_leaf_law_tree(lab)
     n1 = leaf_count(lab.g)
-    values = {"n1": n1, "mdim_total": lab.mdim_total(), "expected": 2 * n1}
+    values = {"n1": n1, "mdim_total": lab.cert(MDIM, "t").value, "expected": 2 * n1}
     return (HOLDS if values["mdim_total"] == 2 * n1 else VIOLATED), values
 
 
 def _check_tree_total_dim_bounds(lab: _Lab, inst: Instance):
     if not is_tree(lab.g):
         raise _Skip("class: not a tree")
-    values = {"dim": lab.dim(), "dim_total": lab.dim_total(), "n1": leaf_count(lab.g)}
+    values = {"dim": lab.cert(DIM).value, "dim_total": lab.cert(DIM, "t").value,
+              "n1": leaf_count(lab.g)}
     ok = values["dim"] <= values["dim_total"] <= values["n1"]
     return (HOLDS if ok else VIOLATED), values
 
@@ -368,35 +338,27 @@ _CHECKS = {
 }
 
 
-def run_checks(
-    instances: list[Instance],
-    theorems: list[str] | None = None,
-    budget: int = DEFAULT_BUDGET,
-    phi_cap: int = DEFAULT_PHI_CAP,
-    source: str = "corpus",
-) -> Report:
-    """One TheoremCheck per (instance, check id), sorted and deterministic."""
-    ids = list(THEOREM_IDS) if theorems is None else list(theorems)
-    for t in ids:
-        if t not in _CHECKS:
-            raise ValueError(f"unknown theorem id {t!r}; known: {', '.join(THEOREM_IDS)}")
+THEOREM_IDS = tuple(_CHECKS)
+
+
+def _records(instances, checks, budget: int, phi_cap: int) -> list[TheoremCheck]:
+    """One TheoremCheck per (instance, (name, check)) pair, sorted; takes
+    ``instances`` in one pass."""
     records = []
     for inst in instances:
         lab = _Lab(inst.graph, budget, phi_cap)
-        for theorem in ids:
+        for name, check in checks:
             start = time.perf_counter()
             try:
-                status, values = _CHECKS[theorem](lab, inst)
+                status, values = check(lab, inst)
                 reason = None
             except _Skip as skip:
                 status, values, reason = SKIPPED, {}, skip.reason
-            except SearchBudgetExceededError as exc:
-                status, values, reason = SKIPPED, {}, f"budget: {exc}"
-            except EnumerationOverflowError as exc:
+            except (SearchBudgetExceededError, EnumerationOverflowError) as exc:
                 status, values, reason = SKIPPED, {}, f"budget: {exc}"
             records.append(
                 TheoremCheck(
-                    theorem=theorem,
+                    theorem=name,
                     instance=inst.id,
                     status=status,
                     values=values,
@@ -407,6 +369,22 @@ def run_checks(
                 )
             )
     records.sort(key=lambda r: (r.instance, r.theorem))
+    return records
+
+
+def run_checks(
+    instances: list[Instance],
+    theorems: list[str] | None = None,
+    budget: int = DEFAULT_BUDGET,
+    phi_cap: int = DEFAULT_PHI_CAP,
+    source: str = "corpus",
+) -> Report:
+    """One TheoremCheck per (instance, check id), sorted and deterministic."""
+    ids = THEOREM_IDS if theorems is None else theorems
+    for t in ids:
+        if t not in _CHECKS:
+            raise ValueError(f"unknown theorem id {t!r}; known: {', '.join(THEOREM_IDS)}")
+    records = _records(instances, [(t, _CHECKS[t]) for t in ids], budget, phi_cap)
     return Report(source=source, records=records)
 
 
@@ -418,37 +396,16 @@ def explore(
 ) -> Report:
     """Scan a corpus for subdivision-gap behavior; reports findings on the
     scanned instances only and asserts nothing beyond them."""
-    if target not in EXPLORE_TARGETS:
+    if target not in _EXPLORE:
         raise ValueError(f"unknown explore target {target!r}; known: {', '.join(EXPLORE_TARGETS)}")
-    records = []
-    for inst in instances:
-        lab = _Lab(inst.graph, budget, DEFAULT_PHI_CAP)
-        start = time.perf_counter()
-        try:
-            mdim = lab.mdim()
-            mdim_s = lab.mdim_s()
-            gap = mdim - mdim_s
-            values = {"mdim": mdim, "mdim_s": mdim_s, "gap": gap}
-            if target == "gap_gt_2":
-                values["gap_gt_2"] = gap > 2
-            else:
-                values["equal"] = gap == 0
-            status, reason = HOLDS, None
-        except SearchBudgetExceededError as exc:
-            status, values, reason = SKIPPED, {}, f"budget: {exc}"
-        records.append(
-            TheoremCheck(
-                theorem=f"explore:{target}",
-                instance=inst.id,
-                status=status,
-                values=values,
-                reason=reason,
-                n=inst.graph.n,
-                edges=[list(e) for e in inst.graph.edges],
-                elapsed_ms=(time.perf_counter() - start) * 1000.0,
-            )
-        )
-    records.sort(key=lambda r: (r.instance, r.theorem))
+    key, _, test = _EXPLORE[target]
+
+    def scan(lab: _Lab, inst: Instance):
+        mdim, mdim_s = lab.cert(MDIM).value, lab.cert(MDIM, "s").value
+        gap = mdim - mdim_s
+        return HOLDS, {"mdim": mdim, "mdim_s": mdim_s, "gap": gap, key: test(gap)}
+
+    records = _records(instances, [(f"explore:{target}", scan)], budget, DEFAULT_PHI_CAP)
     report = Report(source=source, records=records)
     report.extra = explore_summary(report, target)
     return report
@@ -458,42 +415,54 @@ def explore_summary(report: Report, target: str) -> dict:
     """Corpus-scoped summary: maxima and matches found, never a general claim."""
     scanned = [r for r in report.records if r.status == HOLDS]
     gaps = {r.instance: r.values["gap"] for r in scanned}
-    out = {
+    _, found, test = _EXPLORE[target]
+    return {
         "target": target,
         "instances_scanned": len(scanned),
         "instances_skipped": len(report.records) - len(scanned),
         "max_gap_found": max(gaps.values()) if gaps else None,
+        found: sorted(i for i, gap in gaps.items() if test(gap)),
+        "scope": "scanned corpus only",
     }
-    if target == "gap_gt_2":
-        out["gap_gt_2_instances_found"] = sorted(i for i, gap in gaps.items() if gap > 2)
-    else:
-        out["equality_instances_found"] = sorted(i for i, gap in gaps.items() if gap == 0)
-    out["scope"] = "scanned corpus only"
+
+
+def family_instances(name: str, ns, cycles=(1,), seeds=(1,)) -> list[Instance]:
+    """Corpus members of one family: every tree on each n for ``trees``, one
+    graph per (n, cycles, seed) for the random families, one per n otherwise."""
+    if name not in _CORPUS_FAMILIES:
+        raise GraphError(f"unknown family {name!r}; known: {', '.join(sorted(_CORPUS_FAMILIES))}")
+    out: list[Instance] = []
+    for n in ns:
+        if name == "trees":
+            for i, t in enumerate(families.enumerate_small_trees(n)):
+                out.append(Instance(id=f"trees:n={n},i={i:03d}", graph=t, family=name, param_n=n))
+        elif name == families.RANDOM_TREE:
+            for s in seeds:
+                out.append(Instance(id=f"random_tree:n={n},seed={s:03d}",
+                                    graph=families.random_tree(n, s), family=name, param_n=n))
+        elif name == families.RANDOM_CACTUS:
+            for c in cycles:
+                for s in seeds:
+                    out.append(Instance(id=f"random_cactus:n={n},cycles={c},seed={s:03d}",
+                                        graph=families.random_cactus(n, c, s), family=name,
+                                        param_n=n))
+        else:
+            g = families.generate(families.FamilySpec(family=name, n=n))
+            out.append(Instance(id=f"{name}:n={n}", graph=g, family=name, param_n=n))
     return out
 
 
 def default_corpus() -> list[Instance]:
     """Mixed small corpus: every exhaustive tree up to 7 vertices, cycles,
     complete graphs, two-hub instances, and seeded random trees and cacti."""
-    instances = []
-    for n in range(2, 8):
-        for i, t in enumerate(families.enumerate_small_trees(n)):
-            instances.append(Instance(id=f"trees:n={n},i={i:03d}", graph=t, family="trees", param_n=n))
-    for n in range(3, 9):
-        instances.append(Instance(id=f"cycle:n={n}", graph=families.cycle_graph(n), family=families.CYCLE, param_n=n))
-    for n in range(3, 6):
-        instances.append(Instance(id=f"complete:n={n}", graph=families.complete_graph(n), family=families.COMPLETE, param_n=n))
-    for n in (2, 5, 6):
-        instances.append(Instance(id=f"gn:n={n}", graph=families.gn_graph(n)[0], family=families.GN, param_n=n))
-    for seed in range(1, 6):
-        g = families.random_tree(9, seed)
-        instances.append(Instance(id=f"random_tree:n=9,seed={seed:03d}", graph=g, family=families.RANDOM_TREE, param_n=9))
+    instances = (
+        family_instances("trees", range(2, 8))
+        + family_instances(families.CYCLE, range(3, 9))
+        + family_instances(families.COMPLETE, range(3, 6))
+        + family_instances(families.GN, (2, 5, 6))
+        + family_instances(families.RANDOM_TREE, (9,), seeds=range(1, 6))
+    )
     for seed in range(1, 7):
-        n = 10 + (seed % 3)
-        cycles = 1 + (seed % 3)
-        g = families.random_cactus(n, cycles, seed)
-        instances.append(
-            Instance(id=f"random_cactus:n={n},cycles={cycles},seed={seed:03d}", graph=g,
-                     family=families.RANDOM_CACTUS, param_n=n)
-        )
+        instances += family_instances(families.RANDOM_CACTUS, (10 + seed % 3,),
+                                      cycles=(1 + seed % 3,), seeds=(seed,))
     return instances

@@ -11,6 +11,7 @@ base edges re-added by the total construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import TooSmallError
@@ -36,7 +37,7 @@ class DerivedGraph:
     provenance: tuple[tuple[str, int], ...]
     edge_classes: tuple[str, ...]
 
-    @property
+    @cached_property
     def base_n(self) -> int:
         """Vertex count of the base graph; originals occupy 0..base_n-1."""
         return sum(1 for tag, _ in self.provenance if tag == ORIGINAL)

@@ -160,3 +160,12 @@ def test_dot_for_derived_graph_carries_provenance_and_classes():
     assert 'label="0: orig 0"' in dot
     assert 'label="2: split e0"' in dot and "shape=box" in dot
     assert 'eclass="sedge"' in dot
+
+
+def test_unrecognized_input_gives_one_message_from_both_readers():
+    with pytest.raises(ParseError) as single:
+        parse_graph("!3 0\n")
+    with pytest.raises(ParseError) as every:
+        read_graphs("!3 0\n")
+    assert str(single.value) == str(every.value)
+    assert "cannot recognize input starting with '!'" in str(single.value)

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
+from mdimlab import graph
 from mdimlab import (
     DisconnectedError,
     GraphError,
@@ -157,3 +158,20 @@ def test_distances_match_oracle(g):
     for u in range(g.n):
         for v in range(g.n):
             assert g.distances[u][v] == oracle[u][v]
+
+
+def test_too_few_edges_rejected_before_any_bfs(monkeypatch):
+    def no_bfs(n, adjacency):
+        raise AssertionError("all-pairs BFS ran on a graph with fewer than n - 1 edges")
+
+    monkeypatch.setattr(graph, "_all_pairs_bfs", no_bfs)
+    with pytest.raises(DisconnectedError):
+        build_graph(1000, [])
+    with pytest.raises(DisconnectedError):
+        build_graph(4, [(0, 1), (1, 0), (2, 3)])  # a repeated edge counts once
+
+
+def test_triangle_plus_isolated_vertex_rejected():
+    # m = n - 1 passes the edge count, so the first BFS row must catch it
+    with pytest.raises(DisconnectedError):
+        build_graph(4, [(0, 1), (1, 2), (0, 2)])

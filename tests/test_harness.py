@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mdimlab import complete_graph, cycle_graph, enumerate_small_trees, gn_graph, path_graph
-from mdimlab import transforms
+from mdimlab import harness, middle, transforms
 from mdimlab.cli import main
 from mdimlab.harness import (
     HOLDS,
@@ -171,6 +171,31 @@ def test_default_corpus_is_deterministic_and_diverse():
     assert {"trees", "cycle", "complete", "gn", "random_tree", "random_cactus"} <= families_present
 
 
+def test_identity_check_reports_a_wrong_subdivision_as_violated(monkeypatch):
+    real = harness.check_distance_identities
+
+    def with_wrong_subdivision(base, sg=None, mg=None):
+        return real(base, sg=middle(base), mg=mg)
+
+    monkeypatch.setattr(harness, "check_distance_identities", with_wrong_subdivision)
+    report = run_checks([Instance(id="path:n=4", graph=path_graph(4))],
+                        theorems=["E1-E6-identities"])
+    (record,) = report.records
+    assert record.status == VIOLATED
+    assert record.values["counterexample"] == "eq1:(0, 2, 3, 4)"
+    assert report.exit_code() == 1
+
+
+def test_explore_budget_skip_is_reported():
+    instances = [Instance(id="C8", graph=cycle_graph(8)), Instance(id="P3", graph=path_graph(3))]
+    report = explore(instances, "gap_gt_2", budget=3)
+    by_id = {r.instance: r for r in report.records}
+    assert by_id["C8"].status == SKIPPED and by_id["C8"].reason.startswith("budget:")
+    assert by_id["P3"].status == HOLDS
+    assert report.extra["instances_skipped"] == 1
+    assert report.extra["instances_scanned"] == 1
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -330,3 +355,24 @@ def test_theorem_id_catalogue_is_stable():
         "C3.2", "C3.5-cactus", "E1-E6-identities", "L2.1-forced", "P3.4",
         "P4.5", "T2.2-formula", "T3.1i", "T3.1ii", "T4.1", "T4.2", "T4.3",
     )
+
+
+def test_cli_unrecognized_input_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bang.txt"
+    bad.write_text("!3 0\n")
+    assert main(["verify", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == "mdimlab: cannot recognize input starting with '!'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "random_cactus:n=10,cycles=1,seed=3"],
+    ["--family", "random_cactus", "--n", "11", "--cycles", "2", "--seed", "1"],
+    ["--family", "random_tree:n=9,seed=5"],
+    ["--family", "trees", "--n", "3"],
+])
+def test_cli_family_ids_match_default_corpus(argv, capsys):
+    assert main(["generate", "--format", "json"] + argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    corpus = {inst.id: inst.graph for inst in default_corpus()}
+    assert payload["instance"] in corpus
+    assert payload["graph"]["edges"] == [list(e) for e in corpus[payload["instance"]].edges]

@@ -169,3 +169,15 @@ def test_middle_distance_values_by_hand():
     mg = middle(path_graph(3)).graph
     assert mg.distances[0][2] == 3
     assert mg.distances[0][1] == 2
+
+
+def test_identities_report_a_wrong_subdivision():
+    g = path_graph(4)
+    report = check_distance_identities(g, sg=middle(g))  # M(P4) posing as S(P4)
+    assert not report.ok
+    assert {c.identity: c.counterexample for c in report.failed()} == {
+        "eq1": (0, 2, 3, 4),
+        "eq2": (0, 1, 2, 3),
+        "eq3": (0, 1, 1, 2),
+        "eq4": (0, 4, 3, (4, 5)),
+    }
