@@ -86,4 +86,6 @@ from .formats import (
     read_graphs,
 )
 
-__version__ = "0.1.0"
+from .harness import TOOL_VERSION
+
+__version__ = TOOL_VERSION

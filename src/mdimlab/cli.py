@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .errors import GraphError, ParseError
+from .errors import GraphError
 from .formats import (
     EDGE_LIST,
     GRAPH6,
@@ -31,6 +30,7 @@ from .harness import (
     THEOREM_IDS,
     TOOL_VERSION,
     default_corpus,
+    dumps,
     explore,
     family_instances,
     run_checks,
@@ -102,16 +102,11 @@ def _corpus(args) -> tuple[list[Instance], str]:
 
 
 def _single_instance(args) -> Instance:
-    if args.input:
-        found = _file_instances(args.input)
-        if len(found) != 1:
-            raise GraphError(f"{args.input} holds {len(found)} graphs; expected exactly one")
-        return found[0]
-    if not args.family:
+    if not (args.input or args.family):
         raise GraphError("provide --input FILE or --family NAME --n N")
-    found = _expand_family_spec(args.family, args)
+    found, _ = _corpus(args)
     if len(found) != 1:
-        raise GraphError(f"family spec expands to {len(found)} graphs; expected exactly one")
+        raise GraphError(f"{args.command} needs exactly one graph; the inputs hold {len(found)}")
     return found[0]
 
 
@@ -128,12 +123,6 @@ def _graph_dict(g: Graph) -> dict:
     return {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]}
 
 
-def _json_out(payload: dict) -> str:
-    payload = dict(payload)
-    payload["version"] = TOOL_VERSION
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _cmd_generate(args) -> int:
     inst = _single_instance(args)
     if args.format in (EDGE_LIST, GRAPH6):
@@ -141,7 +130,7 @@ def _cmd_generate(args) -> int:
     elif args.format == "dot":
         _write(args, graph_to_dot(inst.graph, name="g"))
     else:
-        _write(args, _json_out({"instance": inst.id, "graph": _graph_dict(inst.graph)}))
+        _write(args, dumps({"instance": inst.id, "graph": _graph_dict(inst.graph)}))
     return 0
 
 
@@ -164,9 +153,9 @@ def _cmd_transform(args) -> int:
     if args.format == "dot":
         _write(args, dot)
     else:
-        _write(args, _json_out({"base": _graph_dict(base), "derived": args.derived,
-                                "graph": _graph_dict(graph), "instance": inst.id,
-                                "vertices": vertices, **extra}))
+        _write(args, dumps({"base": _graph_dict(base), "derived": args.derived,
+                            "graph": _graph_dict(graph), "instance": inst.id,
+                            "vertices": vertices, **extra}))
     return 0
 
 
@@ -178,8 +167,8 @@ def _cmd_solve(args) -> int:
     try:
         cert = solve_dimension(g, args.kind, budget=args.budget)
     except GraphError as exc:
-        _write(args, _json_out({"error": str(exc), "instance": inst.id, "kind": args.kind,
-                                "derived": args.derived}))
+        _write(args, dumps({"error": str(exc), "instance": inst.id, "kind": args.kind,
+                            "derived": args.derived}))
         return 1
     payload = {
         "certificate": {
@@ -194,7 +183,7 @@ def _cmd_solve(args) -> int:
     }
     if args.stats:
         payload["stats"] = dataclasses.asdict(cert.stats)
-    _write(args, _json_out(payload))
+    _write(args, dumps(payload))
     return 0
 
 
@@ -223,17 +212,13 @@ def _cmd_explore(args) -> int:
     return report.exit_code(strict=args.strict)
 
 
-def _add_input_options(p: argparse.ArgumentParser, multiple: bool) -> None:
-    if multiple:
-        p.add_argument("--input", action="append", metavar="FILE",
-                       help="graph file (graph6 or edge list); repeatable")
-        p.add_argument("--family", action="append", metavar="SPEC",
-                       help="family name (with --n/--cycles/--seed) or inline "
-                            "spec like random_cactus:n=10,cycles=2,seed=1..30; repeatable")
-    else:
-        p.add_argument("--input", metavar="FILE", help="graph file (graph6 or edge list)")
-        p.add_argument("--family", metavar="SPEC",
-                       help="family name (with --n/--cycles/--seed) or inline spec")
+def _add_input_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", action="append", metavar="FILE",
+                   help="graph file (graph6 or edge list); repeatable")
+    p.add_argument("--family", action="append", metavar="SPEC",
+                   help="family name (with --n/--cycles/--seed) or inline spec like "
+                        "random_cactus:n=10,cycles=2,seed=1..30; repeatable; generate, "
+                        "transform and solve need exactly one graph in all")
     p.add_argument("--n", metavar="N", help="size or range A..B for --family")
     p.add_argument("--cycles", metavar="C", help="cycle count or range for random_cactus")
     p.add_argument("--seed", metavar="S", help="seed or range for random families")
@@ -249,20 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a family graph")
-    _add_input_options(p, multiple=False)
+    _add_input_options(p)
     p.add_argument("--format", choices=[EDGE_LIST, GRAPH6, "dot", "json"], default=EDGE_LIST)
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("transform", help="build a derived graph with provenance")
-    _add_input_options(p, multiple=False)
+    _add_input_options(p)
     p.add_argument("--derived", choices=[*DERIVED, "l"], required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("solve", help="exact dimension with a witness certificate")
-    _add_input_options(p, multiple=False)
+    _add_input_options(p)
     p.add_argument("--kind", choices=list(KINDS), required=True)
     p.add_argument("--derived", choices=["none", *DERIVED], default="none")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -274,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="run named checks over a corpus")
-    _add_input_options(p, multiple=True)
+    _add_input_options(p)
     p.add_argument("--theorems", default="all",
                    help=f"comma list from: {', '.join(THEOREM_IDS)} (default all)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -288,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("explore", help="scan for subdivision-gap behavior")
-    _add_input_options(p, multiple=True)
+    _add_input_options(p)
     p.add_argument("--target", choices=list(EXPLORE_TARGETS), required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -304,10 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
-        print(f"mdimlab: {exc}", file=sys.stderr)
-        return 2
-    except GraphError as exc:
+    except (GraphError, ValueError) as exc:
         print(f"mdimlab: {exc}", file=sys.stderr)
         return 2
 

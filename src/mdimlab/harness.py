@@ -33,7 +33,6 @@ from .solvers import (
     EDIM,
     MDIM,
     Certificate,
-    forced_vertices_mdim,
     is_mixed_resolving,
     phi_of_graph,
     solve_dimension,
@@ -58,6 +57,11 @@ _EXPLORE = {
     "mdim_eq_mdims": ("equal", "equality_instances_found", lambda gap: gap == 0),
 }
 EXPLORE_TARGETS = tuple(_EXPLORE)
+
+
+def dumps(payload: dict) -> str:
+    """Deterministic JSON text of ``payload``, stamped with the tool version."""
+    return json.dumps({**payload, "version": TOOL_VERSION}, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,6 @@ class TheoremCheck:
 class Report:
     source: str
     records: list[TheoremCheck]
-    version: str = TOOL_VERSION
     extra: dict | None = None
 
     @property
@@ -113,14 +116,13 @@ class Report:
 
     def to_json(self, timings: bool = False) -> str:
         payload = {
-            "version": self.version,
             "source": self.source,
             "summary": self.summary,
             "records": [r.to_dict(timings) for r in self.records],
         }
         if self.extra is not None:
             payload["findings"] = self.extra
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return dumps(payload)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -213,12 +215,11 @@ def _check_identities(lab: _Lab, inst: Instance):
 
 def _check_forced(lab: _Lab, inst: Instance):
     cert = lab.cert(MDIM)
-    forced = forced_vertices_mdim(lab.g)
     witness = set(cert.vertices)
-    values = {"forced": list(forced), "mdim": cert.value, "witness": list(cert.vertices)}
-    if not set(forced) <= witness:
+    values = {"forced": list(cert.forced), "mdim": cert.value, "witness": list(cert.vertices)}
+    if not set(cert.forced) <= witness:
         return VIOLATED, values
-    for v in forced:
+    for v in cert.forced:
         trimmed = sorted(witness - {v})
         if trimmed and is_mixed_resolving(lab.g, trimmed):
             values["removable_forced_vertex"] = v
@@ -266,7 +267,7 @@ def _check_gn_gap(lab: _Lab, inst: Instance):
     if inst.param_n < 5:
         raise _Skip("class: two-hub gap statement needs n >= 5")
     facts = gn_family_facts(inst.param_n)
-    forced = forced_vertices_mdim(lab.g)
+    forced = lab.cert(MDIM).forced
     mdim = lab.cert(MDIM).value
     mdim_s = lab.cert(MDIM, "s").value
     sn_ok = is_mixed_resolving(lab.derived("s").graph, facts.sn_vertices)
@@ -347,6 +348,7 @@ def _records(instances, checks, budget: int, phi_cap: int) -> list[TheoremCheck]
     records = []
     for inst in instances:
         lab = _Lab(inst.graph, budget, phi_cap)
+        edges = [list(e) for e in inst.graph.edges]
         for name, check in checks:
             start = time.perf_counter()
             try:
@@ -364,7 +366,7 @@ def _records(instances, checks, budget: int, phi_cap: int) -> list[TheoremCheck]
                     values=values,
                     reason=reason,
                     n=inst.graph.n,
-                    edges=[list(e) for e in inst.graph.edges],
+                    edges=edges,
                     elapsed_ms=(time.perf_counter() - start) * 1000.0,
                 )
             )
@@ -381,9 +383,11 @@ def run_checks(
 ) -> Report:
     """One TheoremCheck per (instance, check id), sorted and deterministic."""
     ids = THEOREM_IDS if theorems is None else theorems
-    for t in ids:
+    for i, t in enumerate(ids):
         if t not in _CHECKS:
             raise ValueError(f"unknown theorem id {t!r}; known: {', '.join(THEOREM_IDS)}")
+        if t in ids[:i]:
+            raise ValueError(f"repeated theorem id {t!r}")
     records = _records(instances, [(t, _CHECKS[t]) for t in ids], budget, phi_cap)
     return Report(source=source, records=records)
 

@@ -3,7 +3,9 @@
 A vertex set W resolves a universe of elements when the distance vectors
 from the elements to W are pairwise distinct.  The three dimensions use
 three universes: all vertices (dim), all edges (edim), and vertices plus
-edges (mdim).
+edges (mdim).  ``is_resolving``, ``is_edge_resolving`` and
+``is_mixed_resolving`` share one test: one row of distances per witness
+vertex, and the universe is resolved when the columns are pairwise distinct.
 
 Every minimum search runs on one core that treats a resolving set as a
 hitting set (Khuller, Raghavachari and Rosenfeld, *Landmarks in graphs*,
@@ -109,52 +111,36 @@ def signature(g: Graph, x: MixedElement, witness: Sequence[int]) -> tuple[int, .
     return tuple(mixed_distance(g, x, w) for w in witness)
 
 
-def _vertex_rows(g: Graph, witness: Sequence[int]) -> list[tuple[int, ...]]:
-    return [g.distances[w] for w in witness]
-
-
-def _edge_rows(g: Graph, witness: Sequence[int]) -> list[tuple[int, ...]]:
-    rows = []
-    for w in witness:
-        dw = g.distances[w]
-        rows.append(tuple(min(dw[a], dw[b]) for a, b in g.edges))
-    return rows
-
-
-def _columns_distinct(rows: list[tuple[int, ...]]) -> bool:
-    seen = set()
-    add = seen.add
-    for column in zip(*rows):
-        if column in seen:
-            return False
-        add(column)
-    return True
-
-
-def _check_witness(g: Graph, witness: Sequence[int]) -> list[int]:
+def _resolves(g: Graph, kind: str, witness: Iterable[int]) -> bool:
+    """True iff the witness gives the elements of the kind's universe pairwise
+    distinct distance vectors.  One row per witness vertex: its distances to
+    the universe, vertices first, then edges, as in ``_universe_columns``."""
     ws = sorted(set(witness))
     if not ws:
         raise GraphError("witness set must be nonempty")
     if ws[0] < 0 or ws[-1] >= g.n:
         raise GraphError("witness contains a vertex outside 0..n-1")
-    return ws
+    rows = []
+    for w in ws:
+        dw = g.distances[w]
+        edges = [] if kind == DIM else [min(dw[a], dw[b]) for a, b in g.edges]
+        rows.append(edges if kind == EDIM else [*dw, *edges])
+    return len(set(zip(*rows))) == len(rows[0])
 
 
 def is_resolving(g: Graph, witness: Iterable[int]) -> bool:
     """True iff every pair of vertices gets distinct distance vectors to W."""
-    return _columns_distinct(_vertex_rows(g, _check_witness(g, witness)))
+    return _resolves(g, DIM, witness)
 
 
 def is_edge_resolving(g: Graph, witness: Iterable[int]) -> bool:
     """True iff every pair of edges gets distinct distance vectors to W."""
-    return _columns_distinct(_edge_rows(g, _check_witness(g, witness)))
+    return _resolves(g, EDIM, witness)
 
 
 def is_mixed_resolving(g: Graph, witness: Iterable[int]) -> bool:
     """True iff all vertices and edges get pairwise distinct vectors to W."""
-    ws = _check_witness(g, witness)
-    rows = [v + e for v, e in zip(_vertex_rows(g, ws), _edge_rows(g, ws))]
-    return _columns_distinct(rows)
+    return _resolves(g, MDIM, witness)
 
 
 def forced_vertices_mdim(g: Graph) -> tuple[int, ...]:

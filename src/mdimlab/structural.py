@@ -123,6 +123,13 @@ def _order_cycle(comp: list[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _geodesic(g: Graph, u: int, v: int, w: int, cycle_length: int) -> bool:
+    """Do the whole-graph pairwise distances of u, v, w sum to the length of
+    the cycle they lie on?"""
+    d = g.distances
+    return d[u][v] + d[v][w] + d[w][u] == cycle_length
+
+
 def cactus_decompose(g: Graph) -> CactusReport:
     """Split into biconnected components and evaluate the cactus formula.
 
@@ -141,13 +148,7 @@ def cactus_decompose(g: Graph) -> CactusReport:
             )
         ring = _order_cycle(comp)
         roots = [v for v in ring if g.degree(v) >= 3]
-        triple = False
-        if len(roots) >= 3:
-            size = len(ring)
-            for u, v, w in combinations(roots, 3):
-                if g.distances[u][v] + g.distances[v][w] + g.distances[w][u] == size:
-                    triple = True
-                    break
+        triple = any(_geodesic(g, *uvw, len(ring)) for uvw in combinations(roots, 3))
         cycles.append(CycleInfo(vertices=ring, rt=len(roots), has_geodesic_triple=triple))
 
     cycles.sort(key=lambda c: c.vertices)
@@ -163,8 +164,7 @@ def is_geodesic_triple(g: Graph, cycle: CycleInfo, u: int, v: int, w: int) -> bo
         raise GraphError("geodesic triple needs three distinct vertices")
     if not {u, v, w} <= set(cycle.vertices):
         raise GraphError("geodesic triple vertices must lie on the cycle")
-    d = g.distances
-    return d[u][v] + d[v][w] + d[w][u] == len(cycle.vertices)
+    return _geodesic(g, u, v, w, len(cycle.vertices))
 
 
 def closed_form(g: Graph, claim: str):
@@ -220,10 +220,9 @@ def gn_family_facts(n: int) -> GnFacts:
         return GnFacts(n=n, mdim_value=n + 2, sn_vertices=None,
                        subdivision_upper=None, gap_lower_bound=None)
     sg = subdivision(g)
-    base_n = g.n
 
     def split_of(a: str, b: str) -> int:
-        return base_n + g.edge_index(names[a], names[b])
+        return sg.subdivision_vertex(g.edge_index(names[a], names[b]))
 
     witness = [split_of("x", "z1"), split_of("x", "z2"),
                split_of("y", "z3"), split_of("y", "z4")]

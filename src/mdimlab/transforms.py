@@ -45,9 +45,6 @@ class DerivedGraph:
     def subdivision_vertex(self, base_edge: int) -> int:
         return self.base_n + base_edge
 
-    def is_subdivision_vertex(self, v: int) -> bool:
-        return self.provenance[v][0] == SUBDIVISION
-
 
 def _assemble(base: Graph, classed_edges: dict[tuple[int, int], str]) -> DerivedGraph:
     n, m = base.n, base.m
@@ -81,24 +78,22 @@ def subdivision(base: Graph) -> DerivedGraph:
     return _assemble(base, _split_edges(base))
 
 
-def middle(base: Graph) -> DerivedGraph:
-    """Subdivision plus edges between splits of incident base edges."""
+def _middle_edges(base: Graph) -> dict[tuple[int, int], str]:
     n = base.n
     classed = _split_edges(base)
     for i, j in _incident_pairs(base):
         classed[(n + i, n + j)] = L_EDGE
-    return _assemble(base, classed)
+    return classed
+
+
+def middle(base: Graph) -> DerivedGraph:
+    """Subdivision plus edges between splits of incident base edges."""
+    return _assemble(base, _middle_edges(base))
 
 
 def total(base: Graph) -> DerivedGraph:
     """Middle graph plus the base edges themselves."""
-    n = base.n
-    classed = _split_edges(base)
-    for i, j in _incident_pairs(base):
-        classed[(n + i, n + j)] = L_EDGE
-    for u, w in base.edges:
-        classed[(u, w)] = ORIGINAL_EDGE
-    return _assemble(base, classed)
+    return _assemble(base, _middle_edges(base) | dict.fromkeys(base.edges, ORIGINAL_EDGE))
 
 
 def line_graph(base: Graph) -> Graph:
@@ -167,67 +162,60 @@ def check_distance_identities(
     dg = base.distances
     checks = []
 
-    count = 0
     bad = None
     for x in range(n):
         for y in range(n):
-            count += 1
             if ds[x][y] != 2 * dg[x][y]:
                 bad = bad or (x, y, ds[x][y], 2 * dg[x][y])
-    checks.append(IdentityCheck("eq1", count, bad))
+    checks.append(IdentityCheck("eq1", n * n, bad))
 
-    count, bad = 0, None
+    bad = None
     for x in range(n):
         for j in range(m):
-            count += 1
             expected = 2 * vertex_edge_distance(base, x, j) + 1
             if ds[x][n + j] != expected:
                 bad = bad or (x, j, ds[x][n + j], expected)
-    checks.append(IdentityCheck("eq2", count, bad))
+    checks.append(IdentityCheck("eq2", n * m, bad))
 
-    count, bad = 0, None
+    bad = None
     for e in range(m):
         for f in range(m):
             if e == f:
                 continue
-            count += 1
             expected = 2 * edge_edge_distance(base, e, f) + 2
             if ds[n + e][n + f] != expected:
                 bad = bad or (e, f, ds[n + e][n + f], expected)
-    checks.append(IdentityCheck("eq3", count, bad))
+    checks.append(IdentityCheck("eq3", m * (m - 1), bad))
 
-    count, bad = 0, None
+    bad = None
     for x in range(n):
         for k, (a, b) in enumerate(sg.graph.edges):
-            count += 1
             split = a if sg.provenance[a][0] == SUBDIVISION else b
             j = sg.provenance[split][1]
             base_dist = vertex_edge_distance(base, x, j)
             got = min(ds[x][a], ds[x][b])
             if got not in (2 * base_dist, 2 * base_dist + 1):
                 bad = bad or (x, k, got, (2 * base_dist, 2 * base_dist + 1))
-    checks.append(IdentityCheck("eq4", count, bad))
+    checks.append(IdentityCheck("eq4", n * sg.graph.m, bad))
 
-    count, bad = 0, None
+    bad = None
     for x in range(n):
         for y in range(n):
             if x == y:
                 continue
-            count += 1
             if dm[x][y] != dg[x][y] + 1:
                 bad = bad or (x, y, dm[x][y], dg[x][y] + 1)
-    checks.append(IdentityCheck("eq5", count, bad))
+    checks.append(IdentityCheck("eq5", n * (n - 1), bad))
 
-    count, bad = 0, None
+    bad = None
     for x in range(n):
         for j, (a, b) in enumerate(base.edges):
-            count += 1
             if x in (a, b):
                 expected = 1
             else:
                 expected = vertex_edge_distance(base, x, j) + 1
             if dm[x][n + j] != expected:
                 bad = bad or (x, j, dm[x][n + j], expected)
-    checks.append(IdentityCheck("eq6", count, bad))
+    checks.append(IdentityCheck("eq6", n * m, bad))
 
     return IdentityReport(tuple(checks))

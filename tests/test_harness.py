@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -106,6 +107,27 @@ def test_phi_cap_skips():
 def test_unknown_theorem_id_rejected():
     with pytest.raises(ValueError):
         run_checks([Instance(id="x", graph=path_graph(3))], theorems=["T9.9"])
+
+
+def test_repeated_theorem_id_rejected():
+    with pytest.raises(ValueError, match="T3.1i"):
+        run_checks([Instance(id="x", graph=path_graph(3))], theorems=["T3.1i", "T4.1", "T3.1i"])
+
+
+def test_cli_repeated_theorem_id_is_exit_2(capsys):
+    argv = ["verify", "--family", "cycle", "--n", "4", "--theorems", "T3.1i,T3.1i",
+            "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "T3.1i" in captured.err
+
+
+def test_default_corpus_report_bytes_are_pinned():
+    report = run_checks(default_corpus(), source="default-corpus")
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "00f544c7ec315b91adfad5b8c2d34173ec69d6eec5d720df4c188e8489faee9d")
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
+        "9ea9e1c014126d363a3d836dfc2721f0bbc73df002299407ed5daa1fce0518fb")
 
 
 def test_violated_records_force_nonzero_exit():
@@ -376,3 +398,28 @@ def test_cli_family_ids_match_default_corpus(argv, capsys):
     corpus = {inst.id: inst.graph for inst in default_corpus()}
     assert payload["instance"] in corpus
     assert payload["graph"]["edges"] == [list(e) for e in corpus[payload["instance"]].edges]
+
+
+SINGLE_GRAPH_COMMANDS = {
+    # one --input gives these bytes; sha256 of the whole output
+    "generate": ([], "de1c2550646acf29b7b36b74d22c72a954ef3aaf0fbd5d5b611f6c9dbc3e70df"),
+    "transform": (["--derived", "t"],
+                  "8f3d67fdebbe086991bc29d366c2e56b5fc5df8903c388ce378d21e8c7e4eb7d"),
+    "solve": (["--kind", "mdim", "--derived", "s"],
+              "248061aac03a8faad30f68684a1a8bdbf238210471d57fb70928c930c93d4edb"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_GRAPH_COMMANDS))
+def test_cli_single_graph_commands_need_exactly_one_graph(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p3.txt").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "p4.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
+    extra, digest = SINGLE_GRAPH_COMMANDS[command]
+    assert main([command, "--input", "p3.txt", *extra]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    for inputs in (["--input", "p3.txt", "--input", "p4.txt"],
+                   ["--input", "p3.txt", "--family", "path", "--n", "3"]):
+        assert main([command, *inputs, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exactly one" in captured.err

@@ -32,7 +32,7 @@ from mdimlab import (
     vertex_element,
 )
 
-from conftest import connected_graphs, oracle_min_witnesses
+from conftest import connected_graphs, oracle_is_resolving, oracle_min_witnesses
 
 KINDS = ("dim", "edim", "mdim")
 DERIVED = {"G": lambda g: g, "S": lambda g: subdivision(g).graph,
@@ -272,3 +272,27 @@ def test_certificate_shape():
     assert cert.kind == "edim"
     assert cert.forced == ()
     assert cert.value == len(cert.vertices)
+
+
+RESOLVING_TESTS = {"dim": is_resolving, "edim": is_edge_resolving, "mdim": is_mixed_resolving}
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(max_n=7), st.randoms(use_true_random=False))
+def test_resolving_tests_match_oracle(g, rnd):
+    witness = rnd.sample(range(g.n), rnd.randint(1, g.n))
+    for kind, resolves in RESOLVING_TESTS.items():
+        assert resolves(g, witness) == oracle_is_resolving(g.n, g.edges, witness, kind), kind
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), gn_graph(2)[0], complete_graph(4),
+                               total(path_graph(4)).graph], ids=["C5", "G2", "K4", "T(P4)"])
+def test_resolving_tests_match_oracle_on_every_witness(g):
+    outcomes = set()
+    for mask in range(1, 1 << g.n):
+        witness = [v for v in range(g.n) if mask >> v & 1]
+        for kind, resolves in RESOLVING_TESTS.items():
+            expected = oracle_is_resolving(g.n, g.edges, witness, kind)
+            assert resolves(g, witness) == expected, (kind, witness)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
