@@ -36,7 +36,7 @@ report = explore(hubs, target="gap_gt_2")
 print(json.dumps(report.extra, indent=2, sort_keys=True))
 
 print("\n== the same reports come out of the command line ==")
-print("  mdimlab verify --family trees --n 2..7")
+print("  mdimlab verify --family trees:n=2..7")
 print("  mdimlab verify --family random_cactus:n=11,cycles=2,seed=1..5 --format csv")
-print("  mdimlab explore --target gap_gt_2 --family gn --n 2..6")
-print("  mdimlab solve --family gn --n 2 --kind mdim --derived s")
+print("  mdimlab explore --target gap_gt_2 --family gn:n=2..6")
+print("  mdimlab solve --family gn:n=2 --kind mdim --derived s")

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import GraphError
+from .families import PARAMETERS
 from .formats import (
     EDGE_LIST,
     GRAPH6,
@@ -49,31 +50,25 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _expand_family_spec(spec: str, args) -> list[Instance]:
-    """'name' uses --n/--cycles/--seed; 'name:n=5..7,seed=1..30' is inline."""
-    name, inline, rest = spec.partition(":")
-    if not inline:
-        if args.n is None:
-            raise GraphError(f"family {spec!r} needs --n")
-        params = {"n": args.n}
-        params.update((k, v) for k, v in (("cycles", args.cycles), ("seed", args.seed)) if v)
-    else:
-        params = {}
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            if not value:
-                raise GraphError(f"bad family parameter {part!r} in {spec!r}")
-            params[key.strip()] = value.strip()
-        unknown = set(params) - {"n", "cycles", "seed"}
-        if unknown:
-            raise GraphError(f"unknown family parameters {sorted(unknown)} in {spec!r}")
-        if "n" not in params:
-            raise GraphError(f"family spec {spec!r} needs n=...")
+def _expand_family_spec(spec: str) -> list[Instance]:
+    """'name:n=5..7,cycles=2,seed=1..30'; cycles and seed default to 1."""
+    name, _, rest = spec.partition(":")
+    params = {}
+    for part in rest.split(",") if rest else ():
+        key, _, value = part.partition("=")
+        if not value:
+            raise GraphError(f"bad family parameter {part!r} in {spec!r}")
+        params[key.strip()] = value.strip()
+    unread = sorted(params.keys() - {"n", *PARAMETERS.get(name, ())})
+    if unread:
+        raise GraphError(f"family {name!r} takes no parameter {unread[0]!r} in {spec!r}")
+    if "n" not in params:
+        raise GraphError(f"family spec {spec!r} needs n=...")
     return family_instances(
         name,
         _parse_range(params["n"]),
-        _parse_range(params["cycles"]) if "cycles" in params else [1],
-        _parse_range(params["seed"]) if "seed" in params else [1],
+        _parse_range(params.get("cycles", "1")),
+        _parse_range(params.get("seed", "1")),
     )
 
 
@@ -95,7 +90,7 @@ def _corpus(args) -> tuple[list[Instance], str]:
     for path in args.input or []:
         instances.extend(_file_instances(path))
     for spec in args.family or []:
-        instances.extend(_expand_family_spec(spec, args))
+        instances.extend(_expand_family_spec(spec))
     if not instances:
         instances = default_corpus()
     return instances, "default-corpus" if not (args.input or args.family) else "flags"
@@ -103,7 +98,7 @@ def _corpus(args) -> tuple[list[Instance], str]:
 
 def _single_instance(args) -> Instance:
     if not (args.input or args.family):
-        raise GraphError("provide --input FILE or --family NAME --n N")
+        raise GraphError("provide --input FILE or --family NAME:n=N")
     found, _ = _corpus(args)
     if len(found) != 1:
         raise GraphError(f"{args.command} needs exactly one graph; the inputs hold {len(found)}")
@@ -216,12 +211,10 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", action="append", metavar="FILE",
                    help="graph file (graph6 or edge list); repeatable")
     p.add_argument("--family", action="append", metavar="SPEC",
-                   help="family name (with --n/--cycles/--seed) or inline spec like "
-                        "random_cactus:n=10,cycles=2,seed=1..30; repeatable; generate, "
-                        "transform and solve need exactly one graph in all")
-    p.add_argument("--n", metavar="N", help="size or range A..B for --family")
-    p.add_argument("--cycles", metavar="C", help="cycle count or range for random_cactus")
-    p.add_argument("--seed", metavar="S", help="seed or range for random families")
+                   help="family spec NAME:n=N[,cycles=C][,seed=S], each value a number "
+                        "or range A..B, like random_cactus:n=10,cycles=2,seed=1..30; "
+                        "repeatable; generate, transform and solve need exactly one "
+                        "graph in all")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,8 @@ GN = "gn"
 RANDOM_TREE = "random_tree"
 RANDOM_CACTUS = "random_cactus"
 FAMILIES = (PATH, CYCLE, STAR, COMPLETE, GN, RANDOM_TREE, RANDOM_CACTUS)
+# the parameters besides n that a family reads; every other family reads n only
+PARAMETERS = {RANDOM_TREE: ("seed",), RANDOM_CACTUS: ("cycles", "seed")}
 
 
 @dataclass(frozen=True)

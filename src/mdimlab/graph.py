@@ -14,6 +14,7 @@ BFS row must reach every vertex.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -55,15 +56,9 @@ class Graph:
     def edge_index(self, u: int, v: int) -> int:
         """Index of edge {u, v} in the sorted edge list; GraphError if absent."""
         pair = (u, v) if u < v else (v, u)
-        lo, hi = 0, len(self.edges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.edges[mid] < pair:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.edges) and self.edges[lo] == pair:
-            return lo
+        i = bisect_left(self.edges, pair)
+        if i < len(self.edges) and self.edges[i] == pair:
+            return i
         raise GraphError(f"no edge {pair}")
 
     def __repr__(self) -> str:

@@ -344,9 +344,13 @@ THEOREM_IDS = tuple(_CHECKS)
 
 def _records(instances, checks, budget: int, phi_cap: int) -> list[TheoremCheck]:
     """One TheoremCheck per (instance, (name, check)) pair, sorted; takes
-    ``instances`` in one pass."""
+    ``instances`` in one pass; ValueError on a repeated instance id."""
     records = []
+    seen = set()
     for inst in instances:
+        if inst.id in seen:
+            raise ValueError(f"repeated instance id {inst.id!r}")
+        seen.add(inst.id)
         lab = _Lab(inst.graph, budget, phi_cap)
         edges = [list(e) for e in inst.graph.edges]
         for name, check in checks:

@@ -10,9 +10,10 @@ base edges re-added by the total construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .errors import TooSmallError
 from .graph import Graph, build_graph, vertex_edge_distance, edge_edge_distance
@@ -126,6 +127,16 @@ class IdentityReport:
         return [c for c in self.checks if not c.ok]
 
 
+def _first_bad(pairs, got, expected, holds=operator.eq) -> tuple | None:
+    """The first ``(a, b, got, expected)`` over ``pairs`` where
+    ``holds(expected, got)`` is false, or None when every pair holds."""
+    for a, b in pairs:
+        value, want = got(a, b), expected(a, b)
+        if not holds(want, value):
+            return a, b, value, want
+    return None
+
+
 def check_distance_identities(
     base: Graph,
     sg: DerivedGraph | None = None,
@@ -148,74 +159,37 @@ def check_distance_identities(
       eq6:  d_M(x, s_e) = d_G(x, e) + 1 when x is not an endpoint of e,
             and d_M(x, s_e) = 1 when it is.
 
-    Failures are reported with the first counterexample; a failure would
+    Each identity is reported with its first counterexample in pair order
+    (``pairs_checked`` is the size of its domain); a failure would
     indicate a construction bug, so this doubles as a self-check.  ``sg``
     and ``mg`` are S(G) and M(G) when the caller has already built them.
     """
     n, m = base.n, base.m
-    if sg is None:
-        sg = subdivision(base)
-    if mg is None:
-        mg = middle(base)
-    ds = sg.graph.distances
-    dm = mg.graph.distances
-    dg = base.distances
-    checks = []
+    sg = sg or subdivision(base)
+    mg = mg or middle(base)
+    ds, dm, dg = sg.graph.distances, mg.graph.distances, base.distances
+    xs, js, ks = range(n), range(m), range(sg.graph.m)
+    ve = [[vertex_edge_distance(base, x, j) for j in js] for x in xs]
 
-    bad = None
-    for x in range(n):
-        for y in range(n):
-            if ds[x][y] != 2 * dg[x][y]:
-                bad = bad or (x, y, ds[x][y], 2 * dg[x][y])
-    checks.append(IdentityCheck("eq1", n * n, bad))
+    # the base edge each S(G)-edge arises from: the one its split end splits
+    arises = [sg.provenance[a if sg.provenance[a][0] == SUBDIVISION else b][1]
+              for a, b in sg.graph.edges]
 
-    bad = None
-    for x in range(n):
-        for j in range(m):
-            expected = 2 * vertex_edge_distance(base, x, j) + 1
-            if ds[x][n + j] != expected:
-                bad = bad or (x, j, ds[x][n + j], expected)
-    checks.append(IdentityCheck("eq2", n * m, bad))
-
-    bad = None
-    for e in range(m):
-        for f in range(m):
-            if e == f:
-                continue
-            expected = 2 * edge_edge_distance(base, e, f) + 2
-            if ds[n + e][n + f] != expected:
-                bad = bad or (e, f, ds[n + e][n + f], expected)
-    checks.append(IdentityCheck("eq3", m * (m - 1), bad))
-
-    bad = None
-    for x in range(n):
-        for k, (a, b) in enumerate(sg.graph.edges):
-            split = a if sg.provenance[a][0] == SUBDIVISION else b
-            j = sg.provenance[split][1]
-            base_dist = vertex_edge_distance(base, x, j)
-            got = min(ds[x][a], ds[x][b])
-            if got not in (2 * base_dist, 2 * base_dist + 1):
-                bad = bad or (x, k, got, (2 * base_dist, 2 * base_dist + 1))
-    checks.append(IdentityCheck("eq4", n * sg.graph.m, bad))
-
-    bad = None
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if dm[x][y] != dg[x][y] + 1:
-                bad = bad or (x, y, dm[x][y], dg[x][y] + 1)
-    checks.append(IdentityCheck("eq5", n * (n - 1), bad))
-
-    bad = None
-    for x in range(n):
-        for j, (a, b) in enumerate(base.edges):
-            if x in (a, b):
-                expected = 1
-            else:
-                expected = vertex_edge_distance(base, x, j) + 1
-            if dm[x][n + j] != expected:
-                bad = bad or (x, j, dm[x][n + j], expected)
-    checks.append(IdentityCheck("eq6", n * m, bad))
-
-    return IdentityReport(tuple(checks))
+    rows = (
+        ("eq1", n * n, product(xs, xs),
+         lambda x, y: ds[x][y], lambda x, y: 2 * dg[x][y]),
+        ("eq2", n * m, product(xs, js),
+         lambda x, j: ds[x][n + j], lambda x, j: 2 * ve[x][j] + 1),
+        ("eq3", m * (m - 1), permutations(js, 2),
+         lambda e, f: ds[n + e][n + f], lambda e, f: 2 * edge_edge_distance(base, e, f) + 2),
+        ("eq4", n * len(ks), product(xs, ks),
+         lambda x, k: vertex_edge_distance(sg.graph, x, k),
+         lambda x, k: (2 * ve[x][arises[k]], 2 * ve[x][arises[k]] + 1), operator.contains),
+        ("eq5", n * (n - 1), permutations(xs, 2),
+         lambda x, y: dm[x][y], lambda x, y: dg[x][y] + 1),
+        ("eq6", n * m, product(xs, js),
+         lambda x, j: dm[x][n + j], lambda x, j: 1 if x in base.edges[j] else ve[x][j] + 1),
+    )
+    return IdentityReport(tuple(
+        IdentityCheck(name, size, _first_bad(pairs, *rules)) for name, size, pairs, *rules in rows
+    ))

@@ -175,3 +175,12 @@ def test_triangle_plus_isolated_vertex_rejected():
     # m = n - 1 passes the edge count, so the first BFS row must catch it
     with pytest.raises(DisconnectedError):
         build_graph(4, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("u, v", [(0, 2), (2, 3), (3, 2)])
+def test_edge_index_of_an_absent_edge_is_a_graph_error(u, v):
+    # (0, 2) falls inside the sorted edge list, (2, 3) past its end
+    g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
+    assert g.edge_index(2, 1) == 1
+    with pytest.raises(GraphError, match=rf"no edge \({min(u, v)}, {max(u, v)}\)"):
+        g.edge_index(u, v)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,7 +116,7 @@ def test_repeated_theorem_id_rejected():
 
 
 def test_cli_repeated_theorem_id_is_exit_2(capsys):
-    argv = ["verify", "--family", "cycle", "--n", "4", "--theorems", "T3.1i,T3.1i",
+    argv = ["verify", "--family", "cycle:n=4", "--theorems", "T3.1i,T3.1i",
             "--format", "csv"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -225,7 +226,7 @@ def test_explore_budget_skip_is_reported():
 
 def test_cli_generate_and_solve_round_trip(tmp_path, capsys):
     path = tmp_path / "g2.txt"
-    assert main(["generate", "--family", "gn", "--n", "2", "--output", str(path)]) == 0
+    assert main(["generate", "--family", "gn:n=2", "--output", str(path)]) == 0
     assert main(["solve", "--input", str(path), "--kind", "mdim"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["value"] == 4
@@ -233,13 +234,13 @@ def test_cli_generate_and_solve_round_trip(tmp_path, capsys):
 
 
 def test_cli_solve_on_subdivision(capsys):
-    assert main(["solve", "--family", "gn", "--n", "2", "--kind", "mdim", "--derived", "s"]) == 0
+    assert main(["solve", "--family", "gn:n=2", "--kind", "mdim", "--derived", "s"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["value"] == 3
 
 
 def test_cli_solve_reports_budget_errors_as_json(capsys):
-    code = main(["solve", "--family", "cycle", "--n", "8", "--kind", "mdim",
+    code = main(["solve", "--family", "cycle:n=8", "--kind", "mdim",
                  "--budget", "2"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -247,20 +248,20 @@ def test_cli_solve_reports_budget_errors_as_json(capsys):
 
 
 def test_cli_transform_total_of_single_edge(capsys):
-    assert main(["transform", "--family", "path", "--n", "2", "--derived", "t"]) == 0
+    assert main(["transform", "--family", "path:n=2", "--derived", "t"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["graph"]["n"] == 3 and payload["graph"]["m"] == 3
     assert sorted(payload["edge_classes"]) == ["original", "sedge", "sedge"]
 
 
 def test_cli_transform_line_graph(capsys):
-    assert main(["transform", "--family", "path", "--n", "3", "--derived", "l"]) == 0
+    assert main(["transform", "--family", "path:n=3", "--derived", "l"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["graph"]["n"] == 2 and payload["vertices"][0]["base_edge"] == [0, 1]
 
 
 def test_cli_transform_dot(capsys):
-    assert main(["transform", "--family", "gn", "--n", "5", "--derived", "s",
+    assert main(["transform", "--family", "gn:n=5", "--derived", "s",
                  "--format", "dot"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("graph s {") and "shape=box" in out
@@ -268,7 +269,7 @@ def test_cli_transform_dot(capsys):
 
 def test_cli_verify_selected_theorems(tmp_path):
     out = tmp_path / "report.json"
-    code = main(["verify", "--family", "cycle", "--n", "3..6",
+    code = main(["verify", "--family", "cycle:n=3..6",
                  "--theorems", "T2.2-formula,C3.5-cactus", "--output", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -287,21 +288,21 @@ def test_cli_verify_inline_family_spec(tmp_path):
 
 def test_cli_verify_is_byte_identical(tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["verify", "--family", "trees", "--n", "2..5", "--output"]
+    argv = ["verify", "--family", "trees:n=2..5", "--output"]
     assert main(argv + [str(first)]) == 0
     assert main(argv + [str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_cli_verify_strict_budget(tmp_path):
-    argv = ["verify", "--family", "cycle", "--n", "8", "--theorems", "T3.1i",
+    argv = ["verify", "--family", "cycle:n=8", "--theorems", "T3.1i",
             "--budget", "3", "--output", str(tmp_path / "r.json")]
     assert main(argv) == 0
     assert main(argv + ["--strict"]) == 1
 
 
 def test_cli_explore(capsys):
-    code = main(["explore", "--target", "gap_gt_2", "--family", "gn", "--n", "5"])
+    code = main(["explore", "--target", "gap_gt_2", "--family", "gn:n=5"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"]["max_gap_found"] == 2
@@ -335,7 +336,7 @@ def test_cli_non_ascii_file_name_is_written_as_utf8(tmp_path):
 
 
 def test_cli_solve_stats_is_opt_in(capsys):
-    argv = ["solve", "--family", "cycle", "--n", "8", "--kind", "mdim"]
+    argv = ["solve", "--family", "cycle:n=8", "--kind", "mdim"]
     assert main(argv) == 0
     plain = json.loads(capsys.readouterr().out)
     assert main(argv + ["--stats"]) == 0
@@ -349,7 +350,7 @@ def test_cli_solve_stats_is_opt_in(capsys):
 
 
 def test_cli_unknown_family_is_exit_2(capsys):
-    assert main(["solve", "--family", "hypercube", "--n", "3", "--kind", "dim"]) == 2
+    assert main(["solve", "--family", "hypercube:n=3", "--kind", "dim"]) == 2
 
 
 def test_cli_family_without_n_is_exit_2(capsys):
@@ -357,18 +358,18 @@ def test_cli_family_without_n_is_exit_2(capsys):
 
 
 def test_cli_verify_csv(capsys):
-    assert main(["verify", "--family", "cycle", "--n", "4",
+    assert main(["verify", "--family", "cycle:n=4",
                  "--theorems", "T3.1i", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("instance,theorem,status")
 
 
 def test_cli_generate_formats(capsys):
-    assert main(["generate", "--family", "star", "--n", "5", "--format", "graph6"]) == 0
+    assert main(["generate", "--family", "star:n=5", "--format", "graph6"]) == 0
     assert capsys.readouterr().out.strip() == "Ds_"  # center-0 star on 5 vertices
-    assert main(["generate", "--family", "path", "--n", "3", "--format", "dot"]) == 0
+    assert main(["generate", "--family", "path:n=3", "--format", "dot"]) == 0
     assert "v0 -- v1;" in capsys.readouterr().out
-    assert main(["generate", "--family", "path", "--n", "3", "--format", "json"]) == 0
+    assert main(["generate", "--family", "path:n=3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["graph"]["n"] == 3
 
 
@@ -388,9 +389,9 @@ def test_cli_unrecognized_input_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--family", "random_cactus:n=10,cycles=1,seed=3"],
-    ["--family", "random_cactus", "--n", "11", "--cycles", "2", "--seed", "1"],
+    ["--family", "random_cactus:n=11,cycles=2,seed=1"],
     ["--family", "random_tree:n=9,seed=5"],
-    ["--family", "trees", "--n", "3"],
+    ["--family", "trees:n=3"],
 ])
 def test_cli_family_ids_match_default_corpus(argv, capsys):
     assert main(["generate", "--format", "json"] + argv) == 0
@@ -419,7 +420,63 @@ def test_cli_single_graph_commands_need_exactly_one_graph(command, tmp_path, cap
     assert main([command, "--input", "p3.txt", *extra]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
     for inputs in (["--input", "p3.txt", "--input", "p4.txt"],
-                   ["--input", "p3.txt", "--family", "path", "--n", "3"]):
+                   ["--input", "p3.txt", "--family", "path:n=3"]):
         assert main([command, *inputs, *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "exactly one" in captured.err
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("gn:n=5,seed=3", "seed"),
+    ("cycle:n=4,cycles=2", "cycles"),
+    ("random_tree:n=9,cycles=2,seed=5", "cycles"),
+    ("trees:n=3,seed=1", "seed"),
+])
+def test_cli_family_parameter_the_family_does_not_read_is_exit_2(spec, key, capsys):
+    assert main(["verify", "--family", spec, "--theorems", "T3.1i"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"takes no parameter {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["generate", "transform", "solve", "verify", "explore"])
+def test_cli_family_flags_are_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "--family" in help_text
+    assert not {"--n", "--cycles", "--seed"} & set(help_text.replace("[", " ").split())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "cycle", "--n", "4"])
+    assert exc.value.code == 2
+
+
+def test_repeated_instance_id_rejected():
+    twins = [Instance(id="g", graph=path_graph(3)), Instance(id="g", graph=cycle_graph(3))]
+    with pytest.raises(ValueError, match="repeated instance id 'g'"):
+        run_checks(twins, theorems=["T3.1i"])
+    with pytest.raises(ValueError, match="repeated instance id 'g'"):
+        explore(twins, target="gap_gt_2")
+
+
+@pytest.mark.parametrize("inputs", [
+    ["--input", "a/g.txt", "--input", "b/g.txt"],
+    ["--family", "cycle:n=4", "--family", "cycle:n=4"],
+    ["--family", "cycle:n=3..5", "--family", "cycle:n=5"],
+])
+def test_cli_repeated_instance_id_is_exit_2(inputs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for sub, text in (("a", "3 2\n0 1\n1 2\n"), ("b", "3 3\n0 1\n1 2\n0 2\n")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "g.txt").write_text(text)
+    assert main(["verify", *inputs, "--theorems", "T3.1i", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeated instance id" in captured.err
+
+
+def test_project_version_is_the_tool_version():
+    tomllib = pytest.importorskip("tomllib")
+    import mdimlab
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == mdimlab.__version__

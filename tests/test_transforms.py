@@ -7,6 +7,7 @@ from mdimlab import (
     TooSmallError,
     build_graph,
     check_distance_identities,
+    complete_graph,
     cycle_graph,
     gn_graph,
     line_graph,
@@ -181,3 +182,34 @@ def test_identities_report_a_wrong_subdivision():
         "eq3": (0, 1, 1, 2),
         "eq4": (0, 4, 3, (4, 5)),
     }
+
+
+@pytest.mark.parametrize(
+    "make, as_s, as_m",
+    [
+        (lambda: cycle_graph(5),
+         {"eq1": (0, 2, 3, 4), "eq2": (0, 2, 2, 3), "eq3": (0, 1, 1, 2),
+          "eq4": (0, 5, 3, (4, 5))},
+         {"eq5": (0, 2, 4, 3), "eq6": (0, 2, 3, 2)}),
+        (lambda: complete_graph(4),
+         {"eq2": (0, 3, 2, 3), "eq3": (0, 1, 1, 2), "eq4": (1, 17, 1, (2, 3))},
+         {"eq6": (0, 3, 3, 2)}),
+        (lambda: gn_graph(2)[0],
+         {"eq1": (2, 3, 3, 4), "eq2": (0, 3, 2, 3), "eq3": (0, 1, 1, 2),
+          "eq4": (1, 15, 1, (2, 3))},
+         {"eq5": (2, 3, 4, 3), "eq6": (0, 3, 3, 2)}),
+        (lambda: star_graph(5),
+         {"eq1": (1, 2, 3, 4), "eq2": (1, 1, 2, 3), "eq3": (0, 1, 1, 2),
+          "eq4": (2, 8, 1, (2, 3))},
+         {"eq5": (1, 2, 4, 3), "eq6": (1, 1, 3, 2)}),
+    ],
+    ids=["C5", "K4", "G2", "star5"],
+)
+def test_identities_pin_first_counterexamples(make, as_s, as_m):
+    # M(G) posing as S(G), and S(G) posing as M(G): each failing identity
+    # reports the first pair, in visiting order, that breaks it
+    g = make()
+    swapped_s = check_distance_identities(g, sg=middle(g))
+    swapped_m = check_distance_identities(g, mg=subdivision(g))
+    assert {c.identity: c.counterexample for c in swapped_s.failed()} == as_s
+    assert {c.identity: c.counterexample for c in swapped_m.failed()} == as_m
