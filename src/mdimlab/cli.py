@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .errors import GraphError
-from .families import PARAMETERS
 from .formats import (
     EDGE_LIST,
     GRAPH6,
@@ -40,36 +39,12 @@ from .solvers import DEFAULT_BUDGET, DEFAULT_PHI_CAP, KINDS, solve_dimension
 from .transforms import line_graph
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
-
-
-def _expand_family_spec(spec: str) -> list[Instance]:
-    """'name:n=5..7,cycles=2,seed=1..30'; cycles and seed default to 1."""
-    name, _, rest = spec.partition(":")
-    params = {}
-    for part in rest.split(",") if rest else ():
-        key, _, value = part.partition("=")
-        if not value:
-            raise GraphError(f"bad family parameter {part!r} in {spec!r}")
-        params[key.strip()] = value.strip()
-    unread = sorted(params.keys() - {"n", *PARAMETERS.get(name, ())})
-    if unread:
-        raise GraphError(f"family {name!r} takes no parameter {unread[0]!r} in {spec!r}")
-    if "n" not in params:
-        raise GraphError(f"family spec {spec!r} needs n=...")
-    return family_instances(
-        name,
-        _parse_range(params["n"]),
-        _parse_range(params.get("cycles", "1")),
-        _parse_range(params.get("seed", "1")),
-    )
+def _count(text: str) -> int:
+    """argparse type of --budget and --phi-cap: a whole number of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _file_instances(path: str) -> list[Instance]:
@@ -90,7 +65,7 @@ def _corpus(args) -> tuple[list[Instance], str]:
     for path in args.input or []:
         instances.extend(_file_instances(path))
     for spec in args.family or []:
-        instances.extend(_expand_family_spec(spec))
+        instances.extend(family_instances(spec))
     if not instances:
         instances = default_corpus()
     return instances, "default-corpus" if not (args.input or args.family) else "flags"
@@ -243,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--kind", choices=list(KINDS), required=True)
     p.add_argument("--derived", choices=["none", *DERIVED], default="none")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="cap on search nodes (default %(default)s)")
     p.add_argument("--stats", action="store_true",
                    help="add search nodes, separator masks kept and the starting "
@@ -255,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--theorems", default="all",
                    help=f"comma list from: {', '.join(THEOREM_IDS)} (default all)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--phi-cap", type=int, default=DEFAULT_PHI_CAP)
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
+    p.add_argument("--phi-cap", type=_count, default=DEFAULT_PHI_CAP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any check was skipped for budget reasons")
@@ -268,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="scan for subdivision-gap behavior")
     _add_input_options(p)
     p.add_argument("--target", choices=list(EXPLORE_TARGETS), required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--timings", action="store_true")

@@ -6,22 +6,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import BadSpecError
 from .graph import Graph, build_graph
 from .rng import SplitMix64
-
-PATH = "path"
-CYCLE = "cycle"
-STAR = "star"
-COMPLETE = "complete"
-GN = "gn"
-RANDOM_TREE = "random_tree"
-RANDOM_CACTUS = "random_cactus"
-FAMILIES = (PATH, CYCLE, STAR, COMPLETE, GN, RANDOM_TREE, RANDOM_CACTUS)
-# the parameters besides n that a family reads; every other family reads n only
-PARAMETERS = {RANDOM_TREE: ("seed",), RANDOM_CACTUS: ("cycles", "seed")}
 
 
 @dataclass(frozen=True)
@@ -34,28 +23,41 @@ class FamilySpec:
     seed: int | None = None
 
 
+@dataclass(frozen=True)
+class Recipe:
+    """How a family builds: ``build(n, *values)`` takes the values of the
+    parameters besides n that the family reads, in instance-id order, and
+    returns one graph, or yields every graph on n for an exhaustive family."""
+
+    build: Callable
+    params: tuple[str, ...] = ()
+    exhaustive: bool = False
+
+
+# every family; each builder is looked up when called, so it may be defined below
+RECIPES = {
+    "path": Recipe(lambda n: path_graph(n)),
+    "cycle": Recipe(lambda n: cycle_graph(n)),
+    "star": Recipe(lambda n: star_graph(n)),
+    "complete": Recipe(lambda n: complete_graph(n)),
+    "gn": Recipe(lambda n: gn_graph(n)[0]),
+    "random_tree": Recipe(lambda n, seed: random_tree(n, seed), ("seed",)),
+    "random_cactus": Recipe(lambda n, cycles, seed: random_cactus(n, cycles, seed),
+                            ("cycles", "seed")),
+    "trees": Recipe(lambda n: enumerate_small_trees(n), exhaustive=True),
+}
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a spec describes; same spec, byte-identical edge list."""
-    fam, n = spec.family, spec.n
-    if fam == PATH:
-        return path_graph(n)
-    if fam == CYCLE:
-        return cycle_graph(n)
-    if fam == STAR:
-        return star_graph(n)
-    if fam == COMPLETE:
-        return complete_graph(n)
-    if fam == GN:
-        return gn_graph(n)[0]
-    if fam == RANDOM_TREE:
-        if spec.seed is None:
-            raise BadSpecError("random_tree needs a seed")
-        return random_tree(n, spec.seed)
-    if fam == RANDOM_CACTUS:
-        if spec.seed is None:
-            raise BadSpecError("random_cactus needs a seed")
-        return random_cactus(n, spec.cycles if spec.cycles is not None else 1, spec.seed)
-    raise BadSpecError(f"unknown family {fam!r}")
+    """Build the one graph a spec describes; same spec, byte-identical edge
+    list.  Every parameter the family reads must be set."""
+    recipe = RECIPES.get(spec.family)
+    if recipe is None or recipe.exhaustive:
+        raise BadSpecError(f"no single-graph family {spec.family!r}")
+    values = [getattr(spec, p) for p in recipe.params]
+    if None in values:
+        raise BadSpecError(f"{spec.family} needs {recipe.params[values.index(None)]}")
+    return recipe.build(spec.n, *values)
 
 
 def path_graph(n: int) -> Graph:

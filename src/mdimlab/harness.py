@@ -18,6 +18,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import (
     EnumerationOverflowError,
@@ -48,8 +49,6 @@ VIOLATED = "violated"
 SKIPPED = "skipped"
 
 DERIVED = {"s": subdivision, "m": middle, "t": total}
-
-_CORPUS_FAMILIES = frozenset(families.FAMILIES) | {"trees"}
 
 # target: (record value key, findings key, test on the gap mdim(G) - mdim(S(G)))
 _EXPLORE = {
@@ -262,7 +261,7 @@ def _check_chain(lab: _Lab, inst: Instance):
 
 
 def _check_gn_gap(lab: _Lab, inst: Instance):
-    if inst.family != families.GN or inst.param_n is None:
+    if inst.family != "gn" or inst.param_n is None:
         raise _Skip("class: not a generated two-hub family instance")
     if inst.param_n < 5:
         raise _Skip("class: two-hub gap statement needs n >= 5")
@@ -434,43 +433,65 @@ def explore_summary(report: Report, target: str) -> dict:
     }
 
 
-def family_instances(name: str, ns, cycles=(1,), seeds=(1,)) -> list[Instance]:
-    """Corpus members of one family: every tree on each n for ``trees``, one
-    graph per (n, cycles, seed) for the random families, one per n otherwise."""
-    if name not in _CORPUS_FAMILIES:
-        raise GraphError(f"unknown family {name!r}; known: {', '.join(sorted(_CORPUS_FAMILIES))}")
+# the corpus a bare verify or explore runs: every tree up to 7 vertices, cycles,
+# complete graphs, two-hub graphs, and seeded random trees and cacti
+DEFAULT_CORPUS = (
+    "trees:n=2..7", "cycle:n=3..8", "complete:n=3..5", "gn:n=2", "gn:n=5..6",
+    "random_tree:n=9,seed=1..5",
+    "random_cactus:n=11,cycles=2,seed=1", "random_cactus:n=12,cycles=3,seed=2",
+    "random_cactus:n=10,cycles=1,seed=3", "random_cactus:n=11,cycles=2,seed=4",
+    "random_cactus:n=12,cycles=3,seed=5", "random_cactus:n=10,cycles=1,seed=6",
+)
+
+# digits a value fills in an instance id; other values are written as they are
+_ID_DIGITS = {"seed": 3, "i": 3}
+
+
+def _id_field(key: str, value: int) -> str:
+    return f"{key}={value:0{_ID_DIGITS.get(key, 1)}d}"
+
+
+def _spec_values(text: str) -> list[int]:
+    """A number, or every number of a range ``A..B``."""
+    lo, dots, hi = text.partition("..")
+    values = list(range(int(lo), int(hi if dots else lo) + 1))
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
+
+
+def family_instances(spec: str) -> list[Instance]:
+    """The corpus members ``NAME:n=N[,cycles=C][,seed=S]`` names, each value
+    a number or a range ``A..B``: one graph per combination of values, or
+    every graph on n for an exhaustive family.  A parameter the family
+    reads and the spec leaves out is 1."""
+    name, _, rest = spec.partition(":")
+    recipe = families.RECIPES.get(name)
+    if recipe is None:
+        raise GraphError(f"unknown family {name!r}; known: {', '.join(sorted(families.RECIPES))}")
+    keys = ("n", *recipe.params)
+    given: dict[str, list[int]] = {}
+    for part in rest.split(",") if rest else ():
+        key, _, value = (text.strip() for text in part.partition("="))
+        if not value:
+            raise GraphError(f"bad family parameter {part!r} in {spec!r}")
+        if key not in keys:
+            raise GraphError(f"family {name!r} takes no parameter {key!r} in {spec!r}")
+        if key in given:
+            raise GraphError(f"repeated family parameter {key!r} in {spec!r}")
+        given[key] = _spec_values(value)
+    if "n" not in given:
+        raise GraphError(f"family spec {spec!r} needs n=...")
     out: list[Instance] = []
-    for n in ns:
-        if name == "trees":
-            for i, t in enumerate(families.enumerate_small_trees(n)):
-                out.append(Instance(id=f"trees:n={n},i={i:03d}", graph=t, family=name, param_n=n))
-        elif name == families.RANDOM_TREE:
-            for s in seeds:
-                out.append(Instance(id=f"random_tree:n={n},seed={s:03d}",
-                                    graph=families.random_tree(n, s), family=name, param_n=n))
-        elif name == families.RANDOM_CACTUS:
-            for c in cycles:
-                for s in seeds:
-                    out.append(Instance(id=f"random_cactus:n={n},cycles={c},seed={s:03d}",
-                                        graph=families.random_cactus(n, c, s), family=name,
-                                        param_n=n))
-        else:
-            g = families.generate(families.FamilySpec(family=name, n=n))
-            out.append(Instance(id=f"{name}:n={n}", graph=g, family=name, param_n=n))
+    for values in product(*(given.get(key, [1]) for key in keys)):
+        stem = f"{name}:" + ",".join(map(_id_field, keys, values))
+        built = recipe.build(*values)
+        members = ([(f"{stem},{_id_field('i', i)}", g) for i, g in enumerate(built)]
+                   if recipe.exhaustive else [(stem, built)])
+        out += [Instance(id=ident, graph=g, family=name, param_n=values[0]) for ident, g in members]
     return out
 
 
 def default_corpus() -> list[Instance]:
-    """Mixed small corpus: every exhaustive tree up to 7 vertices, cycles,
-    complete graphs, two-hub instances, and seeded random trees and cacti."""
-    instances = (
-        family_instances("trees", range(2, 8))
-        + family_instances(families.CYCLE, range(3, 9))
-        + family_instances(families.COMPLETE, range(3, 6))
-        + family_instances(families.GN, (2, 5, 6))
-        + family_instances(families.RANDOM_TREE, (9,), seeds=range(1, 6))
-    )
-    for seed in range(1, 7):
-        instances += family_instances(families.RANDOM_CACTUS, (10 + seed % 3,),
-                                      cycles=(1 + seed % 3,), seeds=(seed,))
-    return instances
+    """The instances ``DEFAULT_CORPUS`` names, in order."""
+    return [inst for spec in DEFAULT_CORPUS for inst in family_instances(spec)]

@@ -61,7 +61,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .graph import Graph, MixedElement, mixed_distance
-from .transforms import SUBDIVISION, DerivedGraph, subdivision
+from .transforms import DerivedGraph, subdivision
 
 DIM = "dim"
 EDIM = "edim"
@@ -308,16 +308,14 @@ def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certif
 
 def phi_set(sg: DerivedGraph, vertex_set: Iterable[int]) -> tuple[int, ...]:
     """Original vertices in the set, plus both endpoints of every split edge in it."""
-    base_n = sg.base_n
     out = set()
     for v in vertex_set:
-        tag, idx = sg.provenance[v]
-        if tag == SUBDIVISION:
+        if v >= sg.base_n:
             # in S(G) the neighbors of a split vertex are its base edge's endpoints
             out.update(sg.graph.adjacency[v])
         else:
-            out.add(idx)
-    if any(v >= base_n for v in out):
+            out.add(v)
+    if any(v >= sg.base_n for v in out):
         raise GraphError("split vertex adjacent to a non-original vertex; not a subdivision graph")
     return tuple(sorted(out))
 

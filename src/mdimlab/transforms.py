@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .errors import TooSmallError
@@ -30,31 +29,29 @@ ORIGINAL_EDGE = "original"
 class DerivedGraph:
     """A derived graph plus maps back to the base graph.
 
-    provenance[i] is ("original", base vertex) or ("subdivision", base edge
-    index); edge_classes[j] tags edge j of ``graph``.
+    ``base_n`` is the base graph's vertex count, so vertex i < base_n is
+    original vertex i and vertex base_n + j splits base edge j;
+    edge_classes[j] tags edge j of ``graph``.
     """
 
     graph: Graph
-    provenance: tuple[tuple[str, int], ...]
+    base_n: int
     edge_classes: tuple[str, ...]
 
-    @cached_property
-    def base_n(self) -> int:
-        """Vertex count of the base graph; originals occupy 0..base_n-1."""
-        return sum(1 for tag, _ in self.provenance if tag == ORIGINAL)
+    @property
+    def provenance(self) -> tuple[tuple[str, int], ...]:
+        """("original", base vertex) or ("subdivision", base edge) per vertex."""
+        n = self.base_n
+        return tuple((ORIGINAL, i) if i < n else (SUBDIVISION, i - n) for i in range(self.graph.n))
 
     def subdivision_vertex(self, base_edge: int) -> int:
         return self.base_n + base_edge
 
 
 def _assemble(base: Graph, classed_edges: dict[tuple[int, int], str]) -> DerivedGraph:
-    n, m = base.n, base.m
-    graph = build_graph(n + m, classed_edges.keys())
-    provenance = tuple(
-        (ORIGINAL, i) if i < n else (SUBDIVISION, i - n) for i in range(n + m)
-    )
+    graph = build_graph(base.n + base.m, classed_edges.keys())
     edge_classes = tuple(classed_edges[e] for e in graph.edges)
-    return DerivedGraph(graph=graph, provenance=provenance, edge_classes=edge_classes)
+    return DerivedGraph(graph=graph, base_n=base.n, edge_classes=edge_classes)
 
 
 def _split_edges(base: Graph) -> dict[tuple[int, int], str]:
@@ -171,9 +168,9 @@ def check_distance_identities(
     xs, js, ks = range(n), range(m), range(sg.graph.m)
     ve = [[vertex_edge_distance(base, x, j) for j in js] for x in xs]
 
-    # the base edge each S(G)-edge arises from: the one its split end splits
-    arises = [sg.provenance[a if sg.provenance[a][0] == SUBDIVISION else b][1]
-              for a, b in sg.graph.edges]
+    # the base edge each S(G)-edge arises from: the one its split end splits,
+    # or its lower end's when both ends are splits
+    arises = [(a if a >= n else b) - n for a, b in sg.graph.edges]
 
     rows = (
         ("eq1", n * n, product(xs, xs),

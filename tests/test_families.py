@@ -213,3 +213,12 @@ def test_enumeration_against_labeled_exhaustion(n):
     assert len(set(enumerated)) == len(enumerated)
     exhaustive = {_centroid_canon(n, e) for e in _all_labeled_tree_edge_sets(n)}
     assert set(enumerated) == exhaustive
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("trees", 5),                        # names every tree on 5 vertices
+    FamilySpec("random_cactus", 10, seed=1),       # cycles missing
+])
+def test_generate_builds_one_graph_from_every_parameter_the_family_reads(spec):
+    with pytest.raises(BadSpecError):
+        generate(spec)

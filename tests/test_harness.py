@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mdimlab import complete_graph, cycle_graph, enumerate_small_trees, gn_graph, path_graph
-from mdimlab import harness, middle, transforms
+from mdimlab import families, harness, middle, transforms
 from mdimlab.cli import main
 from mdimlab.harness import (
     HOLDS,
@@ -480,3 +480,56 @@ def test_project_version_is_the_tool_version():
 
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == mdimlab.__version__
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("cycle:n=4,n=5", "n"),
+    ("random_cactus:n=10,seed=1,cycles=1,seed=2", "seed"),
+])
+def test_cli_repeated_family_parameter_is_exit_2(spec, key, capsys):
+    assert main(["verify", "--family", spec, "--theorems", "T3.1i"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"repeated family parameter {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "cycle:n=4", "--kind", "dim", "--budget", "0"],
+    ["verify", "--family", "cycle:n=4", "--budget", "-1"],
+    ["verify", "--family", "cycle:n=4", "--phi-cap", "-1"],
+    ["verify", "--family", "cycle:n=4", "--phi-cap", "0"],
+    ["explore", "--target", "gap_gt_2", "--family", "cycle:n=4", "--budget", "0"],
+    ["explore", "--target", "gap_gt_2", "--family", "cycle:n=4", "--budget", "x"],
+])
+def test_cli_budget_and_phi_cap_below_one_are_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ("--budget" in captured.err or "--phi-cap" in captured.err)
+
+
+def test_cli_budget_of_one_is_accepted(capsys):
+    assert main(["verify", "--family", "cycle:n=4", "--theorems", "T3.1i",
+                 "--budget", "1", "--phi-cap", "1"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert record["status"] == SKIPPED and record["reason"].startswith("budget")
+
+
+def test_cli_default_corpus_is_what_its_family_specs_request(capsys):
+    assert main(["verify"]) == 0
+    bare = json.loads(capsys.readouterr().out)
+    flags = [arg for spec in harness.DEFAULT_CORPUS for arg in ("--family", spec)]
+    assert main(["verify", *flags]) == 0
+    spelled = json.loads(capsys.readouterr().out)
+    assert (bare.pop("source"), spelled.pop("source")) == ("default-corpus", "flags")
+    assert bare == spelled
+
+
+def test_family_instances_builds_every_family_of_the_table():
+    for name, recipe in families.RECIPES.items():
+        (first, *rest) = harness.family_instances(f"{name}:n=5")
+        assert first.family == name and first.param_n == 5 and first.graph.n >= 5
+        assert first.id.startswith(f"{name}:n=5") and bool(rest) == (name == "trees")
+        if not recipe.exhaustive:
+            spec = families.FamilySpec(name, 5, **dict.fromkeys(recipe.params, 1))
+            assert families.generate(spec) == first.graph

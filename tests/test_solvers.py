@@ -296,3 +296,12 @@ def test_resolving_tests_match_oracle_on_every_witness(g):
             assert resolves(g, witness) == expected, (kind, witness)
             outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_library_budgets_below_one_still_raise():
+    # the command line refuses such budgets; the library keeps counting nodes
+    for budget in (0, -1):
+        with pytest.raises(SearchBudgetExceededError):
+            solve_dimension(cycle_graph(4), "dim", budget=budget)
+    with pytest.raises(EnumerationOverflowError):
+        phi_of_graph(cycle_graph(4), cap=0)
