@@ -166,9 +166,8 @@ def _emit_report(args, report: Report) -> None:
 
 def _cmd_verify(args) -> int:
     instances, source = _corpus(args)
-    theorems = None
-    if args.theorems and args.theorems != "all":
-        theorems = [t.strip() for t in args.theorems.split(",") if t.strip()]
+    theorems = None if args.theorems == "all" else [
+        t.strip() for t in args.theorems.split(",") if t.strip()]
     report = run_checks(instances, theorems=theorems, budget=args.budget,
                         phi_cap=args.phi_cap, source=source)
     _emit_report(args, report)

@@ -21,12 +21,12 @@ class BadSpecError(GraphError):
     """A family specification has an unknown family or out-of-range parameters."""
 
 
-class NotCactusError(GraphError):
-    """Some biconnected component is neither a single edge nor a cycle."""
-
-
 class ClassMismatchError(GraphError):
     """A closed-form formula was requested for a graph outside its class."""
+
+
+class NotCactusError(ClassMismatchError):
+    """Some biconnected component is neither a single edge nor a cycle."""
 
 
 class NotABasisError(GraphError):

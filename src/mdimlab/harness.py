@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import (
+    ClassMismatchError,
     EnumerationOverflowError,
     GraphError,
-    NotCactusError,
     SearchBudgetExceededError,
 )
 from .graph import Graph
@@ -38,7 +38,14 @@ from .solvers import (
     phi_of_graph,
     solve_dimension,
 )
-from .structural import LEAF_LAW_MIN_N, cactus_decompose, gn_family_facts, is_tree, leaf_count
+from .structural import (
+    DIM_MIDDLE_TREE,
+    MDIM_TOTAL_TREE,
+    MDIM_TREE,
+    cactus_decompose,
+    closed_form,
+    gn_family_facts,
+)
 from .transforms import DerivedGraph, check_distance_identities, middle, subdivision, total
 from . import families
 
@@ -143,12 +150,6 @@ class Report:
         return 0
 
 
-class _Skip(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class _Lab:
     """Per-instance cache so checks share expensive results: solver
     certificates and the derived graphs S(G), M(G) and T(G), each built at
@@ -185,23 +186,6 @@ class _Lab:
         return self._memo("cactus", lambda: cactus_decompose(self.g))
 
 
-def _require_leaf_law_tree(lab: _Lab) -> None:
-    if not is_tree(lab.g):
-        raise _Skip("class: not a tree")
-    if lab.g.n < LEAF_LAW_MIN_N:
-        raise _Skip(
-            "class: single-edge tree; the leaf-count formulas for middle/total "
-            f"graphs need a tree on >= {LEAF_LAW_MIN_N} vertices"
-        )
-
-
-def _require_cactus(lab: _Lab):
-    try:
-        return lab.cactus()
-    except NotCactusError as exc:
-        raise _Skip(f"class: not a cactus ({exc})") from exc
-
-
 def _check_identities(lab: _Lab, inst: Instance):
     report = check_distance_identities(lab.g, sg=lab.derived("s"), mg=lab.derived("m"))
     values = {c.identity: c.pairs_checked for c in report.checks}
@@ -227,7 +211,7 @@ def _check_forced(lab: _Lab, inst: Instance):
 
 
 def _check_cactus_formula(lab: _Lab, inst: Instance):
-    report = _require_cactus(lab)
+    report = lab.cactus()
     brute = lab.cert(MDIM).value
     values = {"formula": report.mdim_formula, "brute": brute,
               "n1": report.n1, "epsilon": report.epsilon, "cycles": len(report.cycles)}
@@ -262,9 +246,9 @@ def _check_chain(lab: _Lab, inst: Instance):
 
 def _check_gn_gap(lab: _Lab, inst: Instance):
     if inst.family != "gn" or inst.param_n is None:
-        raise _Skip("class: not a generated two-hub family instance")
+        raise ClassMismatchError("not a generated two-hub family instance")
     if inst.param_n < 5:
-        raise _Skip("class: two-hub gap statement needs n >= 5")
+        raise ClassMismatchError("two-hub gap statement needs n >= 5")
     facts = gn_family_facts(inst.param_n)
     forced = lab.cert(MDIM).forced
     mdim = lab.cert(MDIM).value
@@ -288,7 +272,7 @@ def _check_gn_gap(lab: _Lab, inst: Instance):
 
 
 def _check_cactus_equality(lab: _Lab, inst: Instance):
-    _require_cactus(lab)
+    lab.cactus()
     values = {"mdim": lab.cert(MDIM).value, "mdim_s": lab.cert(MDIM, "s").value}
     return (HOLDS if values["mdim"] == values["mdim_s"] else VIOLATED), values
 
@@ -299,25 +283,21 @@ def _check_middle_bound(lab: _Lab, inst: Instance):
 
 
 def _check_tree_middle(lab: _Lab, inst: Instance):
-    _require_leaf_law_tree(lab)
-    n1 = leaf_count(lab.g)
+    n1, mdim_law = closed_form(lab.g, DIM_MIDDLE_TREE), closed_form(lab.g, MDIM_TREE)
     values = {"n1": n1, "mdim": lab.cert(MDIM).value, "dim_middle": lab.cert(DIM, "m").value}
-    ok = values["mdim"] == n1 and values["dim_middle"] == n1
+    ok = values["mdim"] == mdim_law and values["dim_middle"] == n1
     return (HOLDS if ok else VIOLATED), values
 
 
 def _check_tree_total(lab: _Lab, inst: Instance):
-    _require_leaf_law_tree(lab)
-    n1 = leaf_count(lab.g)
-    values = {"n1": n1, "mdim_total": lab.cert(MDIM, "t").value, "expected": 2 * n1}
-    return (HOLDS if values["mdim_total"] == 2 * n1 else VIOLATED), values
+    expected, n1 = closed_form(lab.g, MDIM_TOTAL_TREE), closed_form(lab.g, MDIM_TREE)
+    values = {"n1": n1, "mdim_total": lab.cert(MDIM, "t").value, "expected": expected}
+    return (HOLDS if values["mdim_total"] == expected else VIOLATED), values
 
 
 def _check_tree_total_dim_bounds(lab: _Lab, inst: Instance):
-    if not is_tree(lab.g):
-        raise _Skip("class: not a tree")
-    values = {"dim": lab.cert(DIM).value, "dim_total": lab.cert(DIM, "t").value,
-              "n1": leaf_count(lab.g)}
+    n1 = closed_form(lab.g, MDIM_TREE)  # the upper end, without the bounds claim's unbudgeted solve
+    values = {"dim": lab.cert(DIM).value, "dim_total": lab.cert(DIM, "t").value, "n1": n1}
     ok = values["dim"] <= values["dim_total"] <= values["n1"]
     return (HOLDS if ok else VIOLATED), values
 
@@ -357,8 +337,8 @@ def _records(instances, checks, budget: int, phi_cap: int) -> list[TheoremCheck]
             try:
                 status, values = check(lab, inst)
                 reason = None
-            except _Skip as skip:
-                status, values, reason = SKIPPED, {}, skip.reason
+            except ClassMismatchError as exc:
+                status, values, reason = SKIPPED, {}, f"class: {exc}"
             except (SearchBudgetExceededError, EnumerationOverflowError) as exc:
                 status, values, reason = SKIPPED, {}, f"budget: {exc}"
             records.append(
@@ -386,6 +366,8 @@ def run_checks(
 ) -> Report:
     """One TheoremCheck per (instance, check id), sorted and deterministic."""
     ids = THEOREM_IDS if theorems is None else theorems
+    if not ids:
+        raise ValueError("the theorem list names no id")
     for i, t in enumerate(ids):
         if t not in _CHECKS:
             raise ValueError(f"unknown theorem id {t!r}; known: {', '.join(THEOREM_IDS)}")
@@ -451,12 +433,15 @@ def _id_field(key: str, value: int) -> str:
     return f"{key}={value:0{_ID_DIGITS.get(key, 1)}d}"
 
 
-def _spec_values(text: str) -> list[int]:
+def _spec_values(text: str, spec: str) -> list[int]:
     """A number, or every number of a range ``A..B``."""
     lo, dots, hi = text.partition("..")
-    values = list(range(int(lo), int(hi if dots else lo) + 1))
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError(f"empty range {text!r}")
+        raise GraphError(f"family value {text!r} in {spec!r} is not a number or a nonempty range A..B")
     return values
 
 
@@ -479,7 +464,7 @@ def family_instances(spec: str) -> list[Instance]:
             raise GraphError(f"family {name!r} takes no parameter {key!r} in {spec!r}")
         if key in given:
             raise GraphError(f"repeated family parameter {key!r} in {spec!r}")
-        given[key] = _spec_values(value)
+        given[key] = _spec_values(value, spec)
     if "n" not in given:
         raise GraphError(f"family spec {spec!r} needs n=...")
     out: list[Instance] = []

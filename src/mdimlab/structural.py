@@ -2,7 +2,11 @@
 
 A cactus is a connected graph whose cycles are pairwise edge-disjoint, or
 equivalently one where every biconnected component is a single edge or a
-cycle.  For such graphs the mixed metric dimension has a closed form:
+cycle.  The cycles are read off the BFS tree from vertex 0 that the
+distance table already holds: each edge outside the tree closes one ring,
+and the graph is a cactus iff no two rings share an edge (a cycle is the
+sum of the rings of its non-tree edges, so then every cycle is a ring).
+For a cactus the mixed metric dimension has a closed form:
 
     n1 + sum over cycles of max(3 - rt(C), 0) + epsilon
 
@@ -64,63 +68,61 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1
 
 
-def _biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected components (iterative lowpoint DFS)."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    comps: list[list[tuple[int, int]]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
+def _cactus_rings(g: Graph) -> list[list[int]]:
+    """The cycles of a cactus, read off the BFS tree from vertex 0.
 
-    disc[0] = low[0] = timer
-    timer += 1
-    stack = [(0, -1, iter(g.adjacency[0]))]
-    while stack:
-        v, parent, it = stack[-1]
-        descended = False
-        for w in it:
-            if w == parent:
-                continue
-            if disc[w] < 0:
-                edge_stack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(g.adjacency[w])))
-                descended = True
-                break
-            if disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if descended:
+    The parent of v is its first neighbour one step closer to 0.  Each edge
+    outside that tree closes one ring, which runs from one end up to the
+    common ancestor and down to the other end.  Only tree edges can lie on
+    two rings: ``owner[x]`` is the first ring through the edge above x, and
+    a union-find joins every later ring through it to that one.  When some
+    edge is shared, NotCactusError names the block of the first ring that
+    shares one: the rings joined to it and their edges."""
+    depth = g.distances[0]
+    parent = [next((w for w in g.adjacency[v] if depth[w] < depth[v]), v) for v in range(g.n)]
+    owner = [-1] * g.n
+    root: list[int] = []
+    rings: list[list[int]] = []
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    first = g.m
+    for u, v in g.edges:
+        if parent[u] == v or parent[v] == u:
             continue
-        stack.pop()
-        if stack:
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                comp = []
-                while edge_stack:
-                    e = edge_stack.pop()
-                    comp.append(e)
-                    if e == (u, v):
-                        break
-                comps.append(comp)
-    return comps
+        i = len(rings)
+        root.append(i)
+        up, down = [u], [v]
+        while up[-1] != down[-1]:
+            deeper = up if depth[up[-1]] >= depth[down[-1]] else down
+            x = deeper[-1]
+            if owner[x] < 0:
+                owner[x] = i
+            else:
+                first = min(first, owner[x])
+                root[find(i)] = find(owner[x])
+            deeper.append(parent[x])
+        rings.append(up + down[-2::-1])
+    if first < g.m:
+        joined = find(first)
+        block = [ring for i, ring in enumerate(rings) if find(i) == joined]
+        tree_edges = sum(1 for i in owner if i >= 0 and find(i) == joined)
+        raise NotCactusError(
+            f"not a cactus (biconnected component on vertices "
+            f"{sorted({v for ring in block for v in ring})} has {len(block) + tree_edges} "
+            "edges; cycles share an edge)"
+        )
+    return rings
 
 
-def _order_cycle(comp: list[tuple[int, int]]) -> tuple[int, ...]:
-    adj: dict[int, list[int]] = {}
-    for u, v in comp:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = min(adj)
-    order = [start, min(adj[start])]
-    while len(order) < len(adj):
-        a, b = adj[order[-1]]
-        order.append(b if a == order[-2] else a)
-    return tuple(order)
+def _rotate(ring: list[int]) -> tuple[int, ...]:
+    """The ring from its least vertex, heading toward the lesser neighbour."""
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    return tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
 
 
 def _geodesic(g: Graph, u: int, v: int, w: int, cycle_length: int) -> bool:
@@ -131,22 +133,10 @@ def _geodesic(g: Graph, u: int, v: int, w: int, cycle_length: int) -> bool:
 
 
 def cactus_decompose(g: Graph) -> CactusReport:
-    """Split into biconnected components and evaluate the cactus formula.
-
-    Raises NotCactusError when some component has more edges than vertices
-    (two cycles sharing an edge).
-    """
+    """Evaluate the cactus formula over the rings; NotCactusError when two
+    rings share an edge."""
     cycles = []
-    for comp in _biconnected_components(g):
-        vertices = {v for e in comp for v in e}
-        if len(comp) == 1:
-            continue
-        if len(comp) > len(vertices):
-            raise NotCactusError(
-                f"biconnected component on vertices {sorted(vertices)} has "
-                f"{len(comp)} edges; cycles share an edge"
-            )
-        ring = _order_cycle(comp)
+    for ring in map(_rotate, _cactus_rings(g)):
         roots = [v for v in ring if g.degree(v) >= 3]
         triple = any(_geodesic(g, *uvw, len(ring)) for uvw in combinations(roots, 3))
         cycles.append(CycleInfo(vertices=ring, rt=len(roots), has_geodesic_triple=triple))
@@ -172,22 +162,21 @@ def closed_form(g: Graph, claim: str):
 
     Claims: mdim_cactus, mdim_tree, dim_middle_tree, mdim_total_tree (all
     single integers) and dim_total_tree_bounds (a (lower, upper) pair with
-    the lower end computed by the solver).  ClassMismatchError when the
-    graph is outside the claim's class; dim_middle_tree and mdim_total_tree
+    the lower end computed by the solver).  ClassMismatchError, with the
+    reason as its text, when the graph is outside the claim's class
+    (NotCactusError for mdim_cactus); dim_middle_tree and mdim_total_tree
     need a tree on at least LEAF_LAW_MIN_N vertices.
     """
     if claim == MDIM_CACTUS:
-        try:
-            return cactus_decompose(g).mdim_formula
-        except NotCactusError as exc:
-            raise ClassMismatchError(f"mdim_cactus needs a cactus: {exc}") from exc
+        return cactus_decompose(g).mdim_formula
     if claim not in CLAIMS:
         raise GraphError(f"unknown claim {claim!r}")
     if not is_tree(g):
-        raise ClassMismatchError(f"{claim} needs a tree, got m={g.m}, n={g.n}")
+        raise ClassMismatchError("not a tree")
     if claim in (DIM_MIDDLE_TREE, MDIM_TOTAL_TREE) and g.n < LEAF_LAW_MIN_N:
         raise ClassMismatchError(
-            f"{claim} needs a tree on >= {LEAF_LAW_MIN_N} vertices, got n={g.n}"
+            "single-edge tree; the leaf-count formulas for middle/total graphs "
+            f"need a tree on >= {LEAF_LAW_MIN_N} vertices"
         )
     n1 = leaf_count(g)
     if claim == MDIM_TREE or claim == DIM_MIDDLE_TREE:

@@ -168,9 +168,16 @@ def check_distance_identities(
     xs, js, ks = range(n), range(m), range(sg.graph.m)
     ve = [[vertex_edge_distance(base, x, j) for j in js] for x in xs]
 
-    # the base edge each S(G)-edge arises from: the one its split end splits,
-    # or its lower end's when both ends are splits
-    arises = [(a if a >= n else b) - n for a, b in sg.graph.edges]
+    def eq4_range(x, k):
+        # the base edge S(G)-edge k arises from is the one its split end
+        # splits, or its lower end's when both ends are splits; an edge with
+        # no split end (only a wrong S(G) has one) arises from none, so no
+        # distance is expected
+        a, b = sg.graph.edges[k]
+        if b < n:
+            return ()
+        d = 2 * ve[x][(a if a >= n else b) - n]
+        return d, d + 1
 
     rows = (
         ("eq1", n * n, product(xs, xs),
@@ -180,8 +187,7 @@ def check_distance_identities(
         ("eq3", m * (m - 1), permutations(js, 2),
          lambda e, f: ds[n + e][n + f], lambda e, f: 2 * edge_edge_distance(base, e, f) + 2),
         ("eq4", n * len(ks), product(xs, ks),
-         lambda x, k: vertex_edge_distance(sg.graph, x, k),
-         lambda x, k: (2 * ve[x][arises[k]], 2 * ve[x][arises[k]] + 1), operator.contains),
+         lambda x, k: vertex_edge_distance(sg.graph, x, k), eq4_range, operator.contains),
         ("eq5", n * (n - 1), permutations(xs, 2),
          lambda x, y: dm[x][y], lambda x, y: dg[x][y] + 1),
         ("eq6", n * m, product(xs, js),

@@ -87,6 +87,64 @@ def oracle_min_witnesses(n, edges, kind):
     raise AssertionError("no resolving set found, even the full vertex set")
 
 
+def oracle_cycles(n, edges):
+    """Every simple cycle as (vertex tuple in walk order, frozenset of edges).
+
+    Each cycle is walked from its least vertex through larger vertices only,
+    and kept once although both directions reach it."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    found = {}
+
+    def walk(path):
+        for w in adj[path[-1]]:
+            if w == path[0] and len(path) >= 3:
+                ring = frozenset(frozenset(p) for p in zip(path, path[1:] + [path[0]]))
+                found.setdefault(ring, tuple(path))
+            elif w > path[0] and w not in path:
+                walk(path + [w])
+
+    for s in range(n):
+        walk([s])
+    return [(path, ring) for ring, path in found.items()]
+
+
+def oracle_cactus(n, edges):
+    """Brute-force cactus facts: None unless every two cycles are
+    edge-disjoint; else (n1, sorted (vertex set, length, rt) per cycle,
+    formula value n1 + sum max(3 - rt, 0) + epsilon)."""
+    cycles = oracle_cycles(n, edges)
+    if any(a & b for (_, a), (_, b) in combinations(cycles, 2)):
+        return None
+    degree = {v: 0 for v in range(n)}
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    dist = oracle_distances(n, edges)
+    n1 = sum(1 for d in degree.values() if d == 1)
+    rows, formula = [], n1
+    for path, _ in cycles:
+        roots = [v for v in path if degree[v] >= 3]
+        triple = any(dist[a][b] + dist[b][c] + dist[c][a] == len(path)
+                     for a, b, c in combinations(roots, 3))
+        formula += max(3 - len(roots), 0) + (len(roots) >= 3 and not triple)
+        rows.append((sorted(path), len(path), len(roots)))
+    return n1, sorted(rows), formula
+
+
+def oracle_non_cactus_block(n, edges):
+    """(sorted vertices, edge count) of the union of every cycle that shares
+    an edge with another; the non-cactus block when there is only one."""
+    cycles = oracle_cycles(n, edges)
+    shared = set()
+    for (_, a), (_, b) in combinations(cycles, 2):
+        if a & b:
+            shared |= a | b
+    return sorted({v for e in shared for v in e}), len(shared)
+
+
 @st.composite
 def connected_graphs(draw, max_n=8, max_extra=3):
     """Random tree plus a few extra edges; always simple and connected."""

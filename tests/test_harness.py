@@ -533,3 +533,40 @@ def test_family_instances_builds_every_family_of_the_table():
         if not recipe.exhaustive:
             spec = families.FamilySpec(name, 5, **dict.fromkeys(recipe.params, 1))
             assert families.generate(spec) == first.graph
+
+
+def test_empty_theorem_list_rejected():
+    inst = Instance(id="x", graph=path_graph(3))
+    with pytest.raises(ValueError, match="names no id"):
+        run_checks([inst], theorems=[])
+    assert len(run_checks([inst], theorems=None).records) == len(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorems", [",", ""])
+def test_cli_theorem_list_naming_no_id_is_exit_2(theorems, capsys):
+    assert main(["verify", "--family", "cycle:n=4", "--theorems", theorems]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "names no id" in captured.err
+
+
+@pytest.mark.parametrize("spec, value", [("cycle:n=a", "a"), ("cycle:n=3..b", "3..b"),
+                                         ("random_tree:n=9,seed=x", "x"), ("cycle:n=5..3", "5..3")])
+def test_cli_family_value_that_is_not_a_number_is_exit_2(spec, value, capsys):
+    assert main(["verify", "--family", spec, "--theorems", "T3.1i"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{value!r} in {spec!r}" in captured.err
+
+
+def test_class_skip_reasons_are_the_class_mismatch_text():
+    k2 = Instance(id="k2", graph=path_graph(2))
+    c4 = Instance(id="c4", graph=cycle_graph(4))
+    k4 = Instance(id="k4", graph=complete_graph(4))
+    report = run_checks([k2, c4, k4], theorems=["T2.2-formula", "T4.3", "P4.5"])
+    reasons = {(r.instance, r.theorem): r.reason for r in report.records if r.status == SKIPPED}
+    leaf_law = ("class: single-edge tree; the leaf-count formulas for middle/total "
+                "graphs need a tree on >= 3 vertices")
+    not_cactus = ("class: not a cactus (biconnected component on vertices [0, 1, 2, 3] "
+                  "has 6 edges; cycles share an edge)")
+    assert reasons == {("k2", "T4.3"): leaf_law, ("c4", "T4.3"): "class: not a tree",
+                       ("c4", "P4.5"): "class: not a tree", ("k4", "T2.2-formula"): not_cactus,
+                       ("k4", "T4.3"): "class: not a tree", ("k4", "P4.5"): "class: not a tree"}

@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
 
 from mdimlab import (
     ClassMismatchError,
@@ -9,6 +12,7 @@ from mdimlab import (
     closed_form,
     complete_graph,
     cycle_graph,
+    enumerate_small_trees,
     gn_family_facts,
     gn_graph,
     is_geodesic_triple,
@@ -28,6 +32,8 @@ from mdimlab.structural import (
     MDIM_TOTAL_TREE,
     MDIM_TREE,
 )
+
+from conftest import connected_graphs, oracle_cactus, oracle_non_cactus_block
 
 
 def test_leaf_count():
@@ -201,3 +207,61 @@ def test_gn_gap_verified_by_solver():
     assert mdim == facts.mdim_value
     assert mdim_s <= facts.subdivision_upper
     assert mdim - mdim_s >= facts.gap_lower_bound
+
+
+def _decompose_or_none(g):
+    try:
+        report = cactus_decompose(g)
+    except NotCactusError:
+        return None
+    rows = sorted((sorted(c.vertices), len(c.vertices), c.rt) for c in report.cycles)
+    return report.n1, rows, report.mdim_formula
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_cactus_decompose_matches_cycle_enumeration(g):
+    assert _decompose_or_none(g) == oracle_cactus(g.n, g.edges)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_small_tree_decomposes_with_no_cycles(n):
+    for g in enumerate_small_trees(n):
+        assert _decompose_or_none(g) == oracle_cactus(g.n, g.edges) == (leaf_count(g), [], leaf_count(g))
+
+
+@pytest.mark.parametrize("n,cycles,seed", [(10, 2, 1), (11, 3, 2), (12, 4, 3), (9, 1, 4), (13, 5, 5)])
+def test_seeded_cacti_and_their_subdivisions_match_cycle_enumeration(n, cycles, seed):
+    g = random_cactus(n, cycles, seed)
+    for h in (g, subdivision(g).graph):
+        facts = oracle_cactus(h.n, h.edges)
+        assert facts is not None and len(facts[1]) == cycles
+        assert _decompose_or_none(h) == facts
+
+
+def _k4_with_pendant_path():
+    return build_graph(6, [*combinations(range(4), 2), (3, 4), (4, 5)])
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), gn_graph(2)[0], _k4_with_pendant_path()],
+                         ids=["K4", "G2", "K4+path"])
+def test_not_cactus_error_names_the_block(g):
+    vertices, edges = oracle_non_cactus_block(g.n, g.edges)
+    with pytest.raises(NotCactusError) as exc:
+        cactus_decompose(g)
+    assert f"vertices {vertices} has {edges} edges" in str(exc.value)
+
+
+def test_not_cactus_error_on_k4_text():
+    with pytest.raises(NotCactusError, match=r"vertices \[0, 1, 2, 3\] has 6 edges"):
+        cactus_decompose(complete_graph(4))
+
+
+def test_class_errors_carry_the_whole_reason():
+    assert issubclass(NotCactusError, ClassMismatchError)
+    with pytest.raises(ClassMismatchError, match="^not a tree$"):
+        closed_form(cycle_graph(4), MDIM_TREE)
+    with pytest.raises(ClassMismatchError, match="^single-edge tree; .* >= 3 vertices$"):
+        closed_form(path_graph(2), MDIM_TOTAL_TREE)
+    with pytest.raises(NotCactusError, match=r"^not a cactus \(biconnected .*\)$"):
+        closed_form(complete_graph(4), MDIM_CACTUS)

@@ -213,3 +213,11 @@ def test_identities_pin_first_counterexamples(make, as_s, as_m):
     swapped_m = check_distance_identities(g, mg=subdivision(g))
     assert {c.identity: c.counterexample for c in swapped_s.failed()} == as_s
     assert {c.identity: c.counterexample for c in swapped_m.failed()} == as_m
+
+
+def test_eq4_reports_an_edge_with_no_split_end():
+    # T(K2) posing as S(K2): its edge (0, 1) joins two original vertices, so
+    # no base edge gives rise to it and no distance is expected for it
+    report = check_distance_identities(path_graph(2), sg=total(path_graph(2)))
+    eq4 = {c.identity: c for c in report.checks}["eq4"]
+    assert eq4.counterexample == (0, 0, 0, ())
