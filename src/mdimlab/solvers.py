@@ -34,6 +34,11 @@ the first one found is its smallest, and repeated runs are
 byte-identical.  For phi the same search lists every minimum hitting set
 of each group of S(G), and every metric basis is one from each group.
 
+A partial set's open masks, those it does not meet yet, are one int of
+mask ids, so a pick is one AND with the ids of the masks the picked vertex
+misses.  That sets only the cost of a node: the nodes, their visiting
+order and every result are those of the search over lists of open masks.
+
 For mdim, the forced vertices (Kelenc, Kuziak, Taranenko and Yero, *Mixed
 metric dimension of graphs*, 2017) lie in every mixed resolving set; when
 they resolve the graph on their own they are the unique minimum, and no
@@ -47,11 +52,10 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain, product
-from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress, product
+from typing import Iterable, Sequence
 
 from .errors import (
     EnumerationOverflowError,
@@ -166,6 +170,11 @@ def _mask_order(m: int) -> tuple[int, int]:
     return m.bit_count(), m
 
 
+# binary digits to one 0/1 byte per bit, and back
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _separator_masks(g: Graph, kind: str) -> list[int]:
     """Inclusion-minimal separator masks of the kind's universe, smallest first."""
     diameter = max(map(max, g.distances))
@@ -183,22 +192,22 @@ def _separator_masks(g: Graph, kind: str) -> list[int]:
         # a field of a ^ b is nonzero iff adding `rest` to its low bits
         # carries into the top bit, or the top bit is already set
         fields.update([((((x := a ^ b) & rest) + rest) | x) & high for b in columns[i + 1:]])
-    to_digits = bytes.maketrans(b"\x00\x01", b"01")
+    # the field tops keep the vertex order, so subsets and order carry over;
+    # every pending field of the least size is minimal, and its supersets go
+    pending, kept = sorted(fields, key=int.bit_count), []
+    while pending:
+        cut = bisect_right(pending, pending[0].bit_count(), key=int.bit_count)
+        layer, pending = pending[:cut], pending[cut:]
+        kept += layer
+        for least in layer:
+            pending = [f for f in pending if f & least != least]
+    kept.sort(key=_mask_order)
+    # one 0/1 byte per vertex, read as a binary numeral with vertex 0 last
+    flags = ((f >> (width - 1)).to_bytes(step * g.n, "little")[::step] for f in kept)
+    return [int(f.translate(_TO_DIGITS)[::-1], 2) for f in flags]
 
-    def vertex_mask(nonzero: int) -> int:
-        # one 0/1 byte per vertex, read as a binary numeral with vertex 0 last
-        flags = (nonzero >> (width - 1)).to_bytes(step * g.n, "little")[::step]
-        return int(flags.translate(to_digits)[::-1], 2)
 
-    # the field tops keep the vertex order, so subsets and order carry over
-    kept: list[int] = []
-    for f in sorted(fields, key=_mask_order):
-        if all(k & f != k for k in kept):
-            kept.append(f)
-    return [vertex_mask(f) for f in kept]
-
-
-def _packing(masks: list[int], above: int = -1) -> int:
+def _packing(masks: Iterable[int], above: int = -1) -> int:
     """Greedy count of masks pairwise disjoint on the vertices in ``above``;
     each of them needs its own pick."""
     used = count = 0
@@ -228,9 +237,29 @@ def _components(masks: list[int]) -> list[list[int]]:
     return [sorted(members, key=_mask_order) for _, members in groups]
 
 
+def _index(masks: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The masks' vertices, ascending, and for the j-th of them the ids
+    (positions in ``masks``) of the masks that hold it, ``hits[j]``, and of
+    those it is the last vertex of, ``ends[j]``."""
+    union = 0
+    for m in masks:
+        union |= m
+    n = union.bit_length()
+    verts = [v for v in range(n) if union >> v & 1]
+    # row i from the end is mask i in binary, so column n - 1 - v, read
+    # down, is the ids of the masks that hold v in binary
+    digits = "".join([format(m, f"0{n}b") for m in reversed(masks)])
+    ends = [0] * len(verts)
+    for i, m in enumerate(masks):
+        ends[bisect_left(verts, m.bit_length() - 1)] |= 1 << i
+    return verts, [int(digits[n - 1 - v::n], 2) for v in verts], ends
+
+
 class _Search:
-    """Depth-first hitting-set search; every visited partial set costs one
-    node of the shared budget."""
+    """Depth-first hitting-set search of one group of masks; every visited
+    partial set costs one node of the shared budget.  Open masks are one
+    int of ids in the group's order, and ``_packing`` reads them in that
+    order, so nodes and visiting order are those of a search over lists."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -243,42 +272,53 @@ class _Search:
 
     def smallest(self, masks: list[int]) -> tuple[int, ...]:
         """The lexicographically smallest minimum set meeting every mask."""
+        index = _index(masks)
         for k in range(max(1, _packing(masks)), len(masks) + 1):
-            for found in self.of_size(masks, k):
+            for found in self._collect(masks, index, k, first=True):
                 return found
         raise NoWitnessError("no hitting set found; input outside supported class")
 
-    def of_size(self, masks: list[int], k: int) -> Iterator[tuple[int, ...]]:
+    def of_size(self, masks: list[int], k: int) -> list[tuple[int, ...]]:
         """Every k-set meeting all masks whose picks each meet an open mask,
         in lexicographic order.  At the minimum k that is every k-set."""
+        return self._collect(masks, _index(masks), k, first=False)
+
+    def _collect(self, masks: list[int], index: tuple, k: int, first: bool) -> list[tuple]:
+        # the k-sets of ``of_size``, or only the first of them when ``first``
+        verts, hits, ends = index
+        found: list[tuple[int, ...]] = []
+
+        def extend(open_ids: int, start: int, left: int, picked: tuple) -> bool:
+            # the next pick is the vertex at position start or later, and no
+            # later than the last vertex of any open mask, since later picks
+            # only grow; each open mask ends at or after start, since the
+            # last pick, at start - 1, came no later and missed it
+            end = start
+            while not open_ids & ends[end]:
+                end += 1
+            if left == 1:
+                for j in range(start, end + 1):
+                    if hits[j] & open_ids == open_ids:
+                        self._visit()
+                        found.append(picked + (verts[j],))
+                        if first:
+                            return True
+                return False
+            # no mask holds a vertex between the last pick and verts[start]
+            flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
+            if _packing(compress(masks, flags), -1 << verts[start]) > left:
+                return False
+            for j in range(start, end + 1):
+                if hits[j] & open_ids:
+                    self._visit()
+                    rest = open_ids & ~hits[j]
+                    if rest and extend(rest, j + 1, left - 1, picked + (verts[j],)):
+                        return True
+            return False
+
         self._visit()
-        yield from self._extend(masks, 0, k, ())
-
-    def _extend(self, open_masks, start, left, picked) -> Iterator[tuple[int, ...]]:
-        # the next pick comes at or after start and no later than the last
-        # vertex of any open mask, since later picks only grow
-        last_chance = min(map(int.bit_length, open_masks))
-        allowed = ((1 << last_chance) - 1) >> start << start
-        if left == 1:
-            for v in _bits(reduce(and_, open_masks) & allowed):
-                self._visit()
-                yield picked + (v,)
-            return
-        if _packing(open_masks, -1 << start) > left:
-            return
-        for v in _bits(reduce(or_, open_masks) & allowed):
-            self._visit()
-            bit = 1 << v
-            rest = [m for m in open_masks if not m & bit]
-            if rest:
-                yield from self._extend(rest, v + 1, left - 1, picked + (v,))
-
-
-def _bits(x: int) -> Iterator[int]:
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+        extend((1 << len(masks)) - 1, 0, k, ())
+        return found
 
 
 def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -352,7 +392,7 @@ def phi_of_graph(
         raise EnumerationOverflowError(total, cap)
 
     # every metric basis is one minimum hitting set per mask group
-    choices = [list(search.of_size(part, k)) for part, k in zip(parts, sizes)]
+    choices = [search.of_size(part, k) for part, k in zip(parts, sizes)]
     bases = (tuple(sorted(chain(*combo))) for combo in product(*choices))
     best_basis = min(bases, key=lambda b: (len(phi_set(sg, b)), b))
     best_phi = phi_set(sg, best_basis)

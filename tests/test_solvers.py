@@ -32,7 +32,16 @@ from mdimlab import (
     vertex_element,
 )
 
-from conftest import connected_graphs, oracle_is_resolving, oracle_min_witnesses
+from mdimlab.solvers import _separator_masks
+
+from conftest import (
+    connected_graphs,
+    oracle_distances,
+    oracle_element_distance,
+    oracle_is_resolving,
+    oracle_min_witnesses,
+    oracle_universe,
+)
 
 KINDS = ("dim", "edim", "mdim")
 DERIVED = {"G": lambda g: g, "S": lambda g: subdivision(g).graph,
@@ -305,3 +314,53 @@ def test_library_budgets_below_one_still_raise():
             solve_dimension(cycle_graph(4), "dim", budget=budget)
     with pytest.raises(EnumerationOverflowError):
         phi_of_graph(cycle_graph(4), cap=0)
+
+
+def _budget_cases():
+    g5 = gn_graph(5)[0]
+    return [
+        pytest.param(total(g5).graph, "dim", id="dim T(G_5)"),
+        pytest.param(subdivision(g5).graph, "edim", id="edim S(G_5)"),
+        pytest.param(cycle_graph(8), "mdim", id="mdim C8"),
+        pytest.param(middle(g5).graph, "mdim", id="mdim M(G_5)"),
+        pytest.param(middle(random_tree(12, seed=3)).graph, "dim", id="dim M(random_tree 12)"),
+    ]
+
+
+@pytest.mark.parametrize("g, kind", _budget_cases())
+def test_budget_boundary_is_one_node_per_visited_set(g, kind):
+    cert = solve_dimension(g, kind)
+    nodes = cert.stats.search_nodes
+    assert nodes > 0
+    exact = solve_dimension(g, kind, budget=nodes)
+    assert (exact, exact.stats) == (cert, cert.stats)
+    with pytest.raises(SearchBudgetExceededError):
+        solve_dimension(g, kind, budget=nodes - 1)
+
+
+def _oracle_minimal_masks(n, edges, kind):
+    """Inclusion-minimal separator masks of the kind's universe, ordered by
+    (size, value), from the oracle distances alone."""
+    dist = oracle_distances(n, edges)
+    columns = [[oracle_element_distance(dist, x, w) for w in range(n)]
+               for x in oracle_universe(n, edges, kind)]
+    masks = {sum(1 << w for w in range(n) if a[w] != b[w])
+             for i, a in enumerate(columns) for b in columns[i + 1:]}
+    minimal = [m for m in masks if not any(k != m and k & m == k for k in masks)]
+    return sorted(minimal, key=lambda m: (bin(m).count("1"), m))
+
+
+def _assert_masks_match_oracle(g):
+    for kind in KINDS:
+        assert _separator_masks(g, kind) == _oracle_minimal_masks(g.n, g.edges, kind), (kind, g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_separator_masks_match_oracle(g):
+    _assert_masks_match_oracle(g)
+
+
+@pytest.mark.parametrize("name", ["S", "M", "T"])
+def test_separator_masks_match_oracle_on_derived_g3(name):
+    _assert_masks_match_oracle(DERIVED[name](gn_graph(3)[0]))
