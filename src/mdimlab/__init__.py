@@ -8,7 +8,6 @@ from .errors import (
     EnumerationOverflowError,
     GraphError,
     LoopEdgeError,
-    NoWitnessError,
     NotABasisError,
     NotCactusError,
     ParseError,

@@ -51,10 +51,6 @@ class EnumerationOverflowError(GraphError):
         self.cap = cap
 
 
-class NoWitnessError(GraphError):
-    """No subset of V(G) verified; defensive, not expected on valid inputs."""
-
-
 class ParseError(GraphError):
     """Malformed graph input.
 

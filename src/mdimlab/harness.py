@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import (
+    BadSpecError,
     ClassMismatchError,
     EnumerationOverflowError,
-    GraphError,
     SearchBudgetExceededError,
 )
 from .graph import Graph
@@ -441,7 +441,7 @@ def _spec_values(text: str, spec: str) -> list[int]:
     except ValueError:
         values = []
     if not values:
-        raise GraphError(f"family value {text!r} in {spec!r} is not a number or a nonempty range A..B")
+        raise BadSpecError(f"family value {text!r} in {spec!r} is not a number or a nonempty range A..B")
     return values
 
 
@@ -453,20 +453,20 @@ def family_instances(spec: str) -> list[Instance]:
     name, _, rest = spec.partition(":")
     recipe = families.RECIPES.get(name)
     if recipe is None:
-        raise GraphError(f"unknown family {name!r}; known: {', '.join(sorted(families.RECIPES))}")
+        raise BadSpecError(f"unknown family {name!r}; known: {', '.join(sorted(families.RECIPES))}")
     keys = ("n", *recipe.params)
     given: dict[str, list[int]] = {}
     for part in rest.split(",") if rest else ():
         key, _, value = (text.strip() for text in part.partition("="))
         if not value:
-            raise GraphError(f"bad family parameter {part!r} in {spec!r}")
+            raise BadSpecError(f"bad family parameter {part!r} in {spec!r}")
         if key not in keys:
-            raise GraphError(f"family {name!r} takes no parameter {key!r} in {spec!r}")
+            raise BadSpecError(f"family {name!r} takes no parameter {key!r} in {spec!r}")
         if key in given:
-            raise GraphError(f"repeated family parameter {key!r} in {spec!r}")
+            raise BadSpecError(f"repeated family parameter {key!r} in {spec!r}")
         given[key] = _spec_values(value, spec)
     if "n" not in given:
-        raise GraphError(f"family spec {spec!r} needs n=...")
+        raise BadSpecError(f"family spec {spec!r} needs n=...")
     out: list[Instance] = []
     for values in product(*(given.get(key, [1]) for key in keys)):
         stem = f"{name}:" + ",".join(map(_id_field, keys, values))

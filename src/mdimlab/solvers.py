@@ -31,8 +31,10 @@ and the final pick must hit every open mask; a branch ends when more
 open masks are pairwise disjoint above the next pick than picks are
 left.  A group's hitting sets therefore come out in lexicographic order,
 the first one found is its smallest, and repeated runs are
-byte-identical.  For phi the same search lists every minimum hitting set
-of each group of S(G), and every metric basis is one from each group.
+byte-identical.  The walk yields them lazily and ends with the first
+cardinality that has one: a solve takes the first set of each group, and
+phi drains the same walks, so every metric basis of S(G) is one set from
+each group and no cardinality is walked twice.
 
 A partial set's open masks, those it does not meet yet, are one int of
 mask ids, so a pick is one AND with the ids of the masks the picked vertex
@@ -54,14 +56,13 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, product
-from typing import Iterable, Sequence
+from itertools import chain, compress, count, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EnumerationOverflowError,
     GraphError,
     NotABasisError,
-    NoWitnessError,
     SearchBudgetExceededError,
 )
 from .graph import Graph, MixedElement, mixed_distance
@@ -270,25 +271,13 @@ class _Search:
         if self.nodes > self.budget:
             raise SearchBudgetExceededError(self.nodes, self.budget)
 
-    def smallest(self, masks: list[int]) -> tuple[int, ...]:
-        """The lexicographically smallest minimum set meeting every mask."""
-        index = _index(masks)
-        for k in range(max(1, _packing(masks)), len(masks) + 1):
-            for found in self._collect(masks, index, k, first=True):
-                return found
-        raise NoWitnessError("no hitting set found; input outside supported class")
+    def minimum_sets(self, masks: list[int]) -> Iterator[tuple[int, ...]]:
+        """Every minimum set meeting all masks, in lexicographic order.  The
+        walk tries k = L, L + 1, ... and ends after the first k that has a
+        set; one vertex from each mask meets every mask, so that k comes."""
+        verts, hits, ends = _index(masks)
 
-    def of_size(self, masks: list[int], k: int) -> list[tuple[int, ...]]:
-        """Every k-set meeting all masks whose picks each meet an open mask,
-        in lexicographic order.  At the minimum k that is every k-set."""
-        return self._collect(masks, _index(masks), k, first=False)
-
-    def _collect(self, masks: list[int], index: tuple, k: int, first: bool) -> list[tuple]:
-        # the k-sets of ``of_size``, or only the first of them when ``first``
-        verts, hits, ends = index
-        found: list[tuple[int, ...]] = []
-
-        def extend(open_ids: int, start: int, left: int, picked: tuple) -> bool:
+        def extend(open_ids: int, start: int, left: int, picked: tuple) -> Iterator[tuple]:
             # the next pick is the vertex at position start or later, and no
             # later than the last vertex of any open mask, since later picks
             # only grow; each open mask ends at or after start, since the
@@ -300,25 +289,37 @@ class _Search:
                 for j in range(start, end + 1):
                     if hits[j] & open_ids == open_ids:
                         self._visit()
-                        found.append(picked + (verts[j],))
-                        if first:
-                            return True
-                return False
+                        yield picked + (verts[j],)
+                return
             # no mask holds a vertex between the last pick and verts[start]
             flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
             if _packing(compress(masks, flags), -1 << verts[start]) > left:
-                return False
+                return
             for j in range(start, end + 1):
                 if hits[j] & open_ids:
                     self._visit()
                     rest = open_ids & ~hits[j]
-                    if rest and extend(rest, j + 1, left - 1, picked + (verts[j],)):
-                        return True
-            return False
+                    if rest and left > 2:
+                        yield from extend(rest, j + 1, left - 1, picked + (verts[j],))
+                    elif rest:
+                        # the last pick, as at left == 1 but made in this
+                        # loop: the walk's most numerous level then starts
+                        # no generator of its own
+                        last = j + 1
+                        while not rest & ends[last]:
+                            last += 1
+                        for i in range(j + 1, last + 1):
+                            if hits[i] & rest == rest:
+                                self._visit()
+                                yield picked + (verts[j], verts[i])
 
-        self._visit()
-        extend((1 << len(masks)) - 1, 0, k, ())
-        return found
+        for k in count(max(1, _packing(masks))):
+            self._visit()
+            found = ()
+            for found in extend((1 << len(masks)) - 1, 0, k, ()):
+                yield found
+            if found:
+                return
 
 
 def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -340,7 +341,7 @@ def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certif
     parts = _components(masks)
     search = _Search(budget)
     # with no pair to separate, any single vertex resolves
-    witness = tuple(sorted(v for part in parts for v in search.smallest(part))) or (0,)
+    witness = tuple(sorted(v for part in parts for v in next(search.minimum_sets(part)))) or (0,)
     stats = SolveStats(search_nodes=search.nodes, masks_kept=len(masks),
                        lower_bound=max(1, sum(map(_packing, parts))))
     return Certificate(kind=kind, vertices=witness, value=len(witness), forced=forced, stats=stats)
@@ -386,13 +387,14 @@ def phi_of_graph(
         sg = subdivision(g)
     parts = _components(_separator_masks(sg.graph, DIM))
     search = _Search(budget)
-    sizes = [len(search.smallest(part)) for part in parts]
-    total = math.comb(sg.graph.n, sum(sizes))
+    walks = [search.minimum_sets(part) for part in parts]
+    firsts = [next(walk) for walk in walks]
+    total = math.comb(sg.graph.n, sum(map(len, firsts)))
     if total > cap:
         raise EnumerationOverflowError(total, cap)
 
     # every metric basis is one minimum hitting set per mask group
-    choices = [search.of_size(part, k) for part, k in zip(parts, sizes)]
+    choices = [[first, *walk] for first, walk in zip(firsts, walks)]
     bases = (tuple(sorted(chain(*combo))) for combo in product(*choices))
     best_basis = min(bases, key=lambda b: (len(phi_set(sg, b)), b))
     best_phi = phi_set(sg, best_basis)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mdimlab import complete_graph, cycle_graph, enumerate_small_trees, gn_graph, path_graph
+from mdimlab import BadSpecError, complete_graph, cycle_graph, enumerate_small_trees, gn_graph, path_graph
 from mdimlab import families, harness, middle, transforms
 from mdimlab.cli import main
 from mdimlab.harness import (
@@ -355,6 +355,19 @@ def test_cli_unknown_family_is_exit_2(capsys):
 
 def test_cli_family_without_n_is_exit_2(capsys):
     assert main(["solve", "--family", "path", "--kind", "dim"]) == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("hypercube:n=3", "unknown family 'hypercube'"),
+    ("path", "needs n="),
+    ("cycle:n=4,n=5", "repeated family parameter 'n'"),
+    ("cycle:n=a", "is not a number"),
+    ("gn:n=5,seed=3", "takes no parameter 'seed'"),
+    ("cycle:n", "bad family parameter 'n'"),
+])
+def test_family_spec_faults_are_bad_spec_errors(spec, message):
+    with pytest.raises(BadSpecError, match=message):
+        harness.family_instances(spec)
 
 
 def test_cli_verify_csv(capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,7 @@ from mdimlab import (
     vertex_element,
 )
 
-from mdimlab.solvers import _separator_masks
+from mdimlab.solvers import _components, _Search, _separator_masks
 
 from conftest import (
     connected_graphs,
@@ -254,6 +256,21 @@ def test_phi_propagates_inner_search_budget():
         phi_of_graph(cycle_graph(8), budget=2)
 
 
+def test_phi_budget_boundary_walks_each_minimum_cardinality_once():
+    g5 = gn_graph(5)[0]
+    assert phi_of_graph(g5, budget=738) == phi_of_graph(g5)
+    with pytest.raises(SearchBudgetExceededError):
+        phi_of_graph(g5, budget=737)
+
+
+def test_phi_checks_the_cap_before_listing_any_basis():
+    g8 = gn_graph(8)[0]
+    # enough nodes to find dim(S(G_8)), too few to list its metric bases
+    nodes = solve_dimension(subdivision(g8).graph, "dim").stats.search_nodes
+    with pytest.raises(EnumerationOverflowError):
+        phi_of_graph(g8, cap=1, budget=nodes)
+
+
 @settings(max_examples=25, deadline=None)
 @given(connected_graphs(max_n=6))
 def test_phi_witness_consistency(g):
@@ -262,6 +279,19 @@ def test_phi_witness_consistency(g):
     assert is_resolving(sg.graph, result.witness_basis)
     assert phi_set(sg, result.witness_basis) == result.witness_phi_set
     assert result.bases_enumerated >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=6))
+def test_walks_list_every_minimum_set_of_each_kind(g):
+    for kind in KINDS:
+        masks = _separator_masks(g, kind)
+        if not masks:
+            continue
+        search = _Search(budget=10**8)
+        walks = [list(search.minimum_sets(part)) for part in _components(masks)]
+        found = sorted(tuple(sorted(v for s in combo for v in s)) for combo in product(*walks))
+        assert found == oracle_min_witnesses(g.n, g.edges, kind)[1], (kind, g.edges)
 
 
 @settings(max_examples=40, deadline=None)
