@@ -64,7 +64,7 @@ from .structural import (
     leaf_count,
 )
 from .families import (
-    FamilySpec,
+    Instance,
     complete_graph,
     cycle_graph,
     enumerate_small_trees,

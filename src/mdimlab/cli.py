@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import GraphError
+from .families import Instance, generate
 from .formats import (
     EDGE_LIST,
     GRAPH6,
@@ -25,14 +26,12 @@ from .graph import Graph
 from .harness import (
     DERIVED,
     EXPLORE_TARGETS,
-    Instance,
     Report,
     THEOREM_IDS,
     TOOL_VERSION,
     default_corpus,
     dumps,
     explore,
-    family_instances,
     run_checks,
 )
 from .solvers import DEFAULT_BUDGET, DEFAULT_PHI_CAP, KINDS, solve_dimension
@@ -65,7 +64,7 @@ def _corpus(args) -> tuple[list[Instance], str]:
     for path in args.input or []:
         instances.extend(_file_instances(path))
     for spec in args.family or []:
-        instances.extend(family_instances(spec))
+        instances.extend(generate(spec))
     if not instances:
         instances = default_corpus()
     return instances, "default-corpus" if not (args.input or args.family) else "flags"

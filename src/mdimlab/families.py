@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterator
 
 from .errors import BadSpecError
@@ -14,13 +14,13 @@ from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
-class FamilySpec:
-    """A reproducible recipe: family name, size, and seed for random ones."""
+class Instance:
+    """A corpus member: the graph plus its reproducible origin."""
 
-    family: str
-    n: int
-    cycles: int | None = None
-    seed: int | None = None
+    id: str
+    graph: Graph
+    family: str | None = None
+    param_n: int | None = None
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,56 @@ RECIPES = {
 }
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the one graph a spec describes; same spec, byte-identical edge
-    list.  Every parameter the family reads must be set."""
-    recipe = RECIPES.get(spec.family)
-    if recipe is None or recipe.exhaustive:
-        raise BadSpecError(f"no single-graph family {spec.family!r}")
-    values = [getattr(spec, p) for p in recipe.params]
-    if None in values:
-        raise BadSpecError(f"{spec.family} needs {recipe.params[values.index(None)]}")
-    return recipe.build(spec.n, *values)
+# digits a value fills in an instance id; other values are written as they are
+_ID_DIGITS = {"seed": 3, "i": 3}
+
+
+def _id_field(key: str, value: int) -> str:
+    return f"{key}={value:0{_ID_DIGITS.get(key, 1)}d}"
+
+
+def _spec_values(text: str, spec: str) -> list[int]:
+    """A number, or every number of a range ``A..B``."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        values = []
+    if not values:
+        raise BadSpecError(f"family value {text!r} in {spec!r} is not a number or a nonempty range A..B")
+    return values
+
+
+def generate(spec: str) -> list[Instance]:
+    """The corpus members ``NAME:n=N[,cycles=C][,seed=S]`` names, each value
+    a number or a range ``A..B``: one graph per combination of values, or
+    every graph on n for an exhaustive family.  A parameter the family
+    reads and the spec leaves out is 1.  Same spec, byte-identical graphs."""
+    name, _, rest = spec.partition(":")
+    recipe = RECIPES.get(name)
+    if recipe is None:
+        raise BadSpecError(f"unknown family {name!r}; known: {', '.join(sorted(RECIPES))}")
+    keys = ("n", *recipe.params)
+    given: dict[str, list[int]] = {}
+    for part in rest.split(",") if rest else ():
+        key, _, value = (text.strip() for text in part.partition("="))
+        if not value:
+            raise BadSpecError(f"bad family parameter {part!r} in {spec!r}")
+        if key not in keys:
+            raise BadSpecError(f"family {name!r} takes no parameter {key!r} in {spec!r}")
+        if key in given:
+            raise BadSpecError(f"repeated family parameter {key!r} in {spec!r}")
+        given[key] = _spec_values(value, spec)
+    if "n" not in given:
+        raise BadSpecError(f"family spec {spec!r} needs n=...")
+    out: list[Instance] = []
+    for values in product(*(given.get(key, [1]) for key in keys)):
+        stem = f"{name}:" + ",".join(map(_id_field, keys, values))
+        built = recipe.build(*values)
+        members = ([(f"{stem},{_id_field('i', i)}", g) for i, g in enumerate(built)]
+                   if recipe.exhaustive else [(stem, built)])
+        out += [Instance(id=ident, graph=g, family=name, param_n=values[0]) for ident, g in members]
+    return out
 
 
 def path_graph(n: int) -> Graph:

@@ -15,6 +15,8 @@ Emission is canonical (sorted edges, minimal graph6 bytes), so
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import ParseError
 from .graph import Graph, build_graph
 from .transforms import ORIGINAL, DerivedGraph
@@ -73,11 +75,14 @@ def emit_edge_list(g: Graph) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _g6_pairs(n: int):
-    """Upper-triangle bit order of graph6: (0,1), (0,2), (1,2), (0,3), ..."""
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
+# six-bit digits of the vertex count after zero, one or two '~'
+_COUNT_DIGITS = (1, 3, 6)
+_SIX_BITS = tuple(format(v, "06b") for v in range(64))
+
+
+def _bit_string(raw: bytes) -> str:
+    """The six bits each graph6 byte carries, most significant first."""
+    return "".join([_SIX_BITS[byte - 63] for byte in raw])
 
 
 def parse_graph6(data: bytes | str) -> Graph:
@@ -93,56 +98,45 @@ def parse_graph6(data: bytes | str) -> Graph:
         if not (63 <= byte <= 126):
             raise ParseError(f"byte {byte} outside graph6 range 63..126", position=pos)
 
-    if raw[0] != 126:
-        n = raw[0] - 63
-        body = raw[1:]
-    elif len(raw) >= 2 and raw[1] != 126:
-        if len(raw) < 4:
-            raise ParseError("truncated 18-bit vertex count", position=len(raw))
-        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
-        body = raw[4:]
-    else:
-        if len(raw) < 8:
-            raise ParseError("truncated 36-bit vertex count", position=len(raw))
-        n = 0
-        for k in range(2, 8):
-            n = (n << 6) | (raw[k] - 63)
-        body = raw[8:]
+    # '~' and then a byte other than '~' opens the 18-bit count; '~~' or a
+    # lone '~' opens the 36-bit one
+    tildes = 0 if raw[0] != 126 else 1 if raw[1:2] not in (b"", b"~") else 2
+    digits = _COUNT_DIGITS[tildes]
+    if len(raw) < tildes + digits:
+        raise ParseError(f"truncated {6 * digits}-bit vertex count", position=len(raw))
+    n = int(_bit_string(raw[tildes:tildes + digits]), 2)
+    body = raw[tildes + digits:]
 
     bits_needed = n * (n - 1) // 2
     bytes_needed = (bits_needed + 5) // 6
     if len(body) != bytes_needed:
         raise ParseError(f"adjacency body has {len(body)} bytes, expected {bytes_needed}",
                          position=len(raw) - 1)
-    bits = []
-    for byte in body:
-        value = byte - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[bits_needed:]):
+    bits = _bit_string(body)
+    if "1" in bits[bits_needed:]:
         raise ParseError("nonzero padding bits", position=len(raw) - 1)
 
-    edges = [pair for pair, bit in zip(_g6_pairs(n), bits) if bit]
+    # bit k is the pair (i, j), i < j, with k = j(j - 1)/2 + i: the upper
+    # triangle in column order
+    edges = []
+    k = bits.find("1")
+    while k >= 0:
+        j = (1 + isqrt(8 * k + 1)) // 2
+        edges.append((k - j * (j - 1) // 2, j))
+        k = bits.find("1", k + 1)
     return build_graph(n, edges)
 
 
 def emit_graph6(g: Graph) -> bytes:
     n = g.n
-    if n <= 62:
-        head = bytes([n + 63])
-    elif n <= 258047:
-        head = bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    else:
-        head = bytes([126, 126] + [63 + ((n >> shift) & 63) for shift in range(30, -1, -6)])
-    adjacent = set(g.edges)
-    bits = [1 if (i, j) in adjacent else 0 for i, j in _g6_pairs(n)]
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytes(
-        63 + (bits[k] << 5 | bits[k + 1] << 4 | bits[k + 2] << 3
-              | bits[k + 3] << 2 | bits[k + 4] << 1 | bits[k + 5])
-        for k in range(0, len(bits), 6)
-    )
-    return head + body + b"\n"
+    tildes = 0 if n <= 62 else 1 if n <= 258047 else 2
+    size = n * (n - 1) // 2
+    body = ["0"] * (size + -size % 6)
+    for i, j in g.edges:
+        body[j * (j - 1) // 2 + i] = "1"
+    bits = f"{n:0{6 * _COUNT_DIGITS[tildes]}b}" + "".join(body)
+    digits = (int(bits[k:k + 6], 2) for k in range(0, len(bits), 6))
+    return b"~" * tildes + bytes(63 + v for v in digits) + b"\n"
 
 
 def _detect(data: bytes | str) -> tuple[str, str]:

@@ -18,14 +18,13 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import product
 
 from .errors import (
-    BadSpecError,
     ClassMismatchError,
     EnumerationOverflowError,
     SearchBudgetExceededError,
 )
+from .families import Instance, generate
 from .graph import Graph
 from .solvers import (
     DEFAULT_BUDGET,
@@ -47,7 +46,6 @@ from .structural import (
     gn_family_facts,
 )
 from .transforms import DerivedGraph, check_distance_identities, middle, subdivision, total
-from . import families
 
 TOOL_VERSION = "0.1.0"
 
@@ -68,16 +66,6 @@ EXPLORE_TARGETS = tuple(_EXPLORE)
 def dumps(payload: dict) -> str:
     """Deterministic JSON text of ``payload``, stamped with the tool version."""
     return json.dumps({**payload, "version": TOOL_VERSION}, sort_keys=True, indent=2) + "\n"
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A corpus member: the graph plus its reproducible origin."""
-
-    id: str
-    graph: Graph
-    family: str | None = None
-    param_n: int | None = None
 
 
 @dataclass
@@ -425,58 +413,6 @@ DEFAULT_CORPUS = (
     "random_cactus:n=12,cycles=3,seed=5", "random_cactus:n=10,cycles=1,seed=6",
 )
 
-# digits a value fills in an instance id; other values are written as they are
-_ID_DIGITS = {"seed": 3, "i": 3}
-
-
-def _id_field(key: str, value: int) -> str:
-    return f"{key}={value:0{_ID_DIGITS.get(key, 1)}d}"
-
-
-def _spec_values(text: str, spec: str) -> list[int]:
-    """A number, or every number of a range ``A..B``."""
-    lo, dots, hi = text.partition("..")
-    try:
-        values = list(range(int(lo), int(hi if dots else lo) + 1))
-    except ValueError:
-        values = []
-    if not values:
-        raise BadSpecError(f"family value {text!r} in {spec!r} is not a number or a nonempty range A..B")
-    return values
-
-
-def family_instances(spec: str) -> list[Instance]:
-    """The corpus members ``NAME:n=N[,cycles=C][,seed=S]`` names, each value
-    a number or a range ``A..B``: one graph per combination of values, or
-    every graph on n for an exhaustive family.  A parameter the family
-    reads and the spec leaves out is 1."""
-    name, _, rest = spec.partition(":")
-    recipe = families.RECIPES.get(name)
-    if recipe is None:
-        raise BadSpecError(f"unknown family {name!r}; known: {', '.join(sorted(families.RECIPES))}")
-    keys = ("n", *recipe.params)
-    given: dict[str, list[int]] = {}
-    for part in rest.split(",") if rest else ():
-        key, _, value = (text.strip() for text in part.partition("="))
-        if not value:
-            raise BadSpecError(f"bad family parameter {part!r} in {spec!r}")
-        if key not in keys:
-            raise BadSpecError(f"family {name!r} takes no parameter {key!r} in {spec!r}")
-        if key in given:
-            raise BadSpecError(f"repeated family parameter {key!r} in {spec!r}")
-        given[key] = _spec_values(value, spec)
-    if "n" not in given:
-        raise BadSpecError(f"family spec {spec!r} needs n=...")
-    out: list[Instance] = []
-    for values in product(*(given.get(key, [1]) for key in keys)):
-        stem = f"{name}:" + ",".join(map(_id_field, keys, values))
-        built = recipe.build(*values)
-        members = ([(f"{stem},{_id_field('i', i)}", g) for i, g in enumerate(built)]
-                   if recipe.exhaustive else [(stem, built)])
-        out += [Instance(id=ident, graph=g, family=name, param_n=values[0]) for ident, g in members]
-    return out
-
-
 def default_corpus() -> list[Instance]:
     """The instances ``DEFAULT_CORPUS`` names, in order."""
-    return [inst for spec in DEFAULT_CORPUS for inst in family_instances(spec)]
+    return [inst for spec in DEFAULT_CORPUS for inst in generate(spec)]

@@ -1,11 +1,15 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Smoke tests: every demo script runs to completion against the source tree,
+and every README command line that needs no input file exits 0."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mdimlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,3 +26,26 @@ def test_demo_runs(script):
     result = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``mdimlab …`` lines of README's fenced blocks, comments dropped."""
+    commands, fenced = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("mdimlab "):
+            commands.append(shlex.split(line.partition("#")[0])[1:])
+    return commands
+
+
+README_COMMANDS = [argv for argv in _readme_commands() if "--input" not in argv]
+
+
+def test_readme_commands_are_found():
+    assert len(README_COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a) for a in README_COMMANDS])
+def test_readme_command_line_runs(argv, capsysbinary):
+    assert main(argv) == 0, capsysbinary.readouterr().err.decode()

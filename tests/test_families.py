@@ -4,7 +4,6 @@ import pytest
 
 from mdimlab import (
     BadSpecError,
-    FamilySpec,
     cactus_decompose,
     complete_graph,
     cycle_graph,
@@ -35,24 +34,28 @@ def test_two_hub_edge_set():
 
 
 def test_generate_dispatch():
-    assert generate(FamilySpec("path", 4)) == path_graph(4)
-    assert generate(FamilySpec("random_tree", 6, seed=9)) == random_tree(6, 9)
-    spec = FamilySpec("random_cactus", 10, cycles=2, seed=7)
-    assert generate(spec) == random_cactus(10, 2, 7)
+    (path,) = generate("path:n=4")
+    assert (path.id, path.graph) == ("path:n=4", path_graph(4))
+    (tree,) = generate("random_tree:n=6,seed=9")
+    assert (tree.id, tree.graph) == ("random_tree:n=6,seed=009", random_tree(6, 9))
+    (cactus,) = generate("random_cactus:n=10,cycles=2,seed=7")
+    assert cactus.graph == random_cactus(10, 2, 7)
+    (default_seed,) = generate("random_tree:n=5")  # a parameter left out is 1
+    assert (default_seed.id, default_seed.graph) == ("random_tree:n=5,seed=001", random_tree(5, 1))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        FamilySpec("path", 1),
-        FamilySpec("cycle", 2),
-        FamilySpec("star", 1),
-        FamilySpec("gn", 1),
-        FamilySpec("random_tree", 5),        # seed missing
-        FamilySpec("random_cactus", 4, cycles=2, seed=1),  # needs 5 vertices
-        FamilySpec("moebius", 5),
-    ],
-)
+BAD_SPECS = [
+    "path:n=1",
+    "cycle:n=2",
+    "star:n=1",
+    "gn:n=1",
+    "random_tree:n=1,seed=1",
+    "random_cactus:n=4,cycles=2,seed=1",  # needs 5 vertices
+    "moebius:n=5",
+]
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS, ids=[f"spec{i}" for i in range(len(BAD_SPECS))])
 def test_bad_specs_rejected(spec):
     with pytest.raises(BadSpecError):
         generate(spec)
@@ -213,12 +216,3 @@ def test_enumeration_against_labeled_exhaustion(n):
     assert len(set(enumerated)) == len(enumerated)
     exhaustive = {_centroid_canon(n, e) for e in _all_labeled_tree_edge_sets(n)}
     assert set(enumerated) == exhaustive
-
-
-@pytest.mark.parametrize("spec", [
-    FamilySpec("trees", 5),                        # names every tree on 5 vertices
-    FamilySpec("random_cactus", 10, seed=1),       # cycles missing
-])
-def test_generate_builds_one_graph_from_every_parameter_the_family_reads(spec):
-    with pytest.raises(BadSpecError):
-        generate(spec)

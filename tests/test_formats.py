@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -105,6 +107,35 @@ def test_multibyte_vertex_count_round_trip():
     data = emit_graph6(g)
     assert data.startswith(b"~")
     assert parse_graph6(data) == g
+
+
+@pytest.mark.parametrize("n, head", [(62, b"}"), (63, b"~??~")])
+def test_graph6_vertex_count_forms_at_the_one_byte_limit(n, head):
+    data = emit_graph6(path_graph(n))
+    assert data.startswith(head) and len(data) == len(head) + (n * (n - 1) // 2 + 5) // 6 + 1
+    assert parse_graph6(data) == path_graph(n)
+
+
+@pytest.mark.parametrize("data, message", [
+    ("~", "truncated 36-bit vertex count (byte 1)"),
+    ("~?", "truncated 18-bit vertex count (byte 2)"),
+])
+def test_graph6_truncated_vertex_counts(data, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph6(data)
+    assert str(err.value) == message
+
+
+def test_graph6_36_bit_count_checks_the_body_length_before_reading_it():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_graph6("~~???~??")  # n = 258,048: the smallest 36-bit count
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "adjacency body has 0 bytes, expected 5549042688 (byte 7)"
+    assert peak < 1 << 20
 
 
 def test_autodetect():

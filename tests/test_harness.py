@@ -367,7 +367,7 @@ def test_cli_family_without_n_is_exit_2(capsys):
 ])
 def test_family_spec_faults_are_bad_spec_errors(spec, message):
     with pytest.raises(BadSpecError, match=message):
-        harness.family_instances(spec)
+        families.generate(spec)
 
 
 def test_cli_verify_csv(capsys):
@@ -538,14 +538,13 @@ def test_cli_default_corpus_is_what_its_family_specs_request(capsys):
     assert bare == spelled
 
 
-def test_family_instances_builds_every_family_of_the_table():
+def test_generate_builds_every_family_of_the_table():
     for name, recipe in families.RECIPES.items():
-        (first, *rest) = harness.family_instances(f"{name}:n=5")
+        (first, *rest) = families.generate(f"{name}:n=5")
         assert first.family == name and first.param_n == 5 and first.graph.n >= 5
         assert first.id.startswith(f"{name}:n=5") and bool(rest) == (name == "trees")
         if not recipe.exhaustive:
-            spec = families.FamilySpec(name, 5, **dict.fromkeys(recipe.params, 1))
-            assert families.generate(spec) == first.graph
+            assert recipe.build(5, *[1] * len(recipe.params)) == first.graph
 
 
 def test_empty_theorem_list_rejected():
