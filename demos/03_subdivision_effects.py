@@ -24,8 +24,8 @@ for name, g in [("C6", cycle_graph(6)), ("tree", random_tree(8, seed=4)),
 
 print("\n== the two-hub family: the drop is at least 2 from n = 5 on ==")
 for n in (5, 6):
-    facts = gn_family_facts(n)
     g, _ = gn_graph(n)
+    facts = gn_family_facts(g)
     sg = subdivision(g)
     mdim = solve_dimension(g, "mdim").value
     mdim_s = solve_dimension(sg.graph, "mdim").value

@@ -83,7 +83,10 @@ def _write(args, payload: str | bytes) -> None:
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
     if getattr(args, "output", None):
-        Path(args.output).write_bytes(payload)
+        try:
+            Path(args.output).write_bytes(payload)
+        except OSError as exc:
+            raise GraphError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.buffer.write(payload)
 
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any check was skipped for budget reasons")
     p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (breaks byte-identical output)")
+                   help="include wall-clock timings (JSON only; breaks byte-identical output)")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_verify)
 
@@ -244,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--timings", action="store_true")
+    p.add_argument("--timings", action="store_true",
+                   help="include wall-clock timings (JSON only; breaks byte-identical output)")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_explore)
 
@@ -254,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "timings", False) and args.format != "json":
+            raise ValueError("--timings needs --format json")
         return args.func(args)
     except (GraphError, ValueError) as exc:
         print(f"mdimlab: {exc}", file=sys.stderr)

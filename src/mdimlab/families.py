@@ -15,12 +15,10 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class Instance:
-    """A corpus member: the graph plus its reproducible origin."""
+    """A corpus member: the graph and the id that names it in reports."""
 
     id: str
     graph: Graph
-    family: str | None = None
-    param_n: int | None = None
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def generate(spec: str) -> list[Instance]:
         built = recipe.build(*values)
         members = ([(f"{stem},{_id_field('i', i)}", g) for i, g in enumerate(built)]
                    if recipe.exhaustive else [(stem, built)])
-        out += [Instance(id=ident, graph=g, family=name, param_n=values[0]) for ident, g in members]
+        out += [Instance(id=ident, graph=g) for ident, g in members]
     return out
 
 

@@ -154,22 +154,19 @@ def _detect(data: bytes | str) -> tuple[str, str]:
     raise ParseError(f"cannot recognize input starting with {first!r}")
 
 
-def _graph6_lines(text: str) -> list[str]:
-    return [line for line in text.splitlines() if line.strip()]
+def read_graphs(data: bytes | str) -> list[Graph]:
+    """All graphs in an input: one per line for graph6, one total otherwise.
+    graph6 lines end at LF only, and a line of spaces, tabs and CRs is
+    blank; any other byte reaches ``parse_graph6``'s byte-range check."""
+    fmt, text = _detect(data)
+    if fmt == GRAPH6:
+        return [parse_graph6(line) for line in text.split("\n") if line.strip(" \t\r")]
+    return [parse_edge_list(text)]
 
 
 def parse_graph(data: bytes | str) -> Graph:
-    """Autodetect the format; of several graph6 lines, only the first is read."""
-    fmt, text = _detect(data)
-    return parse_graph6(_graph6_lines(text)[0]) if fmt == GRAPH6 else parse_edge_list(text)
-
-
-def read_graphs(data: bytes | str) -> list[Graph]:
-    """All graphs in an input: one per line for graph6, one total otherwise."""
-    fmt, text = _detect(data)
-    if fmt == GRAPH6:
-        return [parse_graph6(line) for line in _graph6_lines(text)]
-    return [parse_edge_list(text)]
+    """Autodetect the format; the first graph of an input ``read_graphs`` accepts."""
+    return read_graphs(data)[0]
 
 
 def emit_graph(g: Graph, fmt: str = EDGE_LIST) -> bytes:

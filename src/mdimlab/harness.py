@@ -4,8 +4,10 @@ Each check pits two independently computed routes against each other on
 one instance (closed formula vs. brute-force solver, base graph vs.
 derived graph) and records Holds / Violated / Skipped with the numbers on
 both sides.  Skips happen only for class mismatches and exhausted search
-budgets.  Reports serialize deterministically: records sorted by
-(instance, check), stable key order, timings omitted unless requested.
+budgets.  A check takes only the instance's ``_Lab``, so its verdict
+depends on the graph and never on where the graph came from.  Reports
+serialize deterministically: records sorted by (instance, check), stable
+key order, timings omitted unless requested.
 
 ``explore`` runs through the same record loop as ``run_checks``: each
 target is one more check, named ``explore:<target>``.
@@ -174,7 +176,7 @@ class _Lab:
         return self._memo("cactus", lambda: cactus_decompose(self.g))
 
 
-def _check_identities(lab: _Lab, inst: Instance):
+def _check_identities(lab: _Lab):
     report = check_distance_identities(lab.g, sg=lab.derived("s"), mg=lab.derived("m"))
     values = {c.identity: c.pairs_checked for c in report.checks}
     if report.ok:
@@ -184,7 +186,7 @@ def _check_identities(lab: _Lab, inst: Instance):
     return VIOLATED, values
 
 
-def _check_forced(lab: _Lab, inst: Instance):
+def _check_forced(lab: _Lab):
     cert = lab.cert(MDIM)
     witness = set(cert.vertices)
     values = {"forced": list(cert.forced), "mdim": cert.value, "witness": list(cert.vertices)}
@@ -198,7 +200,7 @@ def _check_forced(lab: _Lab, inst: Instance):
     return HOLDS, values
 
 
-def _check_cactus_formula(lab: _Lab, inst: Instance):
+def _check_cactus_formula(lab: _Lab):
     report = lab.cactus()
     brute = lab.cert(MDIM).value
     values = {"formula": report.mdim_formula, "brute": brute,
@@ -206,12 +208,12 @@ def _check_cactus_formula(lab: _Lab, inst: Instance):
     return (HOLDS if report.mdim_formula == brute else VIOLATED), values
 
 
-def _check_subdivision_upper(lab: _Lab, inst: Instance):
+def _check_subdivision_upper(lab: _Lab):
     values = {"mdim_s": lab.cert(MDIM, "s").value, "mdim": lab.cert(MDIM).value}
     return (HOLDS if values["mdim_s"] <= values["mdim"] else VIOLATED), values
 
 
-def _check_phi_lower(lab: _Lab, inst: Instance):
+def _check_phi_lower(lab: _Lab):
     phi = lab.phi()
     values = {"phi": phi.phi_value, "dim": lab.cert(DIM).value, "edim": lab.cert(EDIM).value,
               "bases": phi.bases_enumerated}
@@ -219,7 +221,7 @@ def _check_phi_lower(lab: _Lab, inst: Instance):
     return (HOLDS if ok else VIOLATED), values
 
 
-def _check_chain(lab: _Lab, inst: Instance):
+def _check_chain(lab: _Lab):
     phi = lab.phi()
     values = {"dim": lab.cert(DIM).value, "edim": lab.cert(EDIM).value, "phi": phi.phi_value,
               "mdim_s": lab.cert(MDIM, "s").value, "mdim": lab.cert(MDIM).value}
@@ -232,12 +234,8 @@ def _check_chain(lab: _Lab, inst: Instance):
     return (HOLDS if ok else VIOLATED), values
 
 
-def _check_gn_gap(lab: _Lab, inst: Instance):
-    if inst.family != "gn" or inst.param_n is None:
-        raise ClassMismatchError("not a generated two-hub family instance")
-    if inst.param_n < 5:
-        raise ClassMismatchError("two-hub gap statement needs n >= 5")
-    facts = gn_family_facts(inst.param_n)
+def _check_gn_gap(lab: _Lab):
+    facts = gn_family_facts(lab.g)
     forced = lab.cert(MDIM).forced
     mdim = lab.cert(MDIM).value
     mdim_s = lab.cert(MDIM, "s").value
@@ -259,31 +257,31 @@ def _check_gn_gap(lab: _Lab, inst: Instance):
     return (HOLDS if ok else VIOLATED), values
 
 
-def _check_cactus_equality(lab: _Lab, inst: Instance):
+def _check_cactus_equality(lab: _Lab):
     lab.cactus()
     values = {"mdim": lab.cert(MDIM).value, "mdim_s": lab.cert(MDIM, "s").value}
     return (HOLDS if values["mdim"] == values["mdim_s"] else VIOLATED), values
 
 
-def _check_middle_bound(lab: _Lab, inst: Instance):
+def _check_middle_bound(lab: _Lab):
     values = {"dim_middle": lab.cert(DIM, "m").value, "mdim": lab.cert(MDIM).value}
     return (HOLDS if values["dim_middle"] <= values["mdim"] else VIOLATED), values
 
 
-def _check_tree_middle(lab: _Lab, inst: Instance):
+def _check_tree_middle(lab: _Lab):
     n1, mdim_law = closed_form(lab.g, DIM_MIDDLE_TREE), closed_form(lab.g, MDIM_TREE)
     values = {"n1": n1, "mdim": lab.cert(MDIM).value, "dim_middle": lab.cert(DIM, "m").value}
     ok = values["mdim"] == mdim_law and values["dim_middle"] == n1
     return (HOLDS if ok else VIOLATED), values
 
 
-def _check_tree_total(lab: _Lab, inst: Instance):
+def _check_tree_total(lab: _Lab):
     expected, n1 = closed_form(lab.g, MDIM_TOTAL_TREE), closed_form(lab.g, MDIM_TREE)
     values = {"n1": n1, "mdim_total": lab.cert(MDIM, "t").value, "expected": expected}
     return (HOLDS if values["mdim_total"] == expected else VIOLATED), values
 
 
-def _check_tree_total_dim_bounds(lab: _Lab, inst: Instance):
+def _check_tree_total_dim_bounds(lab: _Lab):
     n1 = closed_form(lab.g, MDIM_TREE)  # the upper end, without the bounds claim's unbudgeted solve
     values = {"dim": lab.cert(DIM).value, "dim_total": lab.cert(DIM, "t").value, "n1": n1}
     ok = values["dim"] <= values["dim_total"] <= values["n1"]
@@ -323,7 +321,7 @@ def _records(instances, checks, budget: int, phi_cap: int) -> list[TheoremCheck]
         for name, check in checks:
             start = time.perf_counter()
             try:
-                status, values = check(lab, inst)
+                status, values = check(lab)
                 reason = None
             except ClassMismatchError as exc:
                 status, values, reason = SKIPPED, {}, f"class: {exc}"
@@ -377,7 +375,7 @@ def explore(
         raise ValueError(f"unknown explore target {target!r}; known: {', '.join(EXPLORE_TARGETS)}")
     key, _, test = _EXPLORE[target]
 
-    def scan(lab: _Lab, inst: Instance):
+    def scan(lab: _Lab):
         mdim, mdim_s = lab.cert(MDIM).value, lab.cert(MDIM, "s").value
         gap = mdim - mdim_s
         return HOLDS, {"mdim": mdim, "mdim_s": mdim_s, "gap": gap, key: test(gap)}

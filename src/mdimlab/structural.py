@@ -1,4 +1,4 @@
-"""Tree and cactus recognition, cycle decomposition, and closed-form values.
+"""Tree, cactus and two-hub recognition, cycle decomposition, and closed-form values.
 
 A cactus is a connected graph whose cycles are pairwise edge-disjoint, or
 equivalently one where every biconnected component is a single edge or a
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ClassMismatchError, GraphError, NotCactusError
+from .families import gn_graph
 from .graph import Graph
 from .solvers import DIM, solve_dimension
 
@@ -188,35 +189,31 @@ def closed_form(g: Graph, claim: str):
 
 @dataclass(frozen=True)
 class GnFacts:
-    """Checkable facts about the two-hub family and its subdivision."""
+    """Checkable facts about a two-hub graph G_n, n >= 5, and its subdivision."""
 
     n: int
     mdim_value: int
-    sn_vertices: tuple[int, ...] | None
-    subdivision_upper: int | None
-    gap_lower_bound: int | None
+    sn_vertices: tuple[int, ...]
+    gap_lower_bound: int
 
 
-def gn_family_facts(n: int) -> GnFacts:
-    """Closed-form mixed dimension n+2 of the two-hub graph, and for n >= 5
-    the explicit n-element witness inside its subdivision graph, giving a
-    checkable dimension drop of at least 2."""
-    from .families import gn_graph
-    from .transforms import subdivision
-
-    g, names = gn_graph(n)
+def gn_family_facts(g: Graph) -> GnFacts:
+    """Closed-form mixed dimension n+2 of a graph equal to the two-hub graph
+    G_n as ``gn_graph`` labels it, and the explicit n-element witness inside
+    S(G_n), giving a checkable dimension drop of at least 2.  The split of
+    edge j is vertex g.n + j of S(G_n).  ClassMismatchError when g is not
+    G_n for any n >= 2, or when n < 5."""
+    n = g.n - 2
+    gn, names = gn_graph(n) if n >= 2 and g.m == 2 * n + 1 else (None, None)
+    if g != gn:
+        raise ClassMismatchError("not a generated two-hub family instance")
     if n < 5:
-        return GnFacts(n=n, mdim_value=n + 2, sn_vertices=None,
-                       subdivision_upper=None, gap_lower_bound=None)
-    sg = subdivision(g)
+        raise ClassMismatchError("two-hub gap statement needs n >= 5")
 
     def split_of(a: str, b: str) -> int:
-        return sg.subdivision_vertex(g.edge_index(names[a], names[b]))
+        return g.n + g.edge_index(names[a], names[b])
 
     witness = [split_of("x", "z1"), split_of("x", "z2"),
                split_of("y", "z3"), split_of("y", "z4")]
     witness += [names[f"z{i}"] for i in range(5, n + 1)]
-    assert len(witness) == n and len(set(witness)) == n
-    assert all(0 <= v < sg.graph.n for v in witness)
-    return GnFacts(n=n, mdim_value=n + 2, sn_vertices=tuple(sorted(witness)),
-                   subdivision_upper=n, gap_lower_bound=2)
+    return GnFacts(n=n, mdim_value=n + 2, sn_vertices=tuple(sorted(witness)), gap_lower_bound=2)

@@ -139,7 +139,7 @@ def test_criterion_2_two_hub_family(lab):
     failures = []
     for n in (5, 6, 7):
         g, _ = gn_graph(n)
-        facts = gn_family_facts(n)
+        facts = gn_family_facts(g)
         forced = forced_vertices_mdim(g)
         mdim = lab.value(g, "mdim")
         mdim_s = lab.value(lab.sgraph(g), "mdim")

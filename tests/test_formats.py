@@ -150,6 +150,22 @@ def test_read_graphs_multiline_graph6():
     assert [g.n for g in graphs] == [3, 4]
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"A_\x0bA_", "byte 11 outside graph6 range 63..126 (byte 2)"),
+    (b"A_\n\x1c\nA_\n", "byte 28 outside graph6 range 63..126 (byte 0)"),
+])
+def test_graph6_lines_split_at_line_feeds_only(data, message):
+    for reader in (read_graphs, parse_graph):
+        with pytest.raises(ParseError) as err:
+            reader(data)
+        assert str(err.value) == message
+
+
+def test_graph6_lines_may_end_in_crlf():
+    assert read_graphs(b"A_\r\nA_\r\n") == [path_graph(2)] * 2
+    assert read_graphs(b"A_\n \t\r\nA_\n") == [path_graph(2)] * 2
+
+
 def test_read_graphs_single_edge_list():
     graphs = read_graphs("4 3\n0 1\n1 2\n2 3\n")
     assert graphs == [path_graph(4)]

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mdimlab import BadSpecError, complete_graph, cycle_graph, enumerate_small_trees, gn_graph, path_graph
+from mdimlab import (BadSpecError, build_graph, complete_graph, cycle_graph, emit_graph6,
+                     enumerate_small_trees, gn_graph, path_graph)
 from mdimlab import families, harness, middle, transforms
 from mdimlab.cli import main
 from mdimlab.harness import (
@@ -25,7 +26,7 @@ def _tree_instances(n_max):
     out = []
     for n in range(2, n_max + 1):
         for i, t in enumerate(enumerate_small_trees(n)):
-            out.append(Instance(id=f"trees:n={n},i={i:03d}", graph=t, family="trees", param_n=n))
+            out.append(Instance(id=f"trees:n={n},i={i:03d}", graph=t))
     return out
 
 
@@ -36,7 +37,7 @@ def test_tree_theorems_hold_from_three_vertices_up():
 
 
 def test_single_edge_tree_skips_middle_total_formulas():
-    inst = Instance(id="trees:n=2,i=000", graph=path_graph(2), family="trees", param_n=2)
+    inst = Instance(id="trees:n=2,i=000", graph=path_graph(2))
     report = run_checks([inst], theorems=["T4.2", "T4.3", "P4.5"])
     by_theorem = {r.theorem: r for r in report.records}
     assert by_theorem["T4.2"].status == SKIPPED
@@ -57,8 +58,8 @@ def test_non_cactus_skips_cactus_checks():
 
 
 def test_gn_gap_check():
-    g5 = Instance(id="gn:n=5", graph=gn_graph(5)[0], family="gn", param_n=5)
-    g2 = Instance(id="gn:n=2", graph=gn_graph(2)[0], family="gn", param_n=2)
+    g5 = Instance(id="gn:n=5", graph=gn_graph(5)[0])
+    g2 = Instance(id="gn:n=2", graph=gn_graph(2)[0])
     other = Instance(id="cycle:n=5", graph=cycle_graph(5))
     report = run_checks([g5, g2, other], theorems=["P3.4"])
     by_instance = {r.instance: r for r in report.records}
@@ -78,9 +79,14 @@ def test_each_derived_graph_is_built_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(transforms, "build_graph", counting_build_graph)
     tree = list(enumerate_small_trees(6))[2]
-    report = run_checks([Instance(id="tree", graph=tree, family="trees", param_n=6)])
+    g5 = gn_graph(5)[0]
+    report = run_checks([Instance(id="tree", graph=tree), Instance(id="gn:n=5", graph=g5)])
     assert all(r.status != SKIPPED or r.reason.startswith("class") for r in report.records)
-    assert built == [tree.n + tree.m] * 3  # S(G), M(G) and T(G), once each
+    assert {(r.instance, r.status) for r in report.records if r.theorem == "P3.4"} == {
+        ("gn:n=5", HOLDS), ("tree", SKIPPED)}
+    # S(G), M(G) and T(G) of the tree, once each; S(G_5) and M(G_5) once each, as
+    # P3.4 builds no S(G_5) of its own and the tree checks skip before T(G_5)
+    assert built == [tree.n + tree.m] * 3 + [g5.n + g5.m] * 2
 
 
 def test_identity_and_forced_checks_hold():
@@ -173,7 +179,7 @@ def test_explore_trees_all_equal():
 
 
 def test_explore_two_hub_gap():
-    inst = Instance(id="gn:n=5", graph=gn_graph(5)[0], family="gn", param_n=5)
+    inst = Instance(id="gn:n=5", graph=gn_graph(5)[0])
     report = explore([inst], target="gap_gt_2")
     assert report.records[0].values["gap"] == 2
     assert report.extra["gap_gt_2_instances_found"] == []
@@ -541,7 +547,7 @@ def test_cli_default_corpus_is_what_its_family_specs_request(capsys):
 def test_generate_builds_every_family_of_the_table():
     for name, recipe in families.RECIPES.items():
         (first, *rest) = families.generate(f"{name}:n=5")
-        assert first.family == name and first.param_n == 5 and first.graph.n >= 5
+        assert first.graph.n >= 5
         assert first.id.startswith(f"{name}:n=5") and bool(rest) == (name == "trees")
         if not recipe.exhaustive:
             assert recipe.build(5, *[1] * len(recipe.params)) == first.graph
@@ -582,3 +588,53 @@ def test_class_skip_reasons_are_the_class_mismatch_text():
     assert reasons == {("k2", "T4.3"): leaf_law, ("c4", "T4.3"): "class: not a tree",
                        ("c4", "P4.5"): "class: not a tree", ("k4", "T2.2-formula"): not_cactus,
                        ("k4", "T4.3"): "class: not a tree", ("k4", "P4.5"): "class: not a tree"}
+
+
+def _p34_record(path, capsys):
+    assert main(["verify", "--input", str(path), "--theorems", "P3.4"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    return record
+
+
+def test_cli_p34_reads_the_graph_not_its_origin(tmp_path, capsys):
+    g5 = tmp_path / "g5.g6"
+    assert main(["generate", "--family", "gn:n=5", "--format", "graph6", "--output", str(g5)]) == 0
+    record = _p34_record(g5, capsys)
+    assert record["status"] == HOLDS and record["values"]["gap"] == 2
+
+    g = gn_graph(5)[0]
+    swap = {0: 2, 2: 0}
+    relabelled = build_graph(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
+    assert relabelled != g
+    not_gn = "class: not a generated two-hub family instance"
+    for name, graph in [("relabelled.g6", relabelled), ("k3.g6", complete_graph(3))]:
+        (tmp_path / name).write_bytes(emit_graph6(graph))
+        record = _p34_record(tmp_path / name, capsys)
+        assert (record["status"], record["reason"]) == (SKIPPED, not_gn)
+
+    (tmp_path / "g2.g6").write_bytes(emit_graph6(gn_graph(2)[0]))
+    record = _p34_record(tmp_path / "g2.g6", capsys)
+    assert (record["status"], record["reason"]) == (
+        SKIPPED, "class: two-hub gap statement needs n >= 5")
+
+
+def test_cli_unwritable_output_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["solve", "--family", "gn:n=2", "--kind", "mdim", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"mdimlab: cannot write {out}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["verify", "--theorems", "T3.1i"],
+                                     ["explore", "--target", "gap_gt_2"]])
+def test_cli_timings_need_json(command, capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(harness, "_records", no_checks)
+    argv = [*command, "--family", "cycle:n=4", "--timings", "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "mdimlab: --timings needs --format json\n"

@@ -185,28 +185,37 @@ def test_single_edge_tree_formulas():
 
 
 def test_gn_facts_small():
-    facts = gn_family_facts(2)
-    assert facts.mdim_value == 4
-    assert facts.sn_vertices is None and facts.gap_lower_bound is None
+    with pytest.raises(ClassMismatchError, match="two-hub gap statement needs n >= 5"):
+        gn_family_facts(gn_graph(2)[0])
 
 
 def test_gn_facts_n5():
-    facts = gn_family_facts(5)
+    g, _ = gn_graph(5)
+    facts = gn_family_facts(g)
     assert facts.mdim_value == 7
     assert len(facts.sn_vertices) == 5
-    g, _ = gn_graph(5)
     sg = subdivision(g)
     assert is_mixed_resolving(sg.graph, facts.sn_vertices)
 
 
 def test_gn_gap_verified_by_solver():
-    facts = gn_family_facts(6)
     g, _ = gn_graph(6)
+    facts = gn_family_facts(g)
     mdim = solve_dimension(g, "mdim").value
     mdim_s = solve_dimension(subdivision(g).graph, "mdim").value
     assert mdim == facts.mdim_value
-    assert mdim_s <= facts.subdivision_upper
+    assert mdim_s <= facts.n
     assert mdim - mdim_s >= facts.gap_lower_bound
+
+
+def test_gn_facts_recognise_the_graph_by_its_labels():
+    g = gn_graph(5)[0]
+    assert gn_family_facts(build_graph(g.n, g.edges)).sn_vertices == gn_family_facts(g).sn_vertices
+    swap = {0: 2, 2: 0}
+    relabelled = build_graph(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
+    for other in (relabelled, complete_graph(3), cycle_graph(3), path_graph(2), star_graph(7)):
+        with pytest.raises(ClassMismatchError, match="^not a generated two-hub family instance$"):
+            gn_family_facts(other)
 
 
 def _decompose_or_none(g):
