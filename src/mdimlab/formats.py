@@ -7,7 +7,9 @@ triangle of the adjacency matrix in column order, six bits per byte, each
 byte offset by 63, zero-padded to a byte boundary.
 
 The edge-list format is ASCII with LF line endings: a first line ``n m``
-followed by m lines ``u v`` with 0-based endpoints.
+followed by m lines ``u v`` with 0-based endpoints.  Fields are separated
+by spaces, tabs and CRs only, and each is an optional ``-`` followed by
+ASCII digits.
 
 Emission is canonical (sorted edges, minimal graph6 bytes), so
 ``emit(parse(x))`` normalizes and ``parse(emit(g))`` is the identity.
@@ -15,6 +17,7 @@ Emission is canonical (sorted edges, minimal graph6 bytes), so
 
 from __future__ import annotations
 
+import re
 from math import isqrt
 
 from .errors import ParseError
@@ -36,12 +39,24 @@ def _as_text(data: bytes | str) -> str:
     return data
 
 
+_SEPARATOR = re.compile("[ \t\r]+")
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _integer(field: str) -> int:
+    """A field's value; ValueError unless it is an optional '-' and ASCII digits."""
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_edge_list(text: bytes | str) -> Graph:
     lines = _as_text(text).split("\n")
     entries: list[tuple[int, list[str]]] = []  # (1-based line number, fields)
     for i, line in enumerate(lines, start=1):
-        if line.strip():
-            entries.append((i, line.split()))
+        line = line.strip(" \t\r")
+        if line:
+            entries.append((i, _SEPARATOR.split(line)))
     if not entries:
         raise ParseError("empty edge-list input", line=1)
 
@@ -49,7 +64,7 @@ def parse_edge_list(text: bytes | str) -> Graph:
     if len(header) != 2:
         raise ParseError("header must be 'n m'", line=header_line)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _integer(header[0]), _integer(header[1])
     except ValueError:
         raise ParseError("header must hold two integers", line=header_line) from None
     if len(entries) - 1 != m:
@@ -61,7 +76,7 @@ def parse_edge_list(text: bytes | str) -> Graph:
         if len(fields) != 2:
             raise ParseError("edge line must be 'u v'", line=lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _integer(fields[0]), _integer(fields[1])
         except ValueError:
             raise ParseError("edge endpoints must be integers", line=lineno) from None
         if not (0 <= u < n and 0 <= v < n):

@@ -22,6 +22,9 @@ from typing import Iterable, NamedTuple
 from .errors import DisconnectedError, GraphError, LoopEdgeError, TooSmallError
 
 
+Row = bytes | tuple[int, ...]
+
+
 class MixedElement(NamedTuple):
     """A vertex or an edge, the unit distinguished by mixed resolving sets."""
 
@@ -39,12 +42,17 @@ def edge_element(j: int) -> MixedElement:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple connected undirected graph; construct via :func:`build_graph`."""
+    """Simple connected undirected graph; construct via :func:`build_graph`.
+
+    ``distances[u][v]`` is the hop distance from u to v.  Every row is
+    ``bytes`` (one byte per entry) when the diameter is below 256, and every
+    row is a tuple of ints otherwise; rows are only indexed and iterated, so
+    the two read alike."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    distances: tuple[tuple[int, ...], ...]
+    distances: tuple[Row, ...]
 
     @property
     def m(self) -> int:
@@ -95,9 +103,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, edges=sorted_edges, adjacency=adjacency, distances=distances)
 
 
-def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Distance rows of a connected graph; DisconnectedError if row 0 misses a vertex."""
-    rows = []
+def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row, ...]:
+    """Distance rows of a connected graph; DisconnectedError if row 0 misses a vertex.
+
+    Each row is converted as soon as it is finished, so one list row is alive
+    at a time.  Rows are ``bytes`` until a distance reaches 256; that row and
+    every later one are tuples, and the rows built so far become tuples too."""
+    rows: list[Row] = []
+    convert = bytes
     for source in range(n):
         dist = [-1] * n
         dist[source] = 0
@@ -111,7 +124,11 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[tupl
                     queue.append(w)
         if not rows and -1 in dist:
             raise DisconnectedError("graph is not connected")
-        rows.append(tuple(dist))
+        try:
+            rows.append(convert(dist))
+        except ValueError:  # a distance of 256 or more: no row fits a byte
+            convert = tuple
+            rows = [*map(tuple, rows), tuple(dist)]
     return tuple(rows)
 
 

@@ -159,11 +159,13 @@ def forced_vertices_mdim(g: Graph) -> tuple[int, ...]:
 
 
 def _universe_columns(g: Graph, kind: str) -> list[Sequence[int]]:
-    """Per-element distances to every vertex, over the kind's universe."""
+    """Per-element distances to every vertex, over the kind's universe, each
+    of the distance rows' type."""
     d = g.distances
     if kind == DIM:
         return list(d)
-    edges = [tuple(map(min, d[a], d[b])) for a, b in g.edges]
+    row = type(d[0])
+    edges = [row(map(min, d[a], d[b])) for a, b in g.edges]
     return edges if kind == EDIM else list(d) + edges
 
 
@@ -186,8 +188,13 @@ def _separator_masks(g: Graph, kind: str) -> list[int]:
     high = low << (width - 1)
     rest = high - low  # the other width - 1 bits of every field
 
-    pack = struct.Struct(f"<{g.n}{code}").pack  # little-endian, one field per vertex
-    columns = [int.from_bytes(pack(*c), "little") for c in _universe_columns(g, kind)]
+    # little-endian, one field per vertex: bytes rows (diameter below 256)
+    # are that already, and only tuple rows are packed
+    packed = _universe_columns(g, kind)
+    if step > 1:
+        pack = struct.Struct(f"<{g.n}{code}").pack
+        packed = [pack(*c) for c in packed]
+    columns = [int.from_bytes(c, "little") for c in packed]
     fields = set()
     for i, a in enumerate(columns):
         # a field of a ^ b is nonzero iff adding `rest` to its low bits
@@ -313,13 +320,16 @@ class _Search:
                                 self._visit()
                                 yield picked + (verts[j], verts[i])
 
-        for k in count(max(1, _packing(masks))):
-            self._visit()
-            found = ()
-            for found in extend((1 << len(masks)) - 1, 0, k, ()):
-                yield found
-            if found:
-                return
+        try:
+            for k in count(max(1, _packing(masks))):
+                self._visit()
+                found = ()
+                for found in extend((1 << len(masks)) - 1, 0, k, ()):
+                    yield found
+                if found:
+                    return
+        finally:
+            del extend  # it refers to itself: free the walk without the cycle collector
 
 
 def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certificate:

@@ -54,6 +54,25 @@ def test_edge_list_errors_carry_positions(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"2 1\n0\x1c1\n", "edge line must be 'u v' (line 2)"),
+    (b"2 1\n0 1\n\x0b\n", "expected 1 edge lines, found 2 (line 3)"),
+    (b"2 1\n+0 1\n", "edge endpoints must be integers (line 2)"),
+    (b"2 1\n1_0 0\n", "edge endpoints must be integers (line 2)"),
+    (b"1_1 1_0\n0 1\n", "header must hold two integers (line 1)"),
+    (b"2 1\n-1 1\n", "vertex index out of range 0..1 (line 2)"),
+])
+def test_edge_list_fields_are_digits_between_blanks(data, message):
+    # fields split only at spaces, tabs and CRs; each is '-'? then ASCII digits
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(data)
+    assert str(err.value) == message
+
+
+def test_edge_list_fields_may_be_split_by_tabs_and_crs():
+    assert parse_edge_list(b" 2\t1\r\n\t0 \t1\r\n \r\n") == path_graph(2)
+
+
 def test_empty_inputs_rejected():
     with pytest.raises(ParseError):
         parse_edge_list("   \n")

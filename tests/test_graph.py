@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,8 @@ from mdimlab import (
     mixed_elements,
     path_graph,
     cycle_graph,
+    random_tree,
+    subdivision,
     vertex_edge_distance,
     vertex_element,
 )
@@ -158,6 +161,37 @@ def test_distances_match_oracle(g):
     for u in range(g.n):
         for v in range(g.n):
             assert g.distances[u][v] == oracle[u][v]
+
+
+def _path(order):
+    """The path visiting the vertices 0..len(order)-1 in the given order."""
+    return build_graph(len(order), zip(order, order[1:]))
+
+
+@pytest.mark.parametrize("g, row_type", [
+    (path_graph(256), bytes),  # diameter 255
+    (path_graph(257), tuple),  # diameter 256: row 0 already needs it
+    # vertex 0 is the middle of a 257-path, so its row fits a byte and
+    # must turn into a tuple when row 1 does not
+    (_path([*range(1, 129), 0, *range(129, 257)]), tuple),
+], ids=["path256", "path257", "path257-middle-first"])
+def test_distance_rows_are_bytes_below_diameter_256(g, row_type):
+    assert {type(row) for row in g.distances} == {row_type}
+    oracle = oracle_distances(g.n, g.edges)
+    for u in range(g.n):
+        assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
+
+
+def test_distance_table_takes_a_byte_per_entry():
+    base = random_tree(600, 1)
+    tracemalloc.start()
+    try:
+        sg = subdivision(base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sg.graph.n == 1199
+    assert peak < 4 << 20  # tuple rows take about 11.4 MiB here
 
 
 def test_too_few_edges_rejected_before_any_bfs(monkeypatch):

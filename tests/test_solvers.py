@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -143,6 +144,21 @@ def test_distances_beyond_one_byte():
         assert (cert.value, cert.vertices) == (1, (0,))
         assert cert.stats.masks_kept > 0
     assert solve_dimension(g, "mdim").vertices == (0, 299)
+
+
+def test_walks_leave_no_cyclic_garbage():
+    # a walk's recursive generator refers to itself; unless the walk breaks
+    # that cycle, every solve leaves its mask index to the cycle collector
+    g = total(gn_graph(3)[0]).graph
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in KINDS:
+            solve_dimension(g, kind)  # stops each walk at its first set
+        phi_of_graph(gn_graph(3)[0])  # drains every walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_certificates_are_deterministic():
