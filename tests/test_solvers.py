@@ -148,14 +148,17 @@ def test_distances_beyond_one_byte():
 
 def test_walks_leave_no_cyclic_garbage():
     # a walk's recursive generator refers to itself; unless the walk breaks
-    # that cycle, every solve leaves its mask index to the cycle collector
-    g = total(gn_graph(3)[0]).graph
+    # that cycle, every walk leaves its mask index to the cycle collector
+    masks = _separator_masks(total(gn_graph(3)[0]).graph, "mdim")
     gc.collect()
     gc.disable()
     try:
-        for kind in KINDS:
-            solve_dimension(g, kind)  # stops each walk at its first set
-        phi_of_graph(gn_graph(3)[0])  # drains every walk
+        walk = _Search(10**6).minimum_sets(masks)
+        next(walk)
+        del walk  # partly consumed
+        assert gc.collect() == 0
+        for _ in _Search(10**6).minimum_sets(masks):  # drained
+            pass
         assert gc.collect() == 0
     finally:
         gc.enable()
