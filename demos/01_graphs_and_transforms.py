@@ -39,7 +39,7 @@ print("L(C4) =", line_graph(cycle_graph(4)).edges, "(a 4-cycle again)")
 print("L(K1,3) =", line_graph(star_graph(4)).edges, "(a triangle)")
 
 print("\n== the distance identities tying G to S(G) and M(G) ==")
-report = check_distance_identities(g)
+report = check_distance_identities(g, subdivision(g), middle(g))
 for check in report.checks:
     print(f"  {check.identity}: {check.pairs_checked} pairs, ok={check.ok}")
 

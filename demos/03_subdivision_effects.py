@@ -41,7 +41,7 @@ basis = [splits[(0, 2)], splits[(0, 3)], splits[(1, 2)]]
 print("  a 3-element mixed basis of S(G_2):", basis)
 print("  its phi set:", phi_of_basis(sg2, basis))
 
-result = phi_of_graph(g2)
+result = phi_of_graph(sg2)
 print(f"  phi(G_2) = {result.phi_value} "
       f"(minimum over {result.bases_enumerated} metric bases of S(G_2))")
 
@@ -49,8 +49,9 @@ print("\n== the sandwich chain on a few graphs ==")
 for name, g in [("C5", cycle_graph(5)), ("G_2", g2), ("tree", random_tree(7, seed=2))]:
     dim = solve_dimension(g, "dim").value
     edim = solve_dimension(g, "edim").value
-    phi = phi_of_graph(g).phi_value
-    mdim_s = solve_dimension(subdivision(g).graph, "mdim").value
+    sg = subdivision(g)
+    phi = phi_of_graph(sg).phi_value
+    mdim_s = solve_dimension(sg.graph, "mdim").value
     mdim = solve_dimension(g, "mdim").value
     print(f"  {name}: max(dim,edim)={max(dim, edim)} <= phi={phi} <= "
           f"2*mdim(S)={2 * mdim_s}, mdim(S)={mdim_s} <= mdim={mdim}")

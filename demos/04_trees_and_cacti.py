@@ -23,13 +23,14 @@ for i, t in enumerate(enumerate_small_trees(6)):
     mdim = solve_dimension(t, "mdim").value
     dim_m = solve_dimension(middle(t).graph, "dim").value
     mdim_t = solve_dimension(total(t).graph, "mdim").value
-    print(f"  tree {i}: n1={n1}  mdim={mdim}  dim(M)={dim_m}  mdim(T)={mdim_t} (= 2*n1)")
+    law = closed_form(t, "mdim_total_tree")
+    print(f"  tree {i}: n1={n1}  mdim={mdim}  dim(M)={dim_m}  mdim(T)={mdim_t} (2*n1 = {law})")
 
-print("\n== total-graph dim bounds for trees ==")
+print("\n== total-graph dim bounds for trees: two solves and a leaf count ==")
 for t in [star_graph(6), build_graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (4, 6)])]:
-    lower, upper = closed_form(t, "dim_total_tree_bounds")
-    actual = solve_dimension(total(t).graph, "dim").value
-    print(f"  n1={leaf_count(t)}: dim(G)={lower} <= dim(T(G))={actual} <= n1={upper}")
+    dim = solve_dimension(t, "dim").value
+    dim_t = solve_dimension(total(t).graph, "dim").value
+    print(f"  dim(G)={dim} <= dim(T(G))={dim_t} <= n1={leaf_count(t)}")
 
 print("\n== cactus decomposition and the mixed-dimension formula ==")
 g = random_cactus(12, 3, seed=9)

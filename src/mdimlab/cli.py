@@ -40,7 +40,10 @@ from .transforms import line_graph
 
 def _count(text: str) -> int:
     """argparse type of --budget and --phi-cap: a whole number of at least 1."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

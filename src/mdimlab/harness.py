@@ -166,18 +166,14 @@ class _Lab:
         return self._memo((kind, on), lambda: solve_dimension(g, kind, self.budget))
 
     def phi(self):
-        return self._memo(
-            "phi",
-            lambda: phi_of_graph(self.g, cap=self.phi_cap, budget=self.budget,
-                                 sg=self.derived("s")),
-        )
+        return self._memo("phi", lambda: phi_of_graph(self.derived("s"), self.phi_cap, self.budget))
 
     def cactus(self):
         return self._memo("cactus", lambda: cactus_decompose(self.g))
 
 
 def _check_identities(lab: _Lab):
-    report = check_distance_identities(lab.g, sg=lab.derived("s"), mg=lab.derived("m"))
+    report = check_distance_identities(lab.g, lab.derived("s"), lab.derived("m"))
     values = {c.identity: c.pairs_checked for c in report.checks}
     if report.ok:
         return HOLDS, values
@@ -282,7 +278,7 @@ def _check_tree_total(lab: _Lab):
 
 
 def _check_tree_total_dim_bounds(lab: _Lab):
-    n1 = closed_form(lab.g, MDIM_TREE)  # the upper end, without the bounds claim's unbudgeted solve
+    n1 = closed_form(lab.g, MDIM_TREE)
     values = {"dim": lab.cert(DIM).value, "dim_total": lab.cert(DIM, "t").value, "n1": n1}
     ok = values["dim"] <= values["dim_total"] <= values["n1"]
     return (HOLDS if ok else VIOLATED), values

@@ -38,8 +38,7 @@ each group and no cardinality is walked twice.
 
 A partial set's open masks, those it does not meet yet, are one int of
 mask ids, so a pick is one AND with the ids of the masks the picked vertex
-misses.  That sets only the cost of a node: the nodes, their visiting
-order and every result are those of the search over lists of open masks.
+misses.
 
 For mdim, the forced vertices (Kelenc, Kuziak, Taranenko and Yero, *Mixed
 metric dimension of graphs*, 2017) lie in every mixed resolving set; when
@@ -66,7 +65,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .graph import Graph, MixedElement, mixed_distance
-from .transforms import DerivedGraph, subdivision
+from .transforms import DerivedGraph
 
 DIM = "dim"
 EDIM = "edim"
@@ -267,7 +266,7 @@ class _Search:
     """Depth-first hitting-set search of one group of masks; every visited
     partial set costs one node of the shared budget.  Open masks are one
     int of ids in the group's order, and ``_packing`` reads them in that
-    order, so nodes and visiting order are those of a search over lists."""
+    order."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -282,54 +281,54 @@ class _Search:
         """Every minimum set meeting all masks, in lexicographic order.  The
         walk tries k = L, L + 1, ... and ends after the first k that has a
         set; one vertex from each mask meets every mask, so that k comes."""
-        verts, hits, ends = _index(masks)
+        group = (masks, *_index(masks))
+        for k in count(max(1, _packing(masks))):
+            self._visit()
+            found = ()
+            for found in self._extend(group, (1 << len(masks)) - 1, 0, k, ()):
+                yield found
+            if found:
+                return
 
-        def extend(open_ids: int, start: int, left: int, picked: tuple) -> Iterator[tuple]:
-            # the next pick is the vertex at position start or later, and no
-            # later than the last vertex of any open mask, since later picks
-            # only grow; each open mask ends at or after start, since the
-            # last pick, at start - 1, came no later and missed it
-            end = start
-            while not open_ids & ends[end]:
-                end += 1
-            if left == 1:
-                for j in range(start, end + 1):
-                    if hits[j] & open_ids == open_ids:
-                        self._visit()
-                        yield picked + (verts[j],)
-                return
-            # no mask holds a vertex between the last pick and verts[start]
-            flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
-            if _packing(compress(masks, flags), -1 << verts[start]) > left:
-                return
+    def _extend(self, group: tuple, open_ids: int, start: int, left: int,
+                picked: tuple) -> Iterator[tuple]:
+        """The sets of ``left`` more picks, from position ``start`` on, that
+        meet every open mask; ``group`` is the masks and their ``_index``."""
+        masks, verts, hits, ends = group
+        # the next pick is the vertex at position start or later, and no
+        # later than the last vertex of any open mask, since later picks
+        # only grow; each open mask ends at or after start, since the
+        # last pick, at start - 1, came no later and missed it
+        end = start
+        while not open_ids & ends[end]:
+            end += 1
+        if left == 1:
             for j in range(start, end + 1):
-                if hits[j] & open_ids:
+                if hits[j] & open_ids == open_ids:
                     self._visit()
-                    rest = open_ids & ~hits[j]
-                    if rest and left > 2:
-                        yield from extend(rest, j + 1, left - 1, picked + (verts[j],))
-                    elif rest:
-                        # the last pick, as at left == 1 but made in this
-                        # loop: the walk's most numerous level then starts
-                        # no generator of its own
-                        last = j + 1
-                        while not rest & ends[last]:
-                            last += 1
-                        for i in range(j + 1, last + 1):
-                            if hits[i] & rest == rest:
-                                self._visit()
-                                yield picked + (verts[j], verts[i])
-
-        try:
-            for k in count(max(1, _packing(masks))):
+                    yield picked + (verts[j],)
+            return
+        # no mask holds a vertex between the last pick and verts[start]
+        flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
+        if _packing(compress(masks, flags), -1 << verts[start]) > left:
+            return
+        for j in range(start, end + 1):
+            if hits[j] & open_ids:
                 self._visit()
-                found = ()
-                for found in extend((1 << len(masks)) - 1, 0, k, ()):
-                    yield found
-                if found:
-                    return
-        finally:
-            del extend  # it refers to itself: free the walk without the cycle collector
+                rest = open_ids & ~hits[j]
+                if rest and left > 2:
+                    yield from self._extend(group, rest, j + 1, left - 1, picked + (verts[j],))
+                elif rest:
+                    # the last pick, as at left == 1 but made in this
+                    # loop: the walk's most numerous level then starts
+                    # no generator of its own
+                    last = j + 1
+                    while not rest & ends[last]:
+                        last += 1
+                    for i in range(j + 1, last + 1):
+                        if hits[i] & rest == rest:
+                            self._visit()
+                            yield picked + (verts[j], verts[i])
 
 
 def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -379,22 +378,15 @@ def phi_of_basis(sg: DerivedGraph, basis: Iterable[int]) -> tuple[int, ...]:
     return phi_set(sg, bs)
 
 
-def phi_of_graph(
-    g: Graph,
-    cap: int = DEFAULT_PHI_CAP,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    sg: DerivedGraph | None = None,
-) -> PhiResult:
-    """Enumerate every metric basis of S(G) and minimize the phi footprint.
+def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
+                 budget: int = DEFAULT_BUDGET) -> PhiResult:
+    """Enumerate every metric basis of the subdivision graph ``sg`` = S(G)
+    and minimize the phi footprint in G.
 
-    ``sg`` is S(G) when the caller has already built it.  Raises
-    EnumerationOverflowError when the count of candidate k-subsets of
-    V(S(G)) exceeds the cap, with k = dim(S(G)).  Search nodes of the
+    Raises EnumerationOverflowError when the count of candidate k-subsets
+    of V(S(G)) exceeds the cap, with k = dim(S(G)).  Search nodes of the
     minimum search and of the enumeration both count against the budget.
     """
-    if sg is None:
-        sg = subdivision(g)
     parts = _components(_separator_masks(sg.graph, DIM))
     search = _Search(budget)
     walks = [search.minimum_sets(part) for part in parts]

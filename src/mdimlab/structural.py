@@ -15,9 +15,9 @@ whole graph, and epsilon counts cycles with rt >= 3 that carry no geodesic
 triple of such root vertices (three cycle vertices whose pairwise whole-
 graph distances sum to the cycle length).
 
-Formula evaluation is pure arithmetic on structure; the brute-force
-solver is only consulted for the lower end of the total-graph dim bounds,
-so tests can compare formulas against the solver as independent routes.
+Formula evaluation is pure arithmetic on structure and never calls the
+solver, so tests can compare formulas against the solver as independent
+routes.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from itertools import combinations
 from .errors import ClassMismatchError, GraphError, NotCactusError
 from .families import gn_graph
 from .graph import Graph
-from .solvers import DIM, solve_dimension
 
 MDIM_CACTUS = "mdim_cactus"
 MDIM_TREE = "mdim_tree"
 DIM_MIDDLE_TREE = "dim_middle_tree"
 MDIM_TOTAL_TREE = "mdim_total_tree"
-DIM_TOTAL_TREE_BOUNDS = "dim_total_tree_bounds"
-CLAIMS = (MDIM_CACTUS, MDIM_TREE, DIM_MIDDLE_TREE, MDIM_TOTAL_TREE, DIM_TOTAL_TREE_BOUNDS)
+CLAIMS = (MDIM_CACTUS, MDIM_TREE, DIM_MIDDLE_TREE, MDIM_TOTAL_TREE)
 
 # The middle/total leaf-count laws dim(M(T)) = n1 and mdim(T(T)) = 2*n1 need a
 # tree on at least this many vertices: for the single-edge tree M(K2) is the
@@ -158,15 +156,14 @@ def is_geodesic_triple(g: Graph, cycle: CycleInfo, u: int, v: int, w: int) -> bo
     return _geodesic(g, u, v, w, len(cycle.vertices))
 
 
-def closed_form(g: Graph, claim: str):
-    """Evaluate a closed-form value or bound pair for trees and cacti.
+def closed_form(g: Graph, claim: str) -> int:
+    """Evaluate a closed-form value for trees and cacti.
 
-    Claims: mdim_cactus, mdim_tree, dim_middle_tree, mdim_total_tree (all
-    single integers) and dim_total_tree_bounds (a (lower, upper) pair with
-    the lower end computed by the solver).  ClassMismatchError, with the
-    reason as its text, when the graph is outside the claim's class
-    (NotCactusError for mdim_cactus); dim_middle_tree and mdim_total_tree
-    need a tree on at least LEAF_LAW_MIN_N vertices.
+    Claims: mdim_cactus, mdim_tree, dim_middle_tree and mdim_total_tree.
+    ClassMismatchError, with the reason as its text, when the graph is
+    outside the claim's class (NotCactusError for mdim_cactus);
+    dim_middle_tree and mdim_total_tree need a tree on at least
+    LEAF_LAW_MIN_N vertices.
     """
     if claim == MDIM_CACTUS:
         return cactus_decompose(g).mdim_formula
@@ -180,11 +177,7 @@ def closed_form(g: Graph, claim: str):
             f"need a tree on >= {LEAF_LAW_MIN_N} vertices"
         )
     n1 = leaf_count(g)
-    if claim == MDIM_TREE or claim == DIM_MIDDLE_TREE:
-        return n1
-    if claim == MDIM_TOTAL_TREE:
-        return 2 * n1
-    return (solve_dimension(g, DIM).value, n1)
+    return 2 * n1 if claim == MDIM_TOTAL_TREE else n1
 
 
 @dataclass(frozen=True)

@@ -134,12 +134,9 @@ def _first_bad(pairs, got, expected, holds=operator.eq) -> tuple | None:
     return None
 
 
-def check_distance_identities(
-    base: Graph,
-    sg: DerivedGraph | None = None,
-    mg: DerivedGraph | None = None,
-) -> IdentityReport:
-    """Exhaustively verify the distance identities tying G to S(G) and M(G).
+def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -> IdentityReport:
+    """Exhaustively verify the distance identities tying ``base`` = G to
+    ``sg`` = S(G) and ``mg`` = M(G).
 
     On the subdivision graph, for original vertices x, y and base edges
     e, e' (split vertices written s_e):
@@ -158,12 +155,9 @@ def check_distance_identities(
 
     Each identity is reported with its first counterexample in pair order
     (``pairs_checked`` is the size of its domain); a failure would
-    indicate a construction bug, so this doubles as a self-check.  ``sg``
-    and ``mg`` are S(G) and M(G) when the caller has already built them.
+    indicate a construction bug, so this doubles as a self-check.
     """
     n, m = base.n, base.m
-    sg = sg or subdivision(base)
-    mg = mg or middle(base)
     ds, dm, dg = sg.graph.distances, mg.graph.distances, base.distances
     xs, js, ks = range(n), range(m), range(sg.graph.m)
     ve = [[vertex_edge_distance(base, x, j) for j in js] for x in xs]

@@ -79,11 +79,14 @@ class Lab:
     def mdim_cert(self, g):
         return self._memo((g, "mdim_cert"), lambda: solve_dimension(g, "mdim"))
 
+    def subdivided(self, g):
+        return self._memo((g, "S"), lambda: subdivision(g))
+
     def sgraph(self, g):
-        return self._memo((g, "S"), lambda: subdivision(g).graph)
+        return self.subdivided(g).graph
 
     def phi(self, g):
-        return self._memo((g, "phi"), lambda: phi_of_graph(g, cap=PHI_CAP))
+        return self._memo((g, "phi"), lambda: phi_of_graph(self.subdivided(g), cap=PHI_CAP))
 
 
 @pytest.fixture(scope="session")
@@ -225,7 +228,7 @@ def test_criterion_5_cactus_suite(lab, cactus_corpus):
 def test_criterion_6_distance_identities(identity_corpus):
     failures = []
     for g in identity_corpus:
-        report = check_distance_identities(g)
+        report = check_distance_identities(g, subdivision(g), middle(g))
         if not report.ok:
             failures.append(f"{g.edges}: {report.failed()}")
     _announce(6, not failures, f"{len(identity_corpus)} graphs, all six identities exact")

@@ -1,5 +1,6 @@
 """Smoke tests: every demo script runs to completion against the source tree,
-and every README command line that needs no input file exits 0."""
+``python -m mdimlab`` starts, and every README command line that needs no
+input file exits 0."""
 
 import os
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mdimlab import __version__
 from mdimlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,13 +21,22 @@ def test_demos_are_present():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(script):
+def _run(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script):
+    result = _run(str(script))
     assert result.returncode == 0, result.stderr
+
+
+def test_python_dash_m_runs_the_command_line():
+    result = _run("-m", "mdimlab", "--version")
+    assert (result.returncode, result.stdout) == (0, f"mdimlab {__version__}\n"), result.stderr
 
 
 def _readme_commands() -> list[list[str]]:

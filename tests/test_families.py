@@ -61,6 +61,16 @@ def test_bad_specs_rejected(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: complete_graph(1), "complete needs n >= 2, got 1"),
+    (lambda: random_cactus(1, 0, 1), "random_cactus needs n >= 2, got 1"),
+    (lambda: random_cactus(5, -1, 1), "cycle count must be nonnegative, got -1"),
+])
+def test_generators_reject_parameters_out_of_range(call, message):
+    with pytest.raises(BadSpecError, match=message):
+        call()
+
+
 def test_same_seed_same_graph():
     assert random_tree(10, 123) == random_tree(10, 123)
     assert random_cactus(12, 3, 5) == random_cactus(12, 3, 5)

@@ -69,6 +69,13 @@ def test_edge_list_fields_are_digits_between_blanks(data, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("data", [b"2 1\n0 \xc3\xa91\n", b"A\xff\n"])
+def test_non_ascii_input_is_rejected(data):
+    for reader in (read_graphs, parse_graph):
+        with pytest.raises(ParseError, match="input is not ASCII"):
+            reader(data)
+
+
 def test_edge_list_fields_may_be_split_by_tabs_and_crs():
     assert parse_edge_list(b" 2\t1\r\n\t0 \t1\r\n \r\n") == path_graph(2)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mdimlab import (BadSpecError, build_graph, complete_graph, cycle_graph, emit_graph6,
+from mdimlab import (BadSpecError, Certificate, build_graph, complete_graph, cycle_graph, emit_graph6,
                      enumerate_small_trees, gn_graph, path_graph)
 from mdimlab import families, harness, middle, transforms
 from mdimlab.cli import main
@@ -203,8 +203,8 @@ def test_default_corpus_is_deterministic_and_diverse():
 def test_identity_check_reports_a_wrong_subdivision_as_violated(monkeypatch):
     real = harness.check_distance_identities
 
-    def with_wrong_subdivision(base, sg=None, mg=None):
-        return real(base, sg=middle(base), mg=mg)
+    def with_wrong_subdivision(base, sg, mg):
+        return real(base, middle(base), mg)
 
     monkeypatch.setattr(harness, "check_distance_identities", with_wrong_subdivision)
     report = run_checks([Instance(id="path:n=4", graph=path_graph(4))],
@@ -225,9 +225,34 @@ def test_explore_budget_skip_is_reported():
     assert report.extra["instances_scanned"] == 1
 
 
+@pytest.mark.parametrize("vertices, forced, removable", [
+    ((0, 3), (1,), {}),  # a forced vertex missing from the witness
+    ((0, 1, 3), (1,), {"removable_forced_vertex": 1}),  # {0, 3} resolves P4 on its own
+])
+def test_forced_check_reports_a_wrong_certificate_as_violated(monkeypatch, vertices, forced,
+                                                               removable):
+    def wrong_certificate(g, kind, budget):
+        return Certificate(kind=kind, vertices=vertices, value=len(vertices), forced=forced)
+
+    monkeypatch.setattr(harness, "solve_dimension", wrong_certificate)
+    report = run_checks([Instance(id="path:n=4", graph=path_graph(4))], theorems=["L2.1-forced"])
+    (record,) = report.records
+    assert record.status == VIOLATED
+    assert record.values == {"forced": list(forced), "mdim": len(vertices),
+                             "witness": list(vertices), **removable}
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+
+def test_cli_file_of_several_graphs_numbers_its_instances(tmp_path, capsys):
+    path = tmp_path / "two.g6"
+    path.write_bytes(emit_graph6(path_graph(3)) + emit_graph6(cycle_graph(4)))
+    assert main(["verify", "--input", str(path), "--theorems", "T3.1i"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["instance"] for r in records] == ["file:two.g6#000", "file:two.g6#001"]
 
 
 def test_cli_generate_and_solve_round_trip(tmp_path, capsys):
@@ -445,6 +470,13 @@ def test_cli_single_graph_commands_need_exactly_one_graph(command, tmp_path, cap
         assert captured.out == "" and "exactly one" in captured.err
 
 
+@pytest.mark.parametrize("command", sorted(SINGLE_GRAPH_COMMANDS))
+def test_cli_single_graph_commands_without_input_are_exit_2(command, capsys):
+    assert main([command, *SINGLE_GRAPH_COMMANDS[command][0]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "provide --input FILE or --family NAME:n=N" in captured.err
+
+
 @pytest.mark.parametrize("spec, key", [
     ("gn:n=5,seed=3", "seed"),
     ("cycle:n=4,cycles=2", "cycles"),
@@ -525,6 +557,24 @@ def test_cli_budget_and_phi_cap_below_one_are_exit_2(argv, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and ("--budget" in captured.err or "--phi-cap" in captured.err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--family", "cycle:n=4", "--kind", "dim", "--budget", "1e3"],
+     "argument --budget: must be a whole number, got '1e3'"),
+    (["verify", "--family", "cycle:n=4", "--budget", "1.5"],
+     "argument --budget: must be a whole number, got '1.5'"),
+    (["verify", "--family", "cycle:n=4", "--phi-cap", "x"],
+     "argument --phi-cap: must be a whole number, got 'x'"),
+    (["verify", "--family", "cycle:n=4", "--phi-cap", "0"],
+     "argument --phi-cap: must be at least 1, got 0"),
+])
+def test_cli_budget_and_phi_cap_errors_name_the_flag_and_value(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "_count" not in err
 
 
 def test_cli_budget_of_one_is_accepted(capsys):

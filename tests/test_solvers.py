@@ -86,6 +86,19 @@ def test_empty_witness_rejected():
         is_resolving(path_graph(3), [])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: signature(path_graph(3), vertex_element(0), []), "witness set must be nonempty"),
+    (lambda: is_resolving(path_graph(3), [0, 3]), "witness contains a vertex outside 0..n-1"),
+    (lambda: is_mixed_resolving(path_graph(3), [-1]), "witness contains a vertex outside 0..n-1"),
+    (lambda: solve_dimension(path_graph(3), "rank"), "unknown kind 'rank'"),
+    # in M(P3) the split of edge 0 is also adjacent to the split of edge 1
+    (lambda: phi_set(middle(path_graph(3)), [3]), "not a subdivision graph"),
+])
+def test_solver_inputs_outside_their_domain_raise(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()
+
+
 def test_forced_vertices_examples():
     assert forced_vertices_mdim(star_graph(4)) == (1, 2, 3)
     for n in (2, 3, 5):
@@ -147,8 +160,9 @@ def test_distances_beyond_one_byte():
 
 
 def test_walks_leave_no_cyclic_garbage():
-    # a walk's recursive generator refers to itself; unless the walk breaks
-    # that cycle, every walk leaves its mask index to the cycle collector
+    # a walk recurses through generators of a method, which no object they
+    # reach refers back to; a recursive closure would refer to itself, and
+    # every walk would then leave its mask index to the cycle collector
     masks = _separator_masks(total(gn_graph(3)[0]).graph, "mdim")
     gc.collect()
     gc.disable()
@@ -240,7 +254,7 @@ def test_phi_of_basis_single_original_leaf():
 
 
 def test_phi_of_single_edge_graph():
-    result = phi_of_graph(path_graph(2))
+    result = phi_of_graph(subdivision(path_graph(2)))
     # S(K2) is a 3-path; exactly its two end vertices resolve it
     assert result.phi_value == 1
     assert result.bases_enumerated == 2
@@ -249,13 +263,13 @@ def test_phi_of_single_edge_graph():
 
 
 def test_phi_of_three_path():
-    result = phi_of_graph(path_graph(3))
+    result = phi_of_graph(subdivision(path_graph(3)))
     assert result.phi_value == 1
     assert result.bases_enumerated == 2
 
 
 def test_phi_chain_on_two_hub(g2):
-    result = phi_of_graph(g2)
+    result = phi_of_graph(subdivision(g2))
     dim = solve_dimension(g2, "dim").value
     edim = solve_dimension(g2, "edim").value
     mdim_s = solve_dimension(subdivision(g2).graph, "mdim").value
@@ -267,34 +281,34 @@ def test_phi_chain_on_two_hub(g2):
 
 def test_phi_enumeration_cap():
     with pytest.raises(EnumerationOverflowError):
-        phi_of_graph(cycle_graph(6), cap=1)
+        phi_of_graph(subdivision(cycle_graph(6)), cap=1)
 
 
 def test_phi_propagates_inner_search_budget():
     with pytest.raises(SearchBudgetExceededError):
-        phi_of_graph(cycle_graph(8), budget=2)
+        phi_of_graph(subdivision(cycle_graph(8)), budget=2)
 
 
 def test_phi_budget_boundary_walks_each_minimum_cardinality_once():
-    g5 = gn_graph(5)[0]
-    assert phi_of_graph(g5, budget=738) == phi_of_graph(g5)
+    sg5 = subdivision(gn_graph(5)[0])
+    assert phi_of_graph(sg5, budget=738) == phi_of_graph(sg5)
     with pytest.raises(SearchBudgetExceededError):
-        phi_of_graph(g5, budget=737)
+        phi_of_graph(sg5, budget=737)
 
 
 def test_phi_checks_the_cap_before_listing_any_basis():
-    g8 = gn_graph(8)[0]
+    sg8 = subdivision(gn_graph(8)[0])
     # enough nodes to find dim(S(G_8)), too few to list its metric bases
-    nodes = solve_dimension(subdivision(g8).graph, "dim").stats.search_nodes
+    nodes = solve_dimension(sg8.graph, "dim").stats.search_nodes
     with pytest.raises(EnumerationOverflowError):
-        phi_of_graph(g8, cap=1, budget=nodes)
+        phi_of_graph(sg8, cap=1, budget=nodes)
 
 
 @settings(max_examples=25, deadline=None)
 @given(connected_graphs(max_n=6))
 def test_phi_witness_consistency(g):
-    result = phi_of_graph(g)
     sg = subdivision(g)
+    result = phi_of_graph(sg)
     assert is_resolving(sg.graph, result.witness_basis)
     assert phi_set(sg, result.witness_basis) == result.witness_phi_set
     assert result.bases_enumerated >= 1
@@ -318,7 +332,7 @@ def test_walks_list_every_minimum_set_of_each_kind(g):
 def test_phi_counts_every_metric_basis(g):
     sg = subdivision(g)
     _, bases = oracle_min_witnesses(sg.graph.n, sg.graph.edges, "dim")
-    result = phi_of_graph(g)
+    result = phi_of_graph(sg)
     assert result.bases_enumerated == len(bases)
     best = min(bases, key=lambda b: len(phi_set(sg, b)))  # first of the smallest, in lex order
     assert (result.witness_basis, result.phi_value) == (best, len(phi_set(sg, best)))
@@ -362,7 +376,7 @@ def test_library_budgets_below_one_still_raise():
         with pytest.raises(SearchBudgetExceededError):
             solve_dimension(cycle_graph(4), "dim", budget=budget)
     with pytest.raises(EnumerationOverflowError):
-        phi_of_graph(cycle_graph(4), cap=0)
+        phi_of_graph(subdivision(cycle_graph(4)), cap=0)
 
 
 def _budget_cases():

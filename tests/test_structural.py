@@ -27,7 +27,6 @@ from mdimlab import (
 )
 from mdimlab.structural import (
     DIM_MIDDLE_TREE,
-    DIM_TOTAL_TREE_BOUNDS,
     MDIM_CACTUS,
     MDIM_TOTAL_TREE,
     MDIM_TREE,
@@ -123,6 +122,13 @@ def test_is_geodesic_triple_examples():
         is_geodesic_triple(g, cycle, 0, 0, 2)
 
 
+def test_geodesic_triple_vertices_must_lie_on_the_cycle():
+    g = _hexagon_with_pendants([0, 2, 4])
+    cycle = cactus_decompose(g).cycles[0]
+    with pytest.raises(GraphError, match="must lie on the cycle"):
+        is_geodesic_triple(g, cycle, 0, 2, 6)  # vertex 6 is the pendant at 0
+
+
 def test_geodesic_triple_uses_whole_graph_distances():
     # a chord-free shortcut via the pendant tree can spoil a triple
     g = _hexagon_with_pendants([0, 2, 4])
@@ -150,11 +156,6 @@ def test_closed_form_values():
     assert closed_form(g, MDIM_CACTUS) == 3
 
 
-def test_closed_form_bounds_pair():
-    lower, upper = closed_form(path_graph(5), DIM_TOTAL_TREE_BOUNDS)
-    assert (lower, upper) == (1, 2)
-
-
 def test_closed_form_class_mismatch():
     with pytest.raises(ClassMismatchError):
         closed_form(cycle_graph(4), MDIM_TREE)
@@ -169,6 +170,8 @@ def test_closed_form_class_mismatch():
 def test_closed_form_unknown_claim():
     with pytest.raises(GraphError):
         closed_form(path_graph(3), "no_such_claim")
+    with pytest.raises(GraphError):  # P4.5 checks these bounds with two solves
+        closed_form(path_graph(3), "dim_total_tree_bounds")
 
 
 def test_single_edge_tree_formulas():

@@ -138,12 +138,14 @@ def test_line_graph_is_the_split_induced_subgraph_of_middle(g):
     ],
 )
 def test_distance_identities_hold(make):
-    report = check_distance_identities(make())
+    g = make()
+    report = check_distance_identities(g, subdivision(g), middle(g))
     assert report.ok, report.failed()
 
 
 def test_identity_pair_counts():
-    report = check_distance_identities(path_graph(4))
+    g = path_graph(4)
+    report = check_distance_identities(g, subdivision(g), middle(g))
     counts = {c.identity: c.pairs_checked for c in report.checks}
     assert counts == {
         "eq1": 16,  # 4x4 vertex pairs
@@ -174,7 +176,7 @@ def test_middle_distance_values_by_hand():
 
 def test_identities_report_a_wrong_subdivision():
     g = path_graph(4)
-    report = check_distance_identities(g, sg=middle(g))  # M(P4) posing as S(P4)
+    report = check_distance_identities(g, middle(g), middle(g))  # M(P4) posing as S(P4)
     assert not report.ok
     assert {c.identity: c.counterexample for c in report.failed()} == {
         "eq1": (0, 2, 3, 4),
@@ -209,8 +211,8 @@ def test_identities_pin_first_counterexamples(make, as_s, as_m):
     # M(G) posing as S(G), and S(G) posing as M(G): each failing identity
     # reports the first pair, in visiting order, that breaks it
     g = make()
-    swapped_s = check_distance_identities(g, sg=middle(g))
-    swapped_m = check_distance_identities(g, mg=subdivision(g))
+    swapped_s = check_distance_identities(g, middle(g), middle(g))
+    swapped_m = check_distance_identities(g, subdivision(g), subdivision(g))
     assert {c.identity: c.counterexample for c in swapped_s.failed()} == as_s
     assert {c.identity: c.counterexample for c in swapped_m.failed()} == as_m
 
@@ -218,6 +220,7 @@ def test_identities_pin_first_counterexamples(make, as_s, as_m):
 def test_eq4_reports_an_edge_with_no_split_end():
     # T(K2) posing as S(K2): its edge (0, 1) joins two original vertices, so
     # no base edge gives rise to it and no distance is expected for it
-    report = check_distance_identities(path_graph(2), sg=total(path_graph(2)))
+    g = path_graph(2)
+    report = check_distance_identities(g, total(g), middle(g))
     eq4 = {c.identity: c for c in report.checks}["eq4"]
     assert eq4.counterexample == (0, 0, 0, ())
