@@ -24,12 +24,13 @@ from .formats import (
 )
 from .graph import Graph
 from .harness import (
-    DERIVED,
+    DERIVED_NAMES,
     EXPLORE_TARGETS,
     Report,
     THEOREM_IDS,
     TOOL_VERSION,
     default_corpus,
+    derive,
     dumps,
     explore,
     run_checks,
@@ -119,7 +120,7 @@ def _cmd_transform(args) -> int:
         labels = {j: f"{j}: e{j}({u},{v})" for j, (u, v) in enumerate(base.edges)}
         dot = graph_to_dot(graph, labels=labels, name="line")
     else:
-        dg = DERIVED[args.derived](base)
+        dg = derive(base, args.derived)
         graph = dg.graph
         vertices = [{"index": i, "provenance": f"{tag}:{idx}"}
                     for i, (tag, idx) in enumerate(dg.provenance)]
@@ -138,7 +139,7 @@ def _cmd_solve(args) -> int:
     inst = _single_instance(args)
     g = inst.graph
     if args.derived != "none":
-        g = DERIVED[args.derived](g).graph
+        g = derive(g, args.derived).graph
     try:
         cert = solve_dimension(g, args.kind, budget=args.budget)
     except GraphError as exc:
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="build a derived graph with provenance")
     _add_input_options(p)
-    p.add_argument("--derived", choices=[*DERIVED, "l"], required=True)
+    p.add_argument("--derived", choices=[*DERIVED_NAMES, "l"], required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_transform)
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact dimension with a witness certificate")
     _add_input_options(p)
     p.add_argument("--kind", choices=list(KINDS), required=True)
-    p.add_argument("--derived", choices=["none", *DERIVED], default="none")
+    p.add_argument("--derived", choices=["none", *DERIVED_NAMES], default="none")
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="cap on search nodes (default %(default)s)")
     p.add_argument("--stats", action="store_true",

@@ -47,7 +47,8 @@ from .structural import (
     closed_form,
     gn_family_facts,
 )
-from .transforms import DerivedGraph, check_distance_identities, middle, subdivision, total
+from . import transforms
+from .transforms import DerivedGraph, check_distance_identities
 
 TOOL_VERSION = "0.1.0"
 
@@ -55,7 +56,8 @@ HOLDS = "holds"
 VIOLATED = "violated"
 SKIPPED = "skipped"
 
-DERIVED = {"s": subdivision, "m": middle, "t": total}
+# derived-graph letter: the name of the ``transforms`` function that builds it
+DERIVED_NAMES = {"s": "subdivision", "m": "middle", "t": "total"}
 
 # target: (record value key, findings key, test on the gap mdim(G) - mdim(S(G)))
 _EXPLORE = {
@@ -63,6 +65,12 @@ _EXPLORE = {
     "mdim_eq_mdims": ("equal", "equality_instances_found", lambda gap: gap == 0),
 }
 EXPLORE_TARGETS = tuple(_EXPLORE)
+
+
+def derive(g: Graph, letter: str) -> DerivedGraph:
+    """S(G), M(G) or T(G) for "s", "m" or "t".  The builder is looked up in
+    ``transforms`` at each call, so a wrapper set there sees every build."""
+    return getattr(transforms, DERIVED_NAMES[letter])(g)
 
 
 def dumps(payload: dict) -> str:
@@ -158,7 +166,7 @@ class _Lab:
 
     def derived(self, letter: str) -> DerivedGraph:
         """S(G), M(G) or T(G) for "s", "m" or "t"."""
-        return self._memo(letter, lambda: DERIVED[letter](self.g))
+        return self._memo(letter, lambda: derive(self.g, letter))
 
     def cert(self, kind: str, on: str | None = None) -> Certificate:
         """Exact ``kind`` dimension of G, or of the derived graph ``on`` names."""

@@ -2,7 +2,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from mdimlab import graph
 from mdimlab import (
@@ -14,12 +14,14 @@ from mdimlab import (
     edge_edge_distance,
     edge_element,
     gn_graph,
+    middle,
     mixed_distance,
     mixed_elements,
     path_graph,
     cycle_graph,
     random_tree,
     subdivision,
+    total,
     vertex_edge_distance,
     vertex_element,
 )
@@ -155,12 +157,28 @@ def test_edge_edge_zero_iff_sharing(g):
             assert (edge_edge_distance(g, e, f) == 0) == share
 
 
-@given(connected_graphs())
-def test_distances_match_oracle(g):
+@st.composite
+def _with_pendant_paths(draw):
+    """A connected graph with up to three paths of 1-4 new vertices hung on it."""
+    g = draw(connected_graphs())
+    n, edges = g.n, list(g.edges)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=n - 1))
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            edges.append((at, n))
+            at, n = n, n + 1
+    return build_graph(n, edges)
+
+
+@given(_with_pendant_paths(), st.sampled_from([None, subdivision, middle, total]))
+def test_distances_match_oracle(g, derive):
+    if derive is not None:
+        g = derive(g).graph
+    independent = graph._independent_set(g.n, g.adjacency)
+    assert not any(set(g.adjacency[v]) & set(independent) for v in independent)
     oracle = oracle_distances(g.n, g.edges)
-    for u in range(g.n):
-        for v in range(g.n):
-            assert g.distances[u][v] == oracle[u][v]
+    for u in range(g.n):  # the rows of the independent set included
+        assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
 
 
 def _path(order):
@@ -180,6 +198,82 @@ def test_distance_rows_are_bytes_below_diameter_256(g, row_type):
     oracle = oracle_distances(g.n, g.edges)
     for u in range(g.n):
         assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
+
+
+def _c4_with_tail(diameter):
+    """The 4-cycle 0-1-2-3 with a path of diameter - 2 edges hung on vertex 0.
+
+    Its far ends are vertex 2 and the path's leaf.  The leaf and vertex 1
+    join the independent set first, so vertex 2's BFS row spans the diameter;
+    on a path only the end vertices' rows do, and they are in the set."""
+    tail = [(0, 4)] + [(v, v + 1) for v in range(4, diameter + 1)]
+    return build_graph(diameter + 2, [(0, 1), (1, 2), (2, 3), (0, 3), *tail])
+
+
+@pytest.mark.parametrize("diameter", [126, 127, 128, 129, 254, 255, 256])
+@pytest.mark.parametrize("shape", ["path", "c4-tail"])
+def test_distance_rows_at_the_lane_and_byte_boundaries(shape, diameter):
+    g = path_graph(diameter + 1) if shape == "path" else _c4_with_tail(diameter)
+    assert {type(row) for row in g.distances} == {bytes if diameter < 256 else tuple}
+    assert max(map(max, g.distances)) == diameter
+    oracle = oracle_distances(g.n, g.edges)
+    for u in range(g.n):
+        assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
+
+
+def _counting_bfs(monkeypatch):
+    """Patch graph._bfs to record the maximum of each row it returns."""
+    maxima = []
+    original = graph._bfs
+
+    def counting(n, adjacency, source):
+        dist = original(n, adjacency, source)
+        maxima.append(max(dist))
+        return dist
+
+    monkeypatch.setattr(graph, "_bfs", counting)
+    return maxima
+
+
+def test_an_independent_end_needing_256_makes_every_row_a_tuple(monkeypatch):
+    # on the 257-path the rows of the vertices outside the independent set
+    # reach 255 at most, but the end vertices, which are in it, need 256
+    maxima = _counting_bfs(monkeypatch)
+    g = path_graph(257)
+    independent = graph._independent_set(g.n, g.adjacency)
+    assert {0, 256} <= set(independent)
+    assert max(maxima[: g.n - len(independent)]) == 255
+    assert max(g.distances[0]) == 256
+    assert {type(row) for row in g.distances} == {tuple}
+
+
+@pytest.mark.parametrize("derive", [subdivision, middle, total])
+def test_bfs_runs_only_from_outside_the_independent_set(monkeypatch, derive):
+    base = random_tree(60, 3)
+    maxima = _counting_bfs(monkeypatch)
+    g = derive(base).graph
+    independent = graph._independent_set(g.n, g.adjacency)
+    assert len(maxima) == g.n - len(independent) < 0.7 * g.n
+
+
+def _two_trees_and_a_cycle():
+    """600 vertices, two 300-vertex trees and one more edge: m = n - 1."""
+    a, b = random_tree(300, 1), random_tree(300, 2)
+    u, v = next((u, v) for u in range(300) for v in range(u + 1, 300)
+                if v not in a.adjacency[u])
+    return 600, [*a.edges, (u, v), *[(x + 300, y + 300) for x, y in b.edges]]
+
+
+@pytest.mark.parametrize("n, edges", [
+    (4, [(0, 1), (1, 2), (0, 2)]),  # the triangle plus an isolated vertex
+    _two_trees_and_a_cycle(),
+], ids=["triangle+vertex", "two-trees-600"])
+def test_disconnected_input_with_n_minus_1_edges_takes_one_bfs(monkeypatch, n, edges):
+    assert len(edges) >= n - 1
+    maxima = _counting_bfs(monkeypatch)
+    with pytest.raises(DisconnectedError):
+        build_graph(n, edges)
+    assert len(maxima) == 1
 
 
 def test_distance_table_takes_a_byte_per_entry():

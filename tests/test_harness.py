@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,27 @@ def test_each_derived_graph_is_built_once_per_instance(monkeypatch):
     # S(G), M(G) and T(G) of the tree, once each; S(G_5) and M(G_5) once each, as
     # P3.4 builds no S(G_5) of its own and the tree checks skip before T(G_5)
     assert built == [tree.n + tree.m] * 3 + [g5.n + g5.m] * 2
+
+
+def test_derived_graphs_are_built_through_the_transforms_module(monkeypatch):
+    # wrap it as bench/spans.py traces a layer, by rebinding every module-level
+    # name of the function: a caller holding its own reference goes unseen
+    original = transforms.subdivision
+    built = []
+
+    def counting_subdivision(base):
+        built.append(base.n)
+        return original(base)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mdimlab" or name.startswith("mdimlab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_subdivision)
+    report = run_checks([Instance(id="cycle:n=5", graph=cycle_graph(5))],
+                        theorems=["E1-E6-identities", "T3.1i"])
+    assert built == [5]
+    assert {r.status for r in report.records} == {HOLDS}
 
 
 def test_identity_and_forced_checks_hold():

@@ -269,6 +269,23 @@ def test_not_cactus_error_on_k4_text():
         cactus_decompose(complete_graph(4))
 
 
+@pytest.mark.parametrize("g, vertices, edges", [
+    (complete_graph(80), list(range(80)), 3160),
+    # two diamonds on a path: the first shared edge the ring walk meets is in
+    # the diamond on 2, 4, 5, 7, but the first ring, 0-1-8, is in the other
+    (build_graph(9, [(0, 1), (0, 6), (0, 8), (1, 3), (1, 8), (2, 4), (2, 5), (2, 7),
+                     (4, 5), (4, 6), (5, 7), (6, 8)]), [0, 1, 6, 8], 5),
+    # the first ring, the triangle, shares no edge, so the diamond is named
+    (build_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]),
+     [3, 4, 5, 6], 5),
+], ids=["K80", "two-diamonds", "triangle-then-diamond"])
+def test_not_cactus_error_names_the_block_of_the_first_ring(g, vertices, edges):
+    with pytest.raises(NotCactusError) as exc:
+        cactus_decompose(g)
+    assert str(exc.value) == (f"not a cactus (biconnected component on vertices {vertices} "
+                              f"has {edges} edges; cycles share an edge)")
+
+
 def test_class_errors_carry_the_whole_reason():
     assert issubclass(NotCactusError, ClassMismatchError)
     with pytest.raises(ClassMismatchError, match="^not a tree$"):
