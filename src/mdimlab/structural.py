@@ -22,7 +22,6 @@ routes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -74,63 +73,48 @@ def _cactus_rings(g: Graph) -> list[list[int]]:
     The parent of v is its first neighbour one step closer to 0.  Each edge
     outside that tree closes one ring, which runs from one end up to the
     common ancestor and down to the other end.  Only tree edges can lie on
-    two rings, and the walk stops at the first tree edge a second ring
-    claims; NotCactusError then names a block (see ``_shared_block``)."""
+    two rings: ``owner[x]`` is the first ring through the edge above x, and
+    a union-find joins every later ring through it to that one.  When some
+    edge is shared, NotCactusError names the block of the first ring that
+    shares one: the rings joined to it and their edges."""
     depth = g.distances[0]
     parent = [next((w for w in g.adjacency[v] if depth[w] < depth[v]), v) for v in range(g.n)]
-    claimed = bytearray(g.n)  # claimed[x]: a ring runs through the edge above x
+    owner = [-1] * g.n
+    root: list[int] = []
     rings: list[list[int]] = []
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    first = g.m
     for u, v in g.edges:
         if parent[u] == v or parent[v] == u:
             continue
+        i = len(rings)
+        root.append(i)
         up, down = [u], [v]
         while up[-1] != down[-1]:
             deeper = up if depth[up[-1]] >= depth[down[-1]] else down
             x = deeper[-1]
-            if claimed[x]:
-                vertices, edges = _shared_block(g, parent)
-                raise NotCactusError(
-                    f"not a cactus (biconnected component on vertices {vertices} has {edges} "
-                    "edges; cycles share an edge)"
-                )
-            claimed[x] = 1
+            if owner[x] < 0:
+                owner[x] = i
+            else:
+                first = min(first, owner[x])
+                root[find(i)] = find(owner[x])
             deeper.append(parent[x])
         rings.append(up + down[-2::-1])
+    if first < g.m:
+        joined = find(first)
+        block = [ring for i, ring in enumerate(rings) if find(i) == joined]
+        tree_edges = sum(1 for i in owner if i >= 0 and find(i) == joined)
+        raise NotCactusError(
+            f"not a cactus (biconnected component on vertices "
+            f"{sorted({v for ring in block for v in ring})} has {len(block) + tree_edges} "
+            "edges; cycles share an edge)"
+        )
     return rings
-
-
-def _shared_block(g: Graph, parent: list[int]) -> tuple[list[int], int]:
-    """Sorted vertices and edge count of the block of the first ring, in
-    edge order, that shares an edge with another ring.
-
-    Rings that share an edge lie in one block, and the rings of a block are
-    all joined through shared edges, so a ring shares an edge iff its block
-    holds another ring.  A union-find joins the tree edges of each ring;
-    ``joined[x]`` leads to the class of the tree edge above x."""
-    depth = g.distances[0]
-    joined = list(range(g.n))
-
-    def find(x: int) -> int:
-        while joined[x] != x:
-            joined[x] = x = joined[joined[x]]
-        return x
-
-    chords, classes = [], []
-    for u, v in g.edges:
-        if parent[u] == v or parent[v] == u:
-            continue
-        chords.append((u, v))
-        classes.append(c := find(u if depth[u] >= depth[v] else v))
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            joined[find(u)] = c
-            u = parent[u]
-    rings = Counter(map(find, classes))
-    block = next(c for c in map(find, classes) if rings[c] > 1)
-    tree = [(x, parent[x]) for x in range(g.n) if find(x) == block]
-    edges = tree + [chord for chord, c in zip(chords, classes) if find(c) == block]
-    return sorted({v for edge in edges for v in edge}), len(edges)
 
 
 def _rotate(ring: list[int]) -> tuple[int, ...]:
