@@ -5,24 +5,22 @@ Run:  python demos/02_resolving_sets_and_dimensions.py
 
 from mdimlab import (
     cycle_graph,
-    edge_element,
     forced_vertices_mdim,
     gn_graph,
     is_edge_resolving,
     is_mixed_resolving,
     is_resolving,
     path_graph,
-    signature,
     solve_dimension,
     star_graph,
-    vertex_element,
+    vertex_edge_distance,
 )
 
 print("== signatures: distance vectors to a witness set ==")
 p4 = path_graph(4)
 for v in range(4):
-    print(f"  vertex {v} vs W={{0}}:", signature(p4, vertex_element(v), [0]))
-print("  edge (1,2) vs W={0}:", signature(p4, edge_element(p4.edge_index(1, 2)), [0]))
+    print(f"  vertex {v} vs W={{0}}:", (p4.distances[v][0],))
+print("  edge (1,2) vs W={0}:", (vertex_edge_distance(p4, 0, p4.edge_index(1, 2)),))
 
 print("\n== one leaf resolves a path, but no single vertex resolves a cycle ==")
 print("  is_resolving(P4, {0}):", is_resolving(p4, [0]))

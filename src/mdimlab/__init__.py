@@ -16,14 +16,9 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    MixedElement,
     build_graph,
     edge_edge_distance,
-    edge_element,
-    mixed_distance,
-    mixed_elements,
     vertex_edge_distance,
-    vertex_element,
 )
 from .transforms import (
     DerivedGraph,
@@ -49,7 +44,6 @@ from .solvers import (
     phi_of_basis,
     phi_of_graph,
     phi_set,
-    signature,
     solve_dimension,
 )
 from .structural import (
@@ -59,7 +53,6 @@ from .structural import (
     cactus_decompose,
     closed_form,
     gn_family_facts,
-    is_geodesic_triple,
     is_tree,
     leaf_count,
 )

@@ -139,13 +139,21 @@ def gn_graph(n: int) -> tuple[Graph, dict[str, int]]:
     return build_graph(n + 2, edges), names
 
 
+def _generator(family: str, seed: int) -> SplitMix64:
+    """The generator a seed names; BadSpecError outside 0 <= seed < 2**64,
+    where SplitMix64 would read the seed modulo 2**64 as another seed."""
+    if not 0 <= seed < 1 << 64:
+        raise BadSpecError(f"{family} needs 0 <= seed < 2**64, got {seed}")
+    return SplitMix64(seed)
+
+
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree: decode a random length-(n-2) integer sequence."""
     if n < 2:
         raise BadSpecError(f"random_tree needs n >= 2, got {n}")
+    rng = _generator("random_tree", seed)
     if n == 2:
         return build_graph(2, [(0, 1)])
-    rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
@@ -178,7 +186,7 @@ def random_cactus(n: int, cycles: int, seed: int) -> Graph:
         raise BadSpecError(f"cycle count must be nonnegative, got {cycles}")
     if 1 + 2 * cycles > n:
         raise BadSpecError(f"{cycles} cycles need at least {1 + 2 * cycles} vertices, got {n}")
-    rng = SplitMix64(seed)
+    rng = _generator("random_cactus", seed)
     edges: list[tuple[int, int]] = []
     k = 1
     for i in range(cycles):

@@ -18,27 +18,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import DisconnectedError, GraphError, LoopEdgeError, TooSmallError
 
 
 Row = bytes | tuple[int, ...]
-
-
-class MixedElement(NamedTuple):
-    """A vertex or an edge, the unit distinguished by mixed resolving sets."""
-
-    kind: str  # "vertex" or "edge"
-    index: int
-
-
-def vertex_element(v: int) -> MixedElement:
-    return MixedElement("vertex", v)
-
-
-def edge_element(j: int) -> MixedElement:
-    return MixedElement("edge", j)
 
 
 @dataclass(frozen=True)
@@ -213,15 +198,3 @@ def edge_edge_distance(g: Graph, e: int, f: int) -> int:
     c, d = g.edges[f]
     ra, rb = g.distances[a], g.distances[b]
     return min(ra[c], ra[d], rb[c], rb[d])
-
-
-def mixed_distance(g: Graph, x: MixedElement, v: int) -> int:
-    """Distance from a mixed element (vertex or edge) to a vertex."""
-    if x.kind == "vertex":
-        return g.distances[x.index][v]
-    return vertex_edge_distance(g, v, x.index)
-
-
-def mixed_elements(g: Graph) -> list[MixedElement]:
-    """The mixed universe V(G) then E(G), each in index order."""
-    return [vertex_element(v) for v in range(g.n)] + [edge_element(j) for j in range(g.m)]

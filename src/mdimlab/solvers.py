@@ -64,7 +64,7 @@ from .errors import (
     NotABasisError,
     SearchBudgetExceededError,
 )
-from .graph import Graph, MixedElement, mixed_distance
+from .graph import Graph
 from .transforms import DerivedGraph
 
 DIM = "dim"
@@ -106,13 +106,6 @@ class PhiResult:
     bases_enumerated: int
     witness_basis: tuple[int, ...]
     witness_phi_set: tuple[int, ...]
-
-
-def signature(g: Graph, x: MixedElement, witness: Sequence[int]) -> tuple[int, ...]:
-    """Distance vector from element x to the witness vertices, in their order."""
-    if not witness:
-        raise GraphError("witness set must be nonempty")
-    return tuple(mixed_distance(g, x, w) for w in witness)
 
 
 def _resolves(g: Graph, kind: str, witness: Iterable[int]) -> bool:

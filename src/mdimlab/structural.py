@@ -124,20 +124,15 @@ def _rotate(ring: list[int]) -> tuple[int, ...]:
     return tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
 
 
-def _geodesic(g: Graph, u: int, v: int, w: int, cycle_length: int) -> bool:
-    """Do the whole-graph pairwise distances of u, v, w sum to the length of
-    the cycle they lie on?"""
-    d = g.distances
-    return d[u][v] + d[v][w] + d[w][u] == cycle_length
-
-
 def cactus_decompose(g: Graph) -> CactusReport:
     """Evaluate the cactus formula over the rings; NotCactusError when two
     rings share an edge."""
+    d = g.distances
     cycles = []
     for ring in map(_rotate, _cactus_rings(g)):
         roots = [v for v in ring if g.degree(v) >= 3]
-        triple = any(_geodesic(g, *uvw, len(ring)) for uvw in combinations(roots, 3))
+        triple = any(d[u][v] + d[v][w] + d[w][u] == len(ring)
+                     for u, v, w in combinations(roots, 3))
         cycles.append(CycleInfo(vertices=ring, rt=len(roots), has_geodesic_triple=triple))
 
     cycles.sort(key=lambda c: c.vertices)
@@ -145,15 +140,6 @@ def cactus_decompose(g: Graph) -> CactusReport:
     epsilon = sum(1 for c in cycles if c.rt >= 3 and not c.has_geodesic_triple)
     formula = n1 + sum(max(3 - c.rt, 0) for c in cycles) + epsilon
     return CactusReport(n1=n1, cycles=tuple(cycles), epsilon=epsilon, mdim_formula=formula)
-
-
-def is_geodesic_triple(g: Graph, cycle: CycleInfo, u: int, v: int, w: int) -> bool:
-    """Do the whole-graph pairwise distances of u, v, w sum to the cycle length?"""
-    if len({u, v, w}) != 3:
-        raise GraphError("geodesic triple needs three distinct vertices")
-    if not {u, v, w} <= set(cycle.vertices):
-        raise GraphError("geodesic triple vertices must lie on the cycle")
-    return _geodesic(g, u, v, w, len(cycle.vertices))
 
 
 def closed_form(g: Graph, claim: str) -> int:

@@ -1,6 +1,6 @@
 """Smoke tests: every demo script runs to completion against the source tree,
 ``python -m mdimlab`` starts, and every README command line that needs no
-input file exits 0."""
+input file exits 0.  Subprocesses run with ``-W error``, as pytest does."""
 
 import os
 import shlex
@@ -24,7 +24,7 @@ def test_demos_are_present():
 def _run(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 
 

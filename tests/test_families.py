@@ -16,6 +16,7 @@ from mdimlab import (
     random_tree,
     star_graph,
 )
+from mdimlab.cli import main
 from mdimlab.rng import SplitMix64
 
 
@@ -69,6 +70,15 @@ def test_bad_specs_rejected(spec):
 def test_generators_reject_parameters_out_of_range(call, message):
     with pytest.raises(BadSpecError, match=message):
         call()
+
+
+def test_seeds_outside_64_bits_are_rejected(capsys):
+    # SplitMix64 keeps 64 bits of its seed, so these would build seeds 2**64 - 1 and 0
+    for spec in ("random_tree:n=5,seed=-1", "random_cactus:n=7,cycles=1,seed=18446744073709551616"):
+        with pytest.raises(BadSpecError, match="needs 0 <= seed < 2\\*\\*64"):
+            generate(spec)
+        assert main(["generate", "--family", spec]) == 2
+    assert "seed < 2**64, got -1" in capsys.readouterr().err
 
 
 def test_same_seed_same_graph():

@@ -12,18 +12,14 @@ from mdimlab import (
     TooSmallError,
     build_graph,
     edge_edge_distance,
-    edge_element,
     gn_graph,
     middle,
-    mixed_distance,
-    mixed_elements,
     path_graph,
     cycle_graph,
     random_tree,
     subdivision,
     total,
     vertex_edge_distance,
-    vertex_element,
 )
 
 from conftest import connected_graphs, oracle_distances
@@ -88,6 +84,9 @@ def test_gn_construction_matches_counts():
         (4, [(0, 1), (1, 2), (2, 3)], 0, (2, 3), 2),
         (4, [(0, 1), (1, 2), (2, 3)], 2, (2, 3), 0),
         (6, [(i, (i + 1) % 6) for i in range(6)], 0, (2, 3), 2),
+        (4, [(0, 1), (1, 2), (2, 3)], 0, (1, 2), 1),
+        # G_5: z3 (vertex 4) to the hub edge x-y
+        (7, gn_graph(5)[0].edges, 4, (0, 1), 1),
     ],
 )
 def test_vertex_edge_distance(n, edges, v, edge, expected):
@@ -108,24 +107,6 @@ def test_edge_edge_distance_examples(g2):
     dist = oracle_distances(g2.n, g2.edges)
     brute = min(dist[a][b] for a in (0, 2) for b in (1, 3))
     assert edge_edge_distance(g2, e, f) == brute == 1
-
-
-def test_mixed_distance_examples():
-    p4 = path_graph(4)
-    assert mixed_distance(p4, vertex_element(0), 0) == 0
-    assert mixed_distance(p4, edge_element(p4.edge_index(1, 2)), 0) == 1
-    g5, names = gn_graph(5)
-    hub_edge = edge_element(g5.edge_index(names["x"], names["y"]))
-    dist = oracle_distances(g5.n, g5.edges)
-    expected = min(dist[names["x"]][names["z3"]], dist[names["y"]][names["z3"]])
-    assert mixed_distance(g5, hub_edge, names["z3"]) == expected == 1
-
-
-def test_mixed_universe_order():
-    g = path_graph(3)
-    elems = mixed_elements(g)
-    assert elems[: g.n] == [vertex_element(v) for v in range(g.n)]
-    assert elems[g.n :] == [edge_element(j) for j in range(g.m)]
 
 
 @given(connected_graphs())

@@ -159,6 +159,21 @@ def test_default_corpus_report_bytes_are_pinned():
         "9ea9e1c014126d363a3d836dfc2721f0bbc73df002299407ed5daa1fce0518fb")
 
 
+README_EXPLORE_REPORTS = {
+    # README's explore command lines; sha256 of the whole JSON report
+    "gap_gt_2": ("gn:n=2..7", "b972fdce4cf6cbfef7c25f6d6081ba083d26e655df25710b01593ab2fd28fb2e"),
+    "mdim_eq_mdims": ("trees:n=2..8",
+                      "19965f932def5624f50a91d1dd0570b8e889cd599db99f809a68ad166933cc38"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(README_EXPLORE_REPORTS))
+def test_readme_explore_report_bytes_are_pinned(target, capsys):
+    family, digest = README_EXPLORE_REPORTS[target]
+    assert main(["explore", "--target", target, "--family", family]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_violated_records_force_nonzero_exit():
     record = TheoremCheck(theorem="T3.1i", instance="synthetic", status=VIOLATED,
                           values={}, n=2, edges=[[0, 1]])

@@ -14,7 +14,6 @@ from mdimlab import (
     build_graph,
     complete_graph,
     cycle_graph,
-    edge_element,
     forced_vertices_mdim,
     gn_graph,
     is_edge_resolving,
@@ -27,12 +26,10 @@ from mdimlab import (
     phi_of_graph,
     phi_set,
     random_tree,
-    signature,
     solve_dimension,
     star_graph,
     subdivision,
     total,
-    vertex_element,
 )
 
 from mdimlab.solvers import _components, _Search, _separator_masks
@@ -49,19 +46,6 @@ from conftest import (
 KINDS = ("dim", "edim", "mdim")
 DERIVED = {"G": lambda g: g, "S": lambda g: subdivision(g).graph,
            "M": lambda g: middle(g).graph, "T": lambda g: total(g).graph}
-
-
-def test_signature_examples(g2):
-    p3 = path_graph(3)
-    assert signature(p3, vertex_element(0), [0]) == (0,)
-    assert signature(p3, edge_element(0), [2]) == (1,)
-    z1 = 2
-    assert signature(g2, vertex_element(z1), [0, 1]) == (1, 1)
-
-
-def test_signature_follows_witness_order():
-    p4 = path_graph(4)
-    assert signature(p4, vertex_element(0), [3, 1]) == (3, 1)
 
 
 def test_path_resolved_by_one_leaf():
@@ -87,7 +71,6 @@ def test_empty_witness_rejected():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: signature(path_graph(3), vertex_element(0), []), "witness set must be nonempty"),
     (lambda: is_resolving(path_graph(3), [0, 3]), "witness contains a vertex outside 0..n-1"),
     (lambda: is_mixed_resolving(path_graph(3), [-1]), "witness contains a vertex outside 0..n-1"),
     (lambda: solve_dimension(path_graph(3), "rank"), "unknown kind 'rank'"),

@@ -15,7 +15,6 @@ from mdimlab import (
     enumerate_small_trees,
     gn_family_facts,
     gn_graph,
-    is_geodesic_triple,
     is_mixed_resolving,
     is_tree,
     leaf_count,
@@ -111,29 +110,6 @@ def test_spread_roots_form_a_geodesic_triple():
     assert report.epsilon == 0
     assert report.mdim_formula == 3
     assert solve_dimension(g, "mdim").value == 3
-
-
-def test_is_geodesic_triple_examples():
-    g = cycle_graph(6)
-    cycle = cactus_decompose(g).cycles[0]
-    assert is_geodesic_triple(g, cycle, 0, 2, 4)
-    assert not is_geodesic_triple(g, cycle, 0, 1, 2)
-    with pytest.raises(GraphError):
-        is_geodesic_triple(g, cycle, 0, 0, 2)
-
-
-def test_geodesic_triple_vertices_must_lie_on_the_cycle():
-    g = _hexagon_with_pendants([0, 2, 4])
-    cycle = cactus_decompose(g).cycles[0]
-    with pytest.raises(GraphError, match="must lie on the cycle"):
-        is_geodesic_triple(g, cycle, 0, 2, 6)  # vertex 6 is the pendant at 0
-
-
-def test_geodesic_triple_uses_whole_graph_distances():
-    # a chord-free shortcut via the pendant tree can spoil a triple
-    g = _hexagon_with_pendants([0, 2, 4])
-    cycle = cactus_decompose(g).cycles[0]
-    assert is_geodesic_triple(g, cycle, 0, 2, 4)
 
 
 def test_subdividing_a_cactus_doubles_every_cycle():
