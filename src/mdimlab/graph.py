@@ -5,9 +5,12 @@ sorted tuple of pairs (u, v) with u < v; the position of a pair in that
 tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction and shared read-only, so distance queries are table
-lookups.  BFS runs from every vertex outside a greedy independent set;
-each vertex of the set takes one plus the least of its neighbours' rows.
-All arithmetic is exact integer hop counts.
+lookups.  ``build_graph`` runs BFS from every vertex outside a greedy
+independent set; each vertex of the set takes one plus the least of its
+neighbours' rows.  The subdivision, middle and total graphs of
+``transforms`` read their tables off the base graph's instead, through the
+same lane-wise least (``_lane_least``).  All arithmetic is exact integer
+hop counts.
 
 A disconnected input is rejected after at most one BFS: fewer than n - 1
 distinct edges fail before any table is allocated, and otherwise the first
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DisconnectedError, GraphError, LoopEdgeError, TooSmallError
 
@@ -28,7 +31,9 @@ Row = bytes | tuple[int, ...]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple connected undirected graph; construct via :func:`build_graph`.
+    """Simple connected undirected graph; construct via :func:`build_graph`
+    (``transforms`` builds its derived graphs with tables read off the base
+    graph's).
 
     ``distances[u][v]`` is the hop distance from u to v.  Every row is
     ``bytes`` (one byte per entry) when the diameter is below 256, and every
@@ -78,15 +83,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if len(normalized) < n - 1:
         raise DisconnectedError("graph is not connected")
     sorted_edges = tuple(sorted(normalized))
+    adjacency = _adjacency(n, sorted_edges)
 
+    distances = _all_pairs_bfs(n, adjacency)
+    return Graph(n=n, edges=sorted_edges, adjacency=adjacency, distances=distances)
+
+
+def _adjacency(n: int, sorted_edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """The ascending neighbours of each vertex."""
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted_edges:
         neighbors[u].append(v)
         neighbors[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-
-    distances = _all_pairs_bfs(n, adjacency)
-    return Graph(n=n, edges=sorted_edges, adjacency=adjacency, distances=distances)
+    return tuple(tuple(sorted(ns)) for ns in neighbors)
 
 
 def _bfs(n: int, adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -165,24 +174,35 @@ def _rows_from_neighbours(rows: list, adjacency: tuple[tuple[int, ...], ...],
 
     A shortest path from v to any other vertex leaves v through a neighbour,
     so v's row is one plus the lane-wise least of its neighbours' rows, with
-    its own entry 0.  Rows are read as little-endian integers, one byte lane
-    per vertex, and compared in all lanes at once (Lamport, *Multiple byte
-    processing with full-word instructions*, CACM 1975)."""
+    its own entry 0."""
     n = len(rows)
-    top = int.from_bytes(b"\x80" * n, "little")
-    ones = top >> 7
-    rest = top - ones  # the low 7 bits of every lane
+    least = _lane_least(n)
+    ones = int.from_bytes(b"\x01" * n, "little")
     for v in members:
         first, *others = adjacency[v]
-        least = int.from_bytes(rows[first], "little")
+        nearest = int.from_bytes(rows[first], "little")
         for w in others:
-            b = int.from_bytes(rows[w], "little")
-            # the top bit of each lane where least >= b: least's top bit is set
-            # and b's is not, or both agree and least's low 7 bits are no less,
-            # which (least | top) - (b & rest) shows without borrowing across lanes
-            ge = ((least & ~b) | (~(least ^ b) & ((least | top) - (b & rest)))) & top
-            least ^= (least ^ b) & (ge | ge - (ge >> 7))  # b in those lanes
-        rows[v] = (least + ones - (2 << 8 * v)).to_bytes(n, "little")
+            nearest = least(nearest, int.from_bytes(rows[w], "little"))
+        rows[v] = (nearest + ones - (2 << 8 * v)).to_bytes(n, "little")
+
+
+def _lane_least(width: int) -> Callable[[int, int], int]:
+    """The lane-wise least of two rows of ``width`` bytes, each read as a
+    little-endian integer with one byte lane per entry.  All lanes are
+    compared at once (Lamport, *Multiple byte processing with full-word
+    instructions*, CACM 1975), so a row costs a few big-integer operations
+    and no Python step per entry."""
+    top = int.from_bytes(b"\x80" * width, "little")
+    rest = top - (top >> 7)  # the low 7 bits of every lane
+
+    def least(x: int, y: int) -> int:
+        # the top bit of each lane where x >= y: x's top bit is set and y's
+        # is not, or both agree and x's low 7 bits are no less, which
+        # (x | top) - (y & rest) shows without borrowing across lanes
+        ge = ((x & ~y) | (~(x ^ y) & ((x | top) - (y & rest)))) & top
+        return x ^ (x ^ y) & (ge | ge - (ge >> 7))  # y in those lanes
+
+    return least
 
 
 def vertex_edge_distance(g: Graph, v: int, edge_idx: int) -> int:

@@ -6,6 +6,21 @@ splits edge j sits at index n + j.  Every edge of a derived graph carries
 a class tag: ``"sedge"`` for the two half-edges of a split, ``"ledge"``
 for edges joining splits of incident base edges, and ``"original"`` for
 base edges re-added by the total construction.
+
+The derived graphs' distances follow from the base graph's.  For original
+vertices x, y and base edges e != f, with d(x, e) the distance from x to
+the nearer end of e and d(e, f) the least distance between an end of e
+and an end of f:
+
+  S(G):  2 d(x, y),   2 d(x, e) + 1,   2 d(e, f) + 2
+  M(G):  d(x, y) + 1, d(x, e) + 1,     d(e, f) + 1     (x != y)
+  T(G):  d(x, y),     d(x, e) + 1,     d(e, f) + 1
+
+so each derived table is read off the base graph's byte rows, with no BFS
+on the derived graph, whenever every such distance fits a byte.  Otherwise
+the derived graph is built by ``build_graph`` like any other.
+``check_distance_identities`` checks the S and M identities against BFS
+over the derived graph's adjacency, not against its stored table.
 """
 
 from __future__ import annotations
@@ -13,9 +28,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Callable
 
 from .errors import TooSmallError
-from .graph import Graph, build_graph, vertex_edge_distance, edge_edge_distance
+from .graph import (Graph, _adjacency, _bfs, _lane_least, build_graph,
+                    edge_edge_distance, vertex_edge_distance)
 
 ORIGINAL = "original"
 SUBDIVISION = "subdivision"
@@ -48,8 +65,68 @@ class DerivedGraph:
         return self.base_n + base_edge
 
 
-def _assemble(base: Graph, classed_edges: dict[tuple[int, int], str]) -> DerivedGraph:
-    graph = build_graph(base.n + base.m, classed_edges.keys())
+# a derived table's maps: the base distances that every map takes to a
+# byte, and one translate table per block, from the base distances d(x, y),
+# d(x, e) and d(e, f): vertex-vertex, vertex-split and split-split
+_Maps = tuple[bytes, tuple[bytes, bytes, bytes]]
+
+
+def _byte_maps(scale: int, offsets: tuple[int, int, int]) -> _Maps:
+    """The maps d -> scale * d + offset, one per block."""
+    tables = tuple(bytes(min(scale * d + b, 255) for d in range(256)) for b in offsets)
+    return bytes(range((255 - max(offsets)) // scale + 1)), tables
+
+
+_SUBDIVISION_MAPS = _byte_maps(2, (0, 1, 2))
+_MIDDLE_MAPS = _byte_maps(1, (1, 1, 1))
+_TOTAL_MAPS = _byte_maps(1, (0, 1, 1))
+
+
+def _distances_from_base(base: Graph, maps: _Maps) -> tuple[bytes, ...] | None:
+    """The derived graph's byte rows, read off ``base``'s table through
+    ``maps``, or None when base's rows are not bytes or hold a distance
+    that some map takes past 255.
+
+    Row n + j of the split of edge j = ab is the lane-wise least of base
+    rows a and b, the distances d(., e_j), then the lane-wise least of the
+    vertex-edge rows of a and b.  The vertex-edge row of x, d(x, .), is
+    column x of the former, taken by a strided slice; row x of an original
+    vertex is its base row, then its vertex-edge row.  Each block is mapped
+    by its translate table, and the own entry is set to 0."""
+    fits, (vertex_map, split_map, pair_map) = maps
+    rows, n, m = base.distances, base.n, base.m
+    # deleting the distances that fit leaves a byte only in a row holding one too large
+    if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
+        return None
+    least_n, least_m = _lane_least(n), _lane_least(m)
+
+    def lower(least: Callable[[int, int], int], width: int, x: bytes, y: bytes) -> bytes:
+        low = least(int.from_bytes(x, "little"), int.from_bytes(y, "little"))
+        return low.to_bytes(width, "little")
+
+    def joined(i: int, head: bytes, head_map: bytes, tail: bytes, tail_map: bytes) -> bytes:
+        row = bytearray(head.translate(head_map) + tail.translate(tail_map))
+        row[i] = 0
+        return bytes(row)
+
+    near = b"".join([lower(least_n, n, rows[a], rows[b]) for a, b in base.edges])
+    vertex_edge = [near[x::n] for x in range(n)]
+    del near  # recomputed per split below, so one transient list of rows is alive
+    table = [joined(x, row, vertex_map, vertex_edge[x], split_map) for x, row in enumerate(rows)]
+    for j, (a, b) in enumerate(base.edges):
+        table.append(joined(n + j, lower(least_n, n, rows[a], rows[b]), split_map,
+                            lower(least_m, m, vertex_edge[a], vertex_edge[b]), pair_map))
+    return tuple(table)
+
+
+def _assemble(base: Graph, classed_edges: dict[tuple[int, int], str], maps: _Maps) -> DerivedGraph:
+    n = base.n + base.m
+    distances = _distances_from_base(base, maps)
+    if distances is None:
+        graph = build_graph(n, classed_edges.keys())
+    else:
+        edges = tuple(sorted(classed_edges))  # each pair is (u, v) with u < v
+        graph = Graph(n=n, edges=edges, adjacency=_adjacency(n, edges), distances=distances)
     edge_classes = tuple(classed_edges[e] for e in graph.edges)
     return DerivedGraph(graph=graph, base_n=base.n, edge_classes=edge_classes)
 
@@ -73,7 +150,7 @@ def _incident_pairs(base: Graph):
 
 def subdivision(base: Graph) -> DerivedGraph:
     """Replace every edge by a length-2 path through a new vertex."""
-    return _assemble(base, _split_edges(base))
+    return _assemble(base, _split_edges(base), _SUBDIVISION_MAPS)
 
 
 def _middle_edges(base: Graph) -> dict[tuple[int, int], str]:
@@ -86,12 +163,13 @@ def _middle_edges(base: Graph) -> dict[tuple[int, int], str]:
 
 def middle(base: Graph) -> DerivedGraph:
     """Subdivision plus edges between splits of incident base edges."""
-    return _assemble(base, _middle_edges(base))
+    return _assemble(base, _middle_edges(base), _MIDDLE_MAPS)
 
 
 def total(base: Graph) -> DerivedGraph:
     """Middle graph plus the base edges themselves."""
-    return _assemble(base, _middle_edges(base) | dict.fromkeys(base.edges, ORIGINAL_EDGE))
+    return _assemble(base, _middle_edges(base) | dict.fromkeys(base.edges, ORIGINAL_EDGE),
+                     _TOTAL_MAPS)
 
 
 def line_graph(base: Graph) -> Graph:
@@ -155,10 +233,15 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
 
     Each identity is reported with its first counterexample in pair order
     (``pairs_checked`` is the size of its domain); a failure would
-    indicate a construction bug, so this doubles as a self-check.
+    indicate a construction bug, so this doubles as a self-check.  The
+    derived tables are read off base's through these identities, so the
+    S(G) and M(G) distances checked here come from BFS over the derived
+    graphs' adjacency, never from their stored tables.
     """
     n, m = base.n, base.m
-    ds, dm, dg = sg.graph.distances, mg.graph.distances, base.distances
+    dg = base.distances
+    ds = [_bfs(sg.graph.n, sg.graph.adjacency, v) for v in range(sg.graph.n)]
+    dm = [_bfs(mg.graph.n, mg.graph.adjacency, x) for x in range(n)]  # eq5 and eq6 read x < n
     xs, js, ks = range(n), range(m), range(sg.graph.m)
     ve = [[vertex_edge_distance(base, x, j) for j in js] for x in xs]
 
@@ -173,6 +256,10 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
         d = 2 * ve[x][(a if a >= n else b) - n]
         return d, d + 1
 
+    def eq4_got(x, k):
+        a, b = sg.graph.edges[k]
+        return min(ds[x][a], ds[x][b])
+
     rows = (
         ("eq1", n * n, product(xs, xs),
          lambda x, y: ds[x][y], lambda x, y: 2 * dg[x][y]),
@@ -181,7 +268,7 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
         ("eq3", m * (m - 1), permutations(js, 2),
          lambda e, f: ds[n + e][n + f], lambda e, f: 2 * edge_edge_distance(base, e, f) + 2),
         ("eq4", n * len(ks), product(xs, ks),
-         lambda x, k: vertex_edge_distance(sg.graph, x, k), eq4_range, operator.contains),
+         eq4_got, eq4_range, operator.contains),
         ("eq5", n * (n - 1), permutations(xs, 2),
          lambda x, y: dm[x][y], lambda x, y: dg[x][y] + 1),
         ("eq6", n * m, product(xs, js),

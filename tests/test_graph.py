@@ -229,10 +229,66 @@ def test_an_independent_end_needing_256_makes_every_row_a_tuple(monkeypatch):
 
 
 @pytest.mark.parametrize("derive", [subdivision, middle, total])
-def test_bfs_runs_only_from_outside_the_independent_set(monkeypatch, derive):
+def test_derived_tables_take_no_bfs(monkeypatch, derive):
     base = random_tree(60, 3)
     maxima = _counting_bfs(monkeypatch)
-    g = derive(base).graph
+    derive(base)
+    assert maxima == []
+
+
+def _no_bfs(n, adjacency, source):
+    raise AssertionError("BFS ran on a derived graph")
+
+
+@given(connected_graphs())
+def test_derived_tables_match_oracle_without_bfs(g):
+    for derive in (subdivision, middle, total):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_bfs", _no_bfs)
+            d = derive(g).graph
+        assert {type(row) for row in d.distances} == {bytes}
+        oracle = oracle_distances(d.n, d.edges)
+        for u in range(d.n):
+            assert list(d.distances[u]) == [oracle[u][v] for v in range(d.n)]
+
+
+def test_single_edge_derived_tables(monkeypatch):
+    # one base edge: a single split, whose vertex-edge rows are one byte long
+    k2 = path_graph(2)
+    monkeypatch.setattr(graph, "_bfs", _no_bfs)
+    assert subdivision(k2).graph.distances == (b"\0\2\1", b"\2\0\1", b"\1\1\0")
+    assert middle(k2).graph.distances == (b"\0\2\1", b"\2\0\1", b"\1\1\0")
+    assert total(k2).graph.distances == (b"\0\1\1", b"\1\0\1", b"\1\1\0")
+
+
+@pytest.mark.parametrize("derive, n, bfs", [
+    (subdivision, 127, False),  # base diameter 126: 2 * 126 + 2 fits a byte
+    (subdivision, 128, True),  # 127: a split-split distance might need 256
+    (subdivision, 129, True),  # S(G) has diameter 256
+    (middle, 255, False),  # 254: 254 + 1 fits
+    (middle, 256, True),  # 255: M(G) has diameter 256
+    (total, 255, False),
+    (total, 256, True),  # T(G) has diameter 255, but 255 + 1 might not fit
+    (total, 257, True),  # the base rows are tuples
+], ids=lambda v: getattr(v, "__name__", v))
+def test_derived_tables_at_the_byte_limits(monkeypatch, derive, n, bfs):
+    base = path_graph(n)
+    maxima = _counting_bfs(monkeypatch)
+    d = derive(base).graph
+    assert bool(maxima) == bfs
+    oracle = oracle_distances(d.n, d.edges)
+    diameter = max(max(row.values()) for row in oracle.values())
+    assert {type(row) for row in d.distances} == {bytes if diameter < 256 else tuple}
+    for u in range(d.n):
+        assert list(d.distances[u]) == [oracle[u][v] for v in range(d.n)]
+
+
+@pytest.mark.parametrize("derive", [subdivision, middle, total])
+def test_bfs_runs_only_from_outside_the_independent_set(monkeypatch, derive):
+    # the derived graph's edge list taken through build_graph like any input
+    derived = derive(random_tree(60, 3)).graph
+    maxima = _counting_bfs(monkeypatch)
+    g = build_graph(derived.n, derived.edges)
     independent = graph._independent_set(g.n, g.adjacency)
     assert len(maxima) == g.n - len(independent) < 0.7 * g.n
 
@@ -259,14 +315,15 @@ def test_disconnected_input_with_n_minus_1_edges_takes_one_bfs(monkeypatch, n, e
 
 def test_distance_table_takes_a_byte_per_entry():
     base = random_tree(600, 1)
-    tracemalloc.start()
-    try:
-        sg = subdivision(base)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sg.graph.n == 1199
-    assert peak < 4 << 20  # tuple rows take about 11.4 MiB here
+    for derive in (subdivision, middle, total):
+        tracemalloc.start()
+        try:
+            dg = derive(base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dg.graph.n == 1199
+        assert peak < 4 << 20, derive.__name__  # tuple rows take about 11.4 MiB here
 
 
 def test_too_few_edges_rejected_before_any_bfs(monkeypatch):

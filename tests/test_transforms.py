@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -224,3 +225,19 @@ def test_eq4_reports_an_edge_with_no_split_end():
     report = check_distance_identities(g, total(g), middle(g))
     eq4 = {c.identity: c for c in report.checks}["eq4"]
     assert eq4.counterexample == (0, 0, 0, ())
+
+
+def test_identities_check_bfs_distances_not_the_stored_table():
+    # S(P4) with its split half-edge (2, 5) moved to (3, 5), the path
+    # 0-4-1-5-3-6-2, but with S(P4)'s table kept: the stored distances
+    # satisfy eq1-eq3, so only BFS over the moved graph reports eq1 and eq2
+    g = path_graph(4)
+    sg = subdivision(g)
+    edges = [(3, 5) if e == (2, 5) else e for e in sg.graph.edges]
+    moved = replace(sg, graph=replace(build_graph(7, edges), distances=sg.graph.distances))
+    report = check_distance_identities(g, moved, middle(g))
+    assert {c.identity: c.counterexample for c in report.failed()} == {
+        "eq1": (0, 2, 6, 4),
+        "eq2": (2, 0, 5, 3),
+        "eq4": (2, 0, 5, (2, 3)),
+    }
