@@ -5,12 +5,12 @@ sorted tuple of pairs (u, v) with u < v; the position of a pair in that
 tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction and shared read-only, so distance queries are table
-lookups.  ``build_graph`` runs BFS from every vertex outside a greedy
-independent set; each vertex of the set takes one plus the least of its
-neighbours' rows.  The subdivision, middle and total graphs of
-``transforms`` read their tables off the base graph's instead, through the
-same lane-wise least (``_lane_least``).  All arithmetic is exact integer
-hop counts.
+lookups.  BFS runs from every vertex outside a greedy independent set;
+each vertex of the set takes one plus the least of its neighbours' rows.
+The subdivision, middle and total graphs of ``transforms`` take no BFS:
+their tables are read off the base graph's (``_table_from_base``), through
+the same lane-wise least (``_lane_least``).  All arithmetic is exact
+integer hop counts.
 
 A disconnected input is rejected after at most one BFS: fewer than n - 1
 distinct edges fail before any table is allocated, and otherwise the first
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
 from .errors import DisconnectedError, GraphError, LoopEdgeError, TooSmallError
@@ -31,9 +32,7 @@ Row = bytes | tuple[int, ...]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple connected undirected graph; construct via :func:`build_graph`
-    (``transforms`` builds its derived graphs with tables read off the base
-    graph's).
+    """Simple connected undirected graph; construct via :func:`build_graph`.
 
     ``distances[u][v]`` is the hop distance from u to v.  Every row is
     ``bytes`` (one byte per entry) when the diameter is below 256, and every
@@ -64,12 +63,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]], *,
+                _from_base: tuple[Graph, int, tuple[int, int, int]] | None = None) -> Graph:
     """Canonicalize and validate an edge list into a Graph.
 
     Pairs are normalized to u < v, deduplicated, and sorted; loops,
     out-of-range endpoints, fewer than two vertices, and disconnected
     inputs are rejected.
+
+    ``transforms`` passes ``_from_base`` when the edges are those of a
+    graph derived from a base graph, whose table is then read off the
+    base's (see ``_table_from_base``) instead of found by BFS.
     """
     if n < 2:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
@@ -83,19 +87,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if len(normalized) < n - 1:
         raise DisconnectedError("graph is not connected")
     sorted_edges = tuple(sorted(normalized))
-    adjacency = _adjacency(n, sorted_edges)
 
-    distances = _all_pairs_bfs(n, adjacency)
-    return Graph(n=n, edges=sorted_edges, adjacency=adjacency, distances=distances)
-
-
-def _adjacency(n: int, sorted_edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    """The ascending neighbours of each vertex."""
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted_edges:
         neighbors[u].append(v)
         neighbors[v].append(u)
-    return tuple(tuple(sorted(ns)) for ns in neighbors)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+
+    distances = _table_from_base(*_from_base) if _from_base else None
+    if distances is None:
+        distances = _all_pairs_bfs(n, adjacency)
+    return Graph(n=n, edges=sorted_edges, adjacency=adjacency, distances=distances)
 
 
 def _bfs(n: int, adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -203,6 +205,53 @@ def _lane_least(width: int) -> Callable[[int, int], int]:
         return x ^ (x ^ y) & (ge | ge - (ge >> 7))  # y in those lanes
 
     return least
+
+
+@cache
+def _affine_maps(scale: int, offsets: tuple[int, ...]) -> tuple[bytes, tuple[bytes, ...]]:
+    """The base distances that every map d -> scale * d + offset takes to a
+    byte, and one translate table per offset."""
+    tables = tuple(bytes(min(scale * d + b, 255) for d in range(256)) for b in offsets)
+    return bytes(range((255 - max(offsets)) // scale + 1)), tables
+
+
+def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> tuple[bytes, ...] | None:
+    """The byte rows of a graph on base's vertices and then one vertex per
+    base edge, whose distances are scale * d + offset with the offsets of
+    three blocks: d(x, y), d(x, e) and d(e, f) for base vertices x, y and
+    base edges e != f; or None when base's rows are not bytes or hold a
+    distance that some map takes past 255.
+
+    Row n + j, of base edge j = ab, is the lane-wise least of base rows a
+    and b, the distances d(., e_j), then the lane-wise least of the
+    vertex-edge rows of a and b.  The vertex-edge row of x, d(x, .), is
+    column x of the former, taken by a strided slice; row x of a base
+    vertex is its base row, then its vertex-edge row.  Each block is mapped
+    by its translate table, and the own entry is set to 0."""
+    fits, (vertex_map, split_map, pair_map) = _affine_maps(scale, offsets)
+    rows, n, m = base.distances, base.n, base.m
+    # deleting the distances that fit leaves a byte only in a row holding one too large
+    if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
+        return None
+    least_n, least_m = _lane_least(n), _lane_least(m)
+
+    def lower(least: Callable[[int, int], int], width: int, x: bytes, y: bytes) -> bytes:
+        low = least(int.from_bytes(x, "little"), int.from_bytes(y, "little"))
+        return low.to_bytes(width, "little")
+
+    def joined(i: int, head: bytes, head_map: bytes, tail: bytes, tail_map: bytes) -> bytes:
+        row = bytearray(head.translate(head_map) + tail.translate(tail_map))
+        row[i] = 0
+        return bytes(row)
+
+    near = b"".join([lower(least_n, n, rows[a], rows[b]) for a, b in base.edges])
+    vertex_edge = [near[x::n] for x in range(n)]
+    del near  # recomputed per split below, so one transient list of rows is alive
+    table = [joined(x, row, vertex_map, vertex_edge[x], split_map) for x, row in enumerate(rows)]
+    for j, (a, b) in enumerate(base.edges):
+        table.append(joined(n + j, lower(least_n, n, rows[a], rows[b]), split_map,
+                            lower(least_m, m, vertex_edge[a], vertex_edge[b]), pair_map))
+    return tuple(table)
 
 
 def vertex_edge_distance(g: Graph, v: int, edge_idx: int) -> int:

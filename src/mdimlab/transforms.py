@@ -16,9 +16,9 @@ and an end of f:
   M(G):  d(x, y) + 1, d(x, e) + 1,     d(e, f) + 1     (x != y)
   T(G):  d(x, y),     d(x, e) + 1,     d(e, f) + 1
 
-so each derived table is read off the base graph's byte rows, with no BFS
-on the derived graph, whenever every such distance fits a byte.  Otherwise
-the derived graph is built by ``build_graph`` like any other.
+so ``build_graph`` reads each derived table off the base graph's byte rows,
+with no BFS on the derived graph, whenever every such distance fits a
+byte, and otherwise runs BFS as for any other graph.
 ``check_distance_identities`` checks the S and M identities against BFS
 over the derived graph's adjacency, not against its stored table.
 """
@@ -28,11 +28,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Callable
 
 from .errors import TooSmallError
-from .graph import (Graph, _adjacency, _bfs, _lane_least, build_graph,
-                    edge_edge_distance, vertex_edge_distance)
+from .graph import Graph, _bfs, build_graph, edge_edge_distance, vertex_edge_distance
 
 ORIGINAL = "original"
 SUBDIVISION = "subdivision"
@@ -65,68 +63,16 @@ class DerivedGraph:
         return self.base_n + base_edge
 
 
-# a derived table's maps: the base distances that every map takes to a
-# byte, and one translate table per block, from the base distances d(x, y),
-# d(x, e) and d(e, f): vertex-vertex, vertex-split and split-split
-_Maps = tuple[bytes, tuple[bytes, bytes, bytes]]
+# each construction's distances as (scale, offsets): scale * d + offset,
+# with one offset per block of base distances d(x, y), d(x, e) and d(e, f)
+_SUBDIVISION_DISTANCES = (2, (0, 1, 2))
+_MIDDLE_DISTANCES = (1, (1, 1, 1))
+_TOTAL_DISTANCES = (1, (0, 1, 1))
 
 
-def _byte_maps(scale: int, offsets: tuple[int, int, int]) -> _Maps:
-    """The maps d -> scale * d + offset, one per block."""
-    tables = tuple(bytes(min(scale * d + b, 255) for d in range(256)) for b in offsets)
-    return bytes(range((255 - max(offsets)) // scale + 1)), tables
-
-
-_SUBDIVISION_MAPS = _byte_maps(2, (0, 1, 2))
-_MIDDLE_MAPS = _byte_maps(1, (1, 1, 1))
-_TOTAL_MAPS = _byte_maps(1, (0, 1, 1))
-
-
-def _distances_from_base(base: Graph, maps: _Maps) -> tuple[bytes, ...] | None:
-    """The derived graph's byte rows, read off ``base``'s table through
-    ``maps``, or None when base's rows are not bytes or hold a distance
-    that some map takes past 255.
-
-    Row n + j of the split of edge j = ab is the lane-wise least of base
-    rows a and b, the distances d(., e_j), then the lane-wise least of the
-    vertex-edge rows of a and b.  The vertex-edge row of x, d(x, .), is
-    column x of the former, taken by a strided slice; row x of an original
-    vertex is its base row, then its vertex-edge row.  Each block is mapped
-    by its translate table, and the own entry is set to 0."""
-    fits, (vertex_map, split_map, pair_map) = maps
-    rows, n, m = base.distances, base.n, base.m
-    # deleting the distances that fit leaves a byte only in a row holding one too large
-    if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
-        return None
-    least_n, least_m = _lane_least(n), _lane_least(m)
-
-    def lower(least: Callable[[int, int], int], width: int, x: bytes, y: bytes) -> bytes:
-        low = least(int.from_bytes(x, "little"), int.from_bytes(y, "little"))
-        return low.to_bytes(width, "little")
-
-    def joined(i: int, head: bytes, head_map: bytes, tail: bytes, tail_map: bytes) -> bytes:
-        row = bytearray(head.translate(head_map) + tail.translate(tail_map))
-        row[i] = 0
-        return bytes(row)
-
-    near = b"".join([lower(least_n, n, rows[a], rows[b]) for a, b in base.edges])
-    vertex_edge = [near[x::n] for x in range(n)]
-    del near  # recomputed per split below, so one transient list of rows is alive
-    table = [joined(x, row, vertex_map, vertex_edge[x], split_map) for x, row in enumerate(rows)]
-    for j, (a, b) in enumerate(base.edges):
-        table.append(joined(n + j, lower(least_n, n, rows[a], rows[b]), split_map,
-                            lower(least_m, m, vertex_edge[a], vertex_edge[b]), pair_map))
-    return tuple(table)
-
-
-def _assemble(base: Graph, classed_edges: dict[tuple[int, int], str], maps: _Maps) -> DerivedGraph:
-    n = base.n + base.m
-    distances = _distances_from_base(base, maps)
-    if distances is None:
-        graph = build_graph(n, classed_edges.keys())
-    else:
-        edges = tuple(sorted(classed_edges))  # each pair is (u, v) with u < v
-        graph = Graph(n=n, edges=edges, adjacency=_adjacency(n, edges), distances=distances)
+def _assemble(base: Graph, classed_edges: dict[tuple[int, int], str],
+              distances: tuple[int, tuple[int, int, int]]) -> DerivedGraph:
+    graph = build_graph(base.n + base.m, classed_edges.keys(), _from_base=(base, *distances))
     edge_classes = tuple(classed_edges[e] for e in graph.edges)
     return DerivedGraph(graph=graph, base_n=base.n, edge_classes=edge_classes)
 
@@ -150,7 +96,7 @@ def _incident_pairs(base: Graph):
 
 def subdivision(base: Graph) -> DerivedGraph:
     """Replace every edge by a length-2 path through a new vertex."""
-    return _assemble(base, _split_edges(base), _SUBDIVISION_MAPS)
+    return _assemble(base, _split_edges(base), _SUBDIVISION_DISTANCES)
 
 
 def _middle_edges(base: Graph) -> dict[tuple[int, int], str]:
@@ -163,13 +109,13 @@ def _middle_edges(base: Graph) -> dict[tuple[int, int], str]:
 
 def middle(base: Graph) -> DerivedGraph:
     """Subdivision plus edges between splits of incident base edges."""
-    return _assemble(base, _middle_edges(base), _MIDDLE_MAPS)
+    return _assemble(base, _middle_edges(base), _MIDDLE_DISTANCES)
 
 
 def total(base: Graph) -> DerivedGraph:
     """Middle graph plus the base edges themselves."""
     return _assemble(base, _middle_edges(base) | dict.fromkeys(base.edges, ORIGINAL_EDGE),
-                     _TOTAL_MAPS)
+                     _TOTAL_DISTANCES)
 
 
 def line_graph(base: Graph) -> Graph:

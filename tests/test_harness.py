@@ -72,13 +72,13 @@ def test_gn_gap_check():
 
 def test_each_derived_graph_is_built_once_per_instance(monkeypatch):
     built = []
-    original = transforms._distances_from_base
+    original = transforms.build_graph
 
-    def counting_distances_from_base(base, maps):
-        built.append(base.n + base.m)
-        return original(base, maps)
+    def counting_build_graph(n, edges, **options):
+        built.append(n)
+        return original(n, edges, **options)
 
-    monkeypatch.setattr(transforms, "_distances_from_base", counting_distances_from_base)
+    monkeypatch.setattr(transforms, "build_graph", counting_build_graph)
     tree = list(enumerate_small_trees(6))[2]
     g5 = gn_graph(5)[0]
     report = run_checks([Instance(id="tree", graph=tree), Instance(id="gn:n=5", graph=g5)])
