@@ -8,9 +8,10 @@ at construction and shared read-only, so distance queries are table
 lookups.  BFS runs from every vertex outside a greedy independent set;
 each vertex of the set takes one plus the least of its neighbours' rows.
 The subdivision, middle and total graphs of ``transforms`` take no BFS:
-their tables are read off the base graph's (``_table_from_base``), through
-the same lane-wise least (``_lane_least``).  All arithmetic is exact
-integer hop counts.
+their tables are read off the base graph's (``_table_from_base``).  Every
+row read off other rows goes through one lane-wise least (``_least_rows``),
+and every row of vertex-edge distances d(., e) comes from ``_edge_rows``.
+All arithmetic is exact integer hop counts.
 
 A disconnected input is rejected after at most one BFS: fewer than n - 1
 distinct edges fail before any table is allocated, and otherwise the first
@@ -22,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, GraphError, LoopEdgeError, TooSmallError
 
@@ -92,7 +93,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], *,
     for u, v in sorted_edges:
         neighbors[u].append(v)
         neighbors[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    # already increasing: w's lower neighbours come from the edges (u, w),
+    # which sort before the edges (w, v) that give its higher ones
+    adjacency = tuple(map(tuple, neighbors))
 
     distances = _table_from_base(*_from_base) if _from_base else None
     if distances is None:
@@ -135,13 +138,15 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
     """Distance rows of a connected graph; DisconnectedError if the first
     BFS row misses a vertex.
 
-    BFS runs only from the vertices outside a greedy independent set I, and
-    each member of I gets its row from its neighbours' (see
-    ``_rows_from_neighbours``).  Each BFS row is converted as soon as it is
-    finished, so one list row is alive at a time.  Rows are ``bytes`` until
-    a distance reaches 256; that row and every later one are tuples, and the
-    rows built so far become tuples too.  Once a BFS row reaches 255, a row
-    of I might need 256, so I gets BFS runs as well."""
+    BFS runs only from the vertices outside a greedy independent set I.  A
+    shortest path from a member v of I to any other vertex leaves v through
+    a neighbour, so v's row is one plus the lane-wise least of its
+    neighbours' rows (``_least_rows``), with its own entry 0.  Each BFS row
+    is converted as soon as it is finished, so one list row is alive at a
+    time.  Rows are ``bytes`` until a distance reaches 256; that row and
+    every later one are tuples, and the rows built so far become tuples
+    too.  Once a BFS row reaches 255, a row of I might need 256, so I gets
+    BFS runs as well."""
     independent = _independent_set(n, adjacency)
     inside = set(independent)
     rows: list[Row | None] = [None] * n
@@ -162,49 +167,45 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
                 rows[source] = tuple(dist)
 
     run([v for v in range(n) if v not in inside])
-    if highest < 255:
-        _rows_from_neighbours(rows, adjacency, independent)
-    else:
+    if highest >= 255:
         run(independent)
+        return tuple(rows)
+    ones = int.from_bytes(b"\x01" * n, "little")
+    groups = ([rows[w] for w in adjacency[v]] for v in independent)
+    for v, nearest in zip(independent, _least_rows(groups, n)):
+        rows[v] = (nearest + ones - (2 << 8 * v)).to_bytes(n, "little")
     return tuple(rows)
 
 
-def _rows_from_neighbours(rows: list, adjacency: tuple[tuple[int, ...], ...],
-                          members: list[int]) -> None:
-    """Fill the byte row of each member, no two of them adjacent, from the
-    rows of its neighbours, whose distances are below 255.
-
-    A shortest path from v to any other vertex leaves v through a neighbour,
-    so v's row is one plus the lane-wise least of its neighbours' rows, with
-    its own entry 0."""
-    n = len(rows)
-    least = _lane_least(n)
-    ones = int.from_bytes(b"\x01" * n, "little")
-    for v in members:
-        first, *others = adjacency[v]
-        nearest = int.from_bytes(rows[first], "little")
-        for w in others:
-            nearest = least(nearest, int.from_bytes(rows[w], "little"))
-        rows[v] = (nearest + ones - (2 << 8 * v)).to_bytes(n, "little")
-
-
-def _lane_least(width: int) -> Callable[[int, int], int]:
-    """The lane-wise least of two rows of ``width`` bytes, each read as a
-    little-endian integer with one byte lane per entry.  All lanes are
-    compared at once (Lamport, *Multiple byte processing with full-word
-    instructions*, CACM 1975), so a row costs a few big-integer operations
-    and no Python step per entry."""
+def _least_rows(groups: Iterable[Iterable[bytes]], width: int) -> Iterator[int]:
+    """For each nonempty group of byte rows of ``width`` bytes, their
+    lane-wise least, as a little-endian integer with one byte lane per
+    entry.  All lanes are compared at once (Lamport, *Multiple byte
+    processing with full-word instructions*, CACM 1975), so a row costs a
+    few big-integer operations and no Python step per entry."""
     top = int.from_bytes(b"\x80" * width, "little")
     rest = top - (top >> 7)  # the low 7 bits of every lane
+    for group in groups:
+        rows = iter(group)
+        x = int.from_bytes(next(rows), "little")
+        for row in rows:
+            y = int.from_bytes(row, "little")
+            # the top bit of each lane where x >= y: x's top bit is set and
+            # y's is not, or both agree and x's low 7 bits are no less, which
+            # (x | top) - (y & rest) shows without borrowing across lanes
+            ge = ((x & ~y) | (~(x ^ y) & ((x | top) - (y & rest)))) & top
+            x ^= (x ^ y) & (ge | ge - (ge >> 7))  # y in those lanes
+        yield x
 
-    def least(x: int, y: int) -> int:
-        # the top bit of each lane where x >= y: x's top bit is set and y's
-        # is not, or both agree and x's low 7 bits are no less, which
-        # (x | top) - (y & rest) shows without borrowing across lanes
-        ge = ((x & ~y) | (~(x ^ y) & ((x | top) - (y & rest)))) & top
-        return x ^ (x ^ y) & (ge | ge - (ge >> 7))  # y in those lanes
 
-    return least
+def _edge_rows(g: Graph) -> list[Row]:
+    """One row per edge j = ab of g: d(v, e_j) = min(d(v, a), d(v, b)) for
+    every vertex v, of the type of g's rows."""
+    d, n = g.distances, g.n
+    if isinstance(d[0], bytes):
+        lows = _least_rows(((d[a], d[b]) for a, b in g.edges), n)
+        return [low.to_bytes(n, "little") for low in lows]
+    return [tuple(map(min, d[a], d[b])) for a, b in g.edges]
 
 
 @cache
@@ -222,35 +223,29 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> 
     base edges e != f; or None when base's rows are not bytes or hold a
     distance that some map takes past 255.
 
-    Row n + j, of base edge j = ab, is the lane-wise least of base rows a
-    and b, the distances d(., e_j), then the lane-wise least of the
-    vertex-edge rows of a and b.  The vertex-edge row of x, d(x, .), is
-    column x of the former, taken by a strided slice; row x of a base
-    vertex is its base row, then its vertex-edge row.  Each block is mapped
-    by its translate table, and the own entry is set to 0."""
+    Row n + j, of base edge e_j, is d(., e_j) (``_edge_rows``), then the
+    lane-wise least of the vertex-edge rows of e_j's ends.  Those rows are
+    joined into one blob, so row j is a slice of it and the vertex-edge
+    row of x, d(x, .), is column x, a strided slice; row x of a base vertex
+    is its base row, then its vertex-edge row.  Each block is mapped by its
+    translate table, and the own entry is set to 0."""
     fits, (vertex_map, split_map, pair_map) = _affine_maps(scale, offsets)
     rows, n, m = base.distances, base.n, base.m
     # deleting the distances that fit leaves a byte only in a row holding one too large
     if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
         return None
-    least_n, least_m = _lane_least(n), _lane_least(m)
-
-    def lower(least: Callable[[int, int], int], width: int, x: bytes, y: bytes) -> bytes:
-        low = least(int.from_bytes(x, "little"), int.from_bytes(y, "little"))
-        return low.to_bytes(width, "little")
+    blob = b"".join(_edge_rows(base))
 
     def joined(i: int, head: bytes, head_map: bytes, tail: bytes, tail_map: bytes) -> bytes:
         row = bytearray(head.translate(head_map) + tail.translate(tail_map))
         row[i] = 0
         return bytes(row)
 
-    near = b"".join([lower(least_n, n, rows[a], rows[b]) for a, b in base.edges])
-    vertex_edge = [near[x::n] for x in range(n)]
-    del near  # recomputed per split below, so one transient list of rows is alive
-    table = [joined(x, row, vertex_map, vertex_edge[x], split_map) for x, row in enumerate(rows)]
-    for j, (a, b) in enumerate(base.edges):
-        table.append(joined(n + j, lower(least_n, n, rows[a], rows[b]), split_map,
-                            lower(least_m, m, vertex_edge[a], vertex_edge[b]), pair_map))
+    table = [joined(x, row, vertex_map, blob[x::n], split_map) for x, row in enumerate(rows)]
+    pairs = _least_rows(((blob[a::n], blob[b::n]) for a, b in base.edges), m)
+    for j, pair in enumerate(pairs):
+        table.append(joined(n + j, blob[n * j:n * j + n], split_map,
+                            pair.to_bytes(m, "little"), pair_map))
     return tuple(table)
 
 

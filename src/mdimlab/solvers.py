@@ -64,7 +64,7 @@ from .errors import (
     NotABasisError,
     SearchBudgetExceededError,
 )
-from .graph import Graph
+from .graph import Graph, _edge_rows
 from .transforms import DerivedGraph
 
 DIM = "dim"
@@ -153,12 +153,10 @@ def forced_vertices_mdim(g: Graph) -> tuple[int, ...]:
 def _universe_columns(g: Graph, kind: str) -> list[Sequence[int]]:
     """Per-element distances to every vertex, over the kind's universe, each
     of the distance rows' type."""
-    d = g.distances
     if kind == DIM:
-        return list(d)
-    row = type(d[0])
-    edges = [row(map(min, d[a], d[b])) for a, b in g.edges]
-    return edges if kind == EDIM else list(d) + edges
+        return list(g.distances)
+    edges = _edge_rows(g)
+    return edges if kind == EDIM else list(g.distances) + edges
 
 
 def _mask_order(m: int) -> tuple[int, int]:

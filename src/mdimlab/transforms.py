@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import TooSmallError
-from .graph import Graph, _bfs, build_graph, edge_edge_distance, vertex_edge_distance
+from .graph import Graph, _bfs, _edge_rows, build_graph, edge_edge_distance
 
 ORIGINAL = "original"
 SUBDIVISION = "subdivision"
@@ -189,7 +189,7 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
     ds = [_bfs(sg.graph.n, sg.graph.adjacency, v) for v in range(sg.graph.n)]
     dm = [_bfs(mg.graph.n, mg.graph.adjacency, x) for x in range(n)]  # eq5 and eq6 read x < n
     xs, js, ks = range(n), range(m), range(sg.graph.m)
-    ve = [[vertex_edge_distance(base, x, j) for j in js] for x in xs]
+    ve = _edge_rows(base)  # ve[j][x] = d_G(x, e_j)
 
     def eq4_range(x, k):
         # the base edge S(G)-edge k arises from is the one its split end
@@ -199,7 +199,7 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
         a, b = sg.graph.edges[k]
         if b < n:
             return ()
-        d = 2 * ve[x][(a if a >= n else b) - n]
+        d = 2 * ve[(a if a >= n else b) - n][x]
         return d, d + 1
 
     def eq4_got(x, k):
@@ -210,7 +210,7 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
         ("eq1", n * n, product(xs, xs),
          lambda x, y: ds[x][y], lambda x, y: 2 * dg[x][y]),
         ("eq2", n * m, product(xs, js),
-         lambda x, j: ds[x][n + j], lambda x, j: 2 * ve[x][j] + 1),
+         lambda x, j: ds[x][n + j], lambda x, j: 2 * ve[j][x] + 1),
         ("eq3", m * (m - 1), permutations(js, 2),
          lambda e, f: ds[n + e][n + f], lambda e, f: 2 * edge_edge_distance(base, e, f) + 2),
         ("eq4", n * len(ks), product(xs, ks),
@@ -218,7 +218,7 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
         ("eq5", n * (n - 1), permutations(xs, 2),
          lambda x, y: dm[x][y], lambda x, y: dg[x][y] + 1),
         ("eq6", n * m, product(xs, js),
-         lambda x, j: dm[x][n + j], lambda x, j: 1 if x in base.edges[j] else ve[x][j] + 1),
+         lambda x, j: dm[x][n + j], lambda x, j: 1 if x in base.edges[j] else ve[j][x] + 1),
     )
     return IdentityReport(tuple(
         IdentityCheck(name, size, _first_bad(pairs, *rules)) for name, size, pairs, *rules in rows

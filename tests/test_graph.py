@@ -157,6 +157,7 @@ def test_distances_match_oracle(g, derive):
         g = derive(g).graph
     independent = graph._independent_set(g.n, g.adjacency)
     assert not any(set(g.adjacency[v]) & set(independent) for v in independent)
+    assert all(a < b for ns in g.adjacency for a, b in zip(ns, ns[1:]))
     oracle = oracle_distances(g.n, g.edges)
     for u in range(g.n):  # the rows of the independent set included
         assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
@@ -200,6 +201,52 @@ def test_distance_rows_at_the_lane_and_byte_boundaries(shape, diameter):
     oracle = oracle_distances(g.n, g.edges)
     for u in range(g.n):
         assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
+
+
+def test_least_rows_takes_every_byte_pair_at_once():
+    xs = bytes(a for a in range(256) for b in range(256))
+    ys = bytes(b for a in range(256) for b in range(256))
+    (low,) = graph._least_rows([(xs, ys)], 65536)
+    assert low.to_bytes(65536, "little") == bytes(map(min, xs, ys))
+
+
+def test_least_rows_passes_a_single_row_through():
+    row = bytes(range(255, -1, -1))
+    assert list(graph._least_rows([[row]], 256)) == [int.from_bytes(row, "little")]
+
+
+@st.composite
+def _row_groups(draw):
+    """A width and 1-4 groups of 1-5 random byte rows of that width."""
+    width = draw(st.integers(min_value=1, max_value=40))
+    row = st.binary(min_size=width, max_size=width)
+    return width, draw(st.lists(st.lists(row, min_size=1, max_size=5), min_size=1, max_size=4))
+
+
+@given(_row_groups())
+def test_least_rows_matches_the_bytewise_least(case):
+    width, groups = case
+    lows = [low.to_bytes(width, "little") for low in graph._least_rows(groups, width)]
+    assert lows == [bytes(map(min, zip(*group))) for group in groups]
+
+
+def _assert_edge_rows(g):
+    rows = graph._edge_rows(g)
+    assert len(rows) == g.m
+    assert {type(row) for row in rows} == {type(g.distances[0])}
+    for j in range(g.m):
+        assert list(rows[j]) == [vertex_edge_distance(g, v, j) for v in range(g.n)]
+
+
+@given(connected_graphs(), st.sampled_from([None, subdivision, middle, total]))
+def test_edge_rows_match_vertex_edge_distance(g, derive):
+    _assert_edge_rows(g if derive is None else derive(g).graph)
+
+
+def test_edge_rows_of_tuple_rows_match_vertex_edge_distance():
+    g = path_graph(257)
+    assert type(g.distances[0]) is tuple
+    _assert_edge_rows(g)
 
 
 def _counting_bfs(monkeypatch):

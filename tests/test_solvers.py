@@ -353,6 +353,29 @@ def test_resolving_tests_match_oracle_on_every_witness(g):
     assert outcomes == {True, False}
 
 
+def _c4_with_tail_of_diameter_256():
+    """The 4-cycle 0-1-2-3 with a path of 254 edges hung on vertex 0."""
+    tail = [(0, 4)] + [(v, v + 1) for v in range(4, 257)]
+    return build_graph(258, [(0, 1), (1, 2), (2, 3), (0, 3), *tail])
+
+
+@pytest.mark.parametrize("g", [path_graph(257), _c4_with_tail_of_diameter_256()],
+                         ids=["path257", "c4-tail256"])
+def test_resolving_tests_match_oracle_on_tuple_rows(g):
+    assert {type(row) for row in g.distances} == {tuple}
+    leaf = g.n - 1
+    outcomes = set()
+    for kind, resolves in RESOLVING_TESTS.items():
+        masks = _separator_masks(g, kind)
+        for witness in ([0], [1], [leaf], [0, leaf], [1, 2, leaf]):
+            expected = oracle_is_resolving(g.n, g.edges, witness, kind)
+            assert resolves(g, witness) == expected, (kind, witness)
+            hits = sum(1 << v for v in witness)
+            assert all(mask & hits for mask in masks) == expected, (kind, witness)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_library_budgets_below_one_still_raise():
     # the command line refuses such budgets; the library keeps counting nodes
     for budget in (0, -1):
