@@ -5,10 +5,13 @@ sorted tuple of pairs (u, v) with u < v; the position of a pair in that
 tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction and shared read-only, so distance queries are table
-lookups.  BFS runs from every vertex outside a greedy independent set;
-each vertex of the set takes one plus the least of its neighbours' rows.
-The subdivision, middle and total graphs of ``transforms`` take no BFS:
-their tables are read off the base graph's (``_table_from_base``).  Every
+lookups.  One BFS gives a BFS tree, and a vertex below one of its
+bridges takes its parent's row plus or minus one per entry.  BFS runs
+from the other vertices outside a greedy independent set, and each vertex
+of the set takes one plus the least of its neighbours' rows, so a tree
+takes one BFS.  The subdivision, middle and total graphs of
+``transforms`` take no BFS: their tables are read off the base graph's
+(``_table_from_base``).  Every
 row read off other rows goes through one lane-wise least (``_least_rows``),
 and every row of vertex-edge distances d(., e) comes from ``_edge_rows``.
 All arithmetic is exact integer hop counts.
@@ -138,43 +141,149 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
     """Distance rows of a connected graph; DisconnectedError if the first
     BFS row misses a vertex.
 
-    BFS runs only from the vertices outside a greedy independent set I.  A
-    shortest path from a member v of I to any other vertex leaves v through
-    a neighbour, so v's row is one plus the lane-wise least of its
-    neighbours' rows (``_least_rows``), with its own entry 0.  Each BFS row
-    is converted as soon as it is finished, so one list row is alive at a
-    time.  Rows are ``bytes`` until a distance reaches 256; that row and
-    every later one are tuples, and the rows built so far become tuples
-    too.  Once a BFS row reaches 255, a row of I might need 256, so I gets
-    BFS runs as well."""
+    The first BFS runs from the first vertex outside a greedy independent
+    set I, and its row gives a BFS tree.  Across a bridge (p, c) of that
+    tree, d(c, x) = d(p, x) - 1 for x on c's side and + 1 elsewhere, so c's
+    row is p's row plus one in every lane minus two in the lanes of c's
+    subtree (``_bridge_sides``).  BFS runs from the other vertices outside
+    I, those whose tree edge to their parent is not a bridge.  A shortest
+    path from a member v of I to any other vertex leaves v through a
+    neighbour, so v's row is one plus the lane-wise least of its
+    neighbours' rows (``_least_rows``), with its own entry 0; members that
+    touch a bridge leave I, because their bridge child's row needs theirs
+    first, and that child needs no BFS.  So a tree takes one BFS, a
+    bridgeless graph n - |I|, and no graph more than n - |I|.
+
+    Rows are read across bridges only while every distance fits a byte,
+    which twice the first row's largest entry bounds; otherwise
+    ``_rows_by_bfs`` runs BFS from every vertex outside I."""
     independent = _independent_set(n, adjacency)
+    inside = set(independent)
+    root = next(v for v in range(n) if v not in inside)
+    first = _bfs(n, adjacency, root)
+    if -1 in first:
+        raise DisconnectedError("graph is not connected")
+    if 2 * max(first) > 255:
+        return _rows_by_bfs(n, adjacency, independent, root, first)
+    order, parent, sides = _bridge_sides(n, adjacency, first)
+    for c in order[1:]:
+        if sides[c]:
+            inside.discard(parent[c])
+    rows: list[bytes | None] = [None] * n
+    rows[root] = bytes(first)
+    ones = int.from_bytes(b"\x01" * n, "little")
+    for v in order[1:]:
+        if sides[v]:
+            lanes = bin(sides[v])[:1:-1].encode().translate(_TO_TWOS)
+            sides[v] = 0  # one mask fewer alive for each row added
+            row = int.from_bytes(rows[parent[v]], "little") + ones - int.from_bytes(lanes, "little")
+            rows[v] = row.to_bytes(n, "little")
+        elif v not in inside:
+            rows[v] = bytes(_bfs(n, adjacency, v))
+    _fill_from_neighbours(rows, adjacency, [v for v in independent if rows[v] is None], n)
+    return tuple(rows)
+
+
+# binary digits, least significant first, to a byte of 2 per bit that is set
+_TO_TWOS = bytes.maketrans(b"01", b"\x00\x02")
+
+
+def _bridge_sides(n: int, adjacency: tuple[tuple[int, ...], ...],
+                  dist: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The BFS order and tree parents given by a BFS row, and per vertex c
+    its subtree as an n-bit mask if c's tree edge to its parent is a
+    bridge, else 0.
+
+    A tree edge (p, c) is a bridge iff no non-tree edge leaves c's subtree
+    (Tarjan, *A note on finding the bridges of a graph*, IPL 1974).  The
+    tree's vertices are numbered in preorder, so c's subtree holds the
+    numbers pre[c] to pre[c] + size[c] - 1, and the least and greatest
+    number that the subtree's vertices reach by one edge other than (p, c)
+    show whether an edge leaves it.  The test takes O(n + m) steps on
+    small ints."""
+    order = sorted(range(n), key=dist.__getitem__)
+    parent, size = [-1] * n, [1] * n
+    for c in reversed(order[1:]):  # children before their parents
+        d = dist[c]
+        for w in adjacency[c]:  # the first neighbour one step nearer the root
+            if dist[w] < d:
+                parent[c] = w
+                size[w] += size[c]
+                break
+    pre, free = [0] * n, [1] * n  # free[p]: the number of p's next child
+    for c in order[1:]:
+        p = parent[c]
+        pre[c] = free[p]
+        free[p] += size[c]
+        free[c] = pre[c] + 1
+    low, high = pre[:], pre[:]
+    sides = [1 << v for v in range(n)]
+    for c in reversed(order[1:]):
+        p = parent[c]
+        lo, hi = low[c], high[c]  # what c's children reach
+        for w in adjacency[c]:
+            if w != p:
+                x = pre[w]
+                if x < lo:
+                    lo = x
+                elif x > hi:
+                    hi = x
+        if lo < low[p]:
+            low[p] = lo
+        if hi > high[p]:
+            high[p] = hi
+        sides[p] |= sides[c]
+        if lo < pre[c] or hi >= pre[c] + size[c]:
+            sides[c] = 0
+    sides[order[0]] = 0
+    return order, parent, sides
+
+
+def _rows_by_bfs(n: int, adjacency: tuple[tuple[int, ...], ...], independent: list[int],
+                 root: int, first: list[int]) -> tuple[Row, ...]:
+    """Distance rows by BFS from every vertex outside I, given the row of
+    the first of them, ``root``.
+
+    Each BFS row is converted as soon as it is finished, so one list row is
+    alive at a time.  Rows are ``bytes`` until a distance reaches 256; that
+    row and every later one are tuples, and the rows built so far become
+    tuples too.  Once a BFS row reaches 255, a row of I might need 256, so
+    I gets BFS runs as well; otherwise I's rows are read off their
+    neighbours' (``_fill_from_neighbours``)."""
     inside = set(independent)
     rows: list[Row | None] = [None] * n
     convert, highest = bytes, 0
 
-    def run(sources: list[int]) -> None:
+    def keep(source: int, dist: list[int]) -> None:
         nonlocal rows, convert, highest
-        for source in sources:
-            dist = _bfs(n, adjacency, source)
-            if highest == 0 and -1 in dist:  # highest is 0 only before the first row
-                raise DisconnectedError("graph is not connected")
-            highest = max(highest, max(dist))
-            try:
-                rows[source] = convert(dist)
-            except ValueError:  # a distance of 256 or more: no row fits a byte
-                convert = tuple
-                rows = [row if row is None else tuple(row) for row in rows]
-                rows[source] = tuple(dist)
+        highest = max(highest, max(dist))
+        try:
+            rows[source] = convert(dist)
+        except ValueError:  # a distance of 256 or more: no row fits a byte
+            convert = tuple
+            rows = [row if row is None else tuple(row) for row in rows]
+            rows[source] = tuple(dist)
 
-    run([v for v in range(n) if v not in inside])
+    keep(root, first)
+    for v in range(root + 1, n):
+        if v not in inside:
+            keep(v, _bfs(n, adjacency, v))
     if highest >= 255:
-        run(independent)
-        return tuple(rows)
-    ones = int.from_bytes(b"\x01" * n, "little")
-    groups = ([rows[w] for w in adjacency[v]] for v in independent)
-    for v, nearest in zip(independent, _least_rows(groups, n)):
-        rows[v] = (nearest + ones - (2 << 8 * v)).to_bytes(n, "little")
+        for v in independent:
+            keep(v, _bfs(n, adjacency, v))
+    else:
+        _fill_from_neighbours(rows, adjacency, independent, n)
     return tuple(rows)
+
+
+def _fill_from_neighbours(rows: list, adjacency: tuple[tuple[int, ...], ...],
+                          members: list[int], n: int) -> None:
+    """Set the row of each member of an independent set whose neighbours'
+    byte rows are all set: one plus their lane-wise least, own entry 0."""
+    ones = int.from_bytes(b"\x01" * n, "little")
+    groups = ([rows[w] for w in adjacency[v]] for v in members)
+    for v, nearest in zip(members, _least_rows(groups, n)):
+        rows[v] = (nearest + ones - (2 << 8 * v)).to_bytes(n, "little")
 
 
 def _least_rows(groups: Iterable[Iterable[bytes]], width: int) -> Iterator[int]:

@@ -15,8 +15,10 @@ from mdimlab import (
     gn_graph,
     middle,
     path_graph,
+    complete_graph,
     cycle_graph,
     random_tree,
+    star_graph,
     subdivision,
     total,
     vertex_edge_distance,
@@ -185,9 +187,12 @@ def test_distance_rows_are_bytes_below_diameter_256(g, row_type):
 def _c4_with_tail(diameter):
     """The 4-cycle 0-1-2-3 with a path of diameter - 2 edges hung on vertex 0.
 
-    Its far ends are vertex 2 and the path's leaf.  The leaf and vertex 1
-    join the independent set first, so vertex 2's BFS row spans the diameter;
-    on a path only the end vertices' rows do, and they are in the set."""
+    Its far ends are vertex 2 and the path's leaf.  The leaf and vertices 1
+    and 3 join the independent set first, so vertex 2 runs BFS and its row
+    spans the diameter; on a path only the end vertices' rows do, and they
+    are in the set.  Up to diameter 129 the tail's rows are read across its
+    bridges from vertex 0's BFS row; beyond that the tail's vertices outside
+    the set run BFS too."""
     tail = [(0, 4)] + [(v, v + 1) for v in range(4, diameter + 1)]
     return build_graph(diameter + 2, [(0, 1), (1, 2), (2, 3), (0, 3), *tail])
 
@@ -332,12 +337,80 @@ def test_derived_tables_at_the_byte_limits(monkeypatch, derive, n, bfs):
 
 @pytest.mark.parametrize("derive", [subdivision, middle, total])
 def test_bfs_runs_only_from_outside_the_independent_set(monkeypatch, derive):
-    # the derived graph's edge list taken through build_graph like any input
+    # the derived graph's edge list taken through build_graph like any input.
+    # S of a tree is a tree: one BFS.  M's bridges are the pendant edges to
+    # G's leaves, which are in I and only leave it; every edge of T lies on
+    # a triangle.  So M and T keep the n - |I| runs.
     derived = derive(random_tree(60, 3)).graph
     maxima = _counting_bfs(monkeypatch)
     g = build_graph(derived.n, derived.edges)
     independent = graph._independent_set(g.n, g.adjacency)
-    assert len(maxima) == g.n - len(independent) < 0.7 * g.n
+    runs = {subdivision: 1, middle: 59, total: 76}[derive]
+    assert len(maxima) == runs <= g.n - len(independent) < 0.7 * g.n
+
+
+def _bfs_runs(g):
+    """The BFS runs that building g's table anew takes, and the table."""
+    with pytest.MonkeyPatch.context() as patch:
+        maxima = _counting_bfs(patch)
+        rebuilt = build_graph(g.n, g.edges)
+    return len(maxima), rebuilt.distances
+
+
+def _assert_oracle_rows(g, rows):
+    oracle = oracle_distances(g.n, g.edges)
+    for u in range(g.n):
+        assert list(rows[u]) == [oracle[u][v] for v in range(g.n)]
+
+
+@given(st.integers(min_value=2, max_value=120), st.integers(min_value=0, max_value=2**30))
+def test_a_tree_takes_one_bfs(n, seed):
+    g = random_tree(n, seed)
+    runs, rows = _bfs_runs(g)
+    assert runs == 1
+    _assert_oracle_rows(g, rows)
+
+
+@pytest.mark.parametrize("g", [star_graph(40), random_tree(600, 1)], ids=["star40", "tree600"])
+def test_a_star_and_a_large_tree_take_one_bfs(g):
+    runs, rows = _bfs_runs(g)
+    assert runs == 1
+    assert {type(row) for row in rows} == {bytes}
+    _assert_oracle_rows(g, rows)
+
+
+@given(_with_pendant_paths())
+def test_bridges_take_no_more_bfs_runs_than_the_independent_set(g):
+    runs, rows = _bfs_runs(g)
+    assert runs <= g.n - len(graph._independent_set(g.n, g.adjacency))
+    _assert_oracle_rows(g, rows)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(100), cycle_graph(300),
+                               complete_graph(6), complete_graph(80)],
+                         ids=["C3", "C100", "C300", "K6", "K80"])
+def test_a_bridgeless_graph_takes_n_minus_the_independent_set(g):
+    runs, rows = _bfs_runs(g)
+    assert runs == g.n - len(graph._independent_set(g.n, g.adjacency))
+    _assert_oracle_rows(g, rows)
+
+
+# on a path the first vertex outside I is vertex 1, at n - 2 from the far
+# end: 2 * 127 fits a byte, 2 * 128 does not.  Without the bridges, BFS runs
+# from the vertices outside I, the odd ones and n - 2, and from every vertex
+# once a BFS row reaches 255.
+@pytest.mark.parametrize("n, runs, row_type", [
+    (129, 1, bytes),
+    (130, 65, bytes),
+    (256, 128, bytes),
+    (257, 257, tuple),
+])
+def test_rows_are_read_across_bridges_only_below_the_byte_bound(n, runs, row_type):
+    g = path_graph(n)
+    bfs_runs, rows = _bfs_runs(g)
+    assert bfs_runs == runs
+    assert {type(row) for row in rows} == {row_type}
+    _assert_oracle_rows(g, rows)
 
 
 def _two_trees_and_a_cycle():
