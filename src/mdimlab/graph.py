@@ -11,10 +11,13 @@ from the other vertices outside a greedy independent set, and each vertex
 of the set takes one plus the least of its neighbours' rows, so a tree
 takes one BFS.  The subdivision, middle and total graphs of
 ``transforms`` take no BFS: their tables are read off the base graph's
-(``_table_from_base``).  Every
-row read off other rows goes through one lane-wise least (``_least_rows``),
-and every row of vertex-edge distances d(., e) comes from ``_edge_rows``.
-All arithmetic is exact integer hop counts.
+table and its vertex-edge and edge-edge blocks, d(x, e) and d(e, f)
+(``_table_from_base``).  A graph computes each block once, on first use
+(``Graph._vertex_edge`` and ``Graph._edge_edge``), and keeps it for as
+long as the graph lives, so S, M and T, the solvers' edge columns and the
+resolving tests read one copy.  Every row read off other rows goes
+through one lane-wise least (``_least_rows``).  All arithmetic is exact
+integer hop counts.
 
 A disconnected input is rejected after at most one BFS: fewer than n - 1
 distinct edges fail before any table is allocated, and otherwise the first
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, GraphError, LoopEdgeError, TooSmallError
@@ -41,7 +44,11 @@ class Graph:
     ``distances[u][v]`` is the hop distance from u to v.  Every row is
     ``bytes`` (one byte per entry) when the diameter is below 256, and every
     row is a tuple of ints otherwise; rows are only indexed and iterated, so
-    the two read alike."""
+    the two read alike.
+
+    The vertex-edge and edge-edge blocks of the metric are computed on first
+    use and kept in the instance's ``__dict__``; equality and hashing see
+    only the fields."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -65,6 +72,25 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+    @cached_property
+    def _vertex_edge(self) -> bytes | tuple[tuple[int, ...], ...]:
+        """d(x, e_j) = min(d(x, a), d(x, b)) for every vertex x and edge
+        e_j = ab.  For byte rows, one blob of m rows of n bytes: edge j's row
+        is ``blob[n * j:n * j + n]`` and vertex x's column ``blob[x::n]``;
+        otherwise one tuple row per edge."""
+        d, n = self.distances, self.n
+        if isinstance(d[0], bytes):
+            return _joined(_least_rows(((d[a], d[b]) for a, b in self.edges), n), n, self.m)
+        return tuple(tuple(map(min, d[a], d[b])) for a, b in self.edges)
+
+    @cached_property
+    def _edge_edge(self) -> bytes:
+        """For byte rows only, d(e_j, e_k) for every pair of edges, 0 where
+        they meet, as one blob of m rows of m bytes: edge j = ab's row is the
+        lane-wise least of the columns of a and b in ``_vertex_edge``."""
+        blob, n, m = self._vertex_edge, self.n, self.m
+        return _joined(_least_rows(((blob[a::n], blob[b::n]) for a, b in self.edges), m), m, m)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], *,
@@ -307,14 +333,22 @@ def _least_rows(groups: Iterable[Iterable[bytes]], width: int) -> Iterator[int]:
         yield x
 
 
+def _joined(rows: Iterable[int], width: int, count: int) -> bytes:
+    """``count`` rows, each a little-endian int of ``width`` byte lanes, as
+    one blob; written in place, so no list of row objects is held."""
+    out = bytearray(width * count)
+    for i, row in enumerate(rows):
+        out[width * i:width * i + width] = row.to_bytes(width, "little")
+    return bytes(out)
+
+
 def _edge_rows(g: Graph) -> list[Row]:
     """One row per edge j = ab of g: d(v, e_j) = min(d(v, a), d(v, b)) for
-    every vertex v, of the type of g's rows."""
-    d, n = g.distances, g.n
-    if isinstance(d[0], bytes):
-        lows = _least_rows(((d[a], d[b]) for a, b in g.edges), n)
-        return [low.to_bytes(n, "little") for low in lows]
-    return [tuple(map(min, d[a], d[b])) for a, b in g.edges]
+    every vertex v, of the type of g's rows, read off ``g._vertex_edge``."""
+    rows, n = g._vertex_edge, g.n
+    if isinstance(rows, bytes):
+        return [rows[i:i + n] for i in range(0, len(rows), n)]
+    return list(rows)
 
 
 @cache
@@ -332,18 +366,18 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> 
     base edges e != f; or None when base's rows are not bytes or hold a
     distance that some map takes past 255.
 
-    Row n + j, of base edge e_j, is d(., e_j) (``_edge_rows``), then the
-    lane-wise least of the vertex-edge rows of e_j's ends.  Those rows are
-    joined into one blob, so row j is a slice of it and the vertex-edge
-    row of x, d(x, .), is column x, a strided slice; row x of a base vertex
-    is its base row, then its vertex-edge row.  Each block is mapped by its
+    Row n + j, of base edge e_j, is its row of base's vertex-edge block,
+    then its row of base's edge-edge block (``Graph._vertex_edge`` and
+    ``Graph._edge_edge``, computed once per base for all three graphs);
+    row x of a base vertex is its base row, then its column of the
+    vertex-edge block, a strided slice.  Each block is mapped by its
     translate table, and the own entry is set to 0."""
     fits, (vertex_map, split_map, pair_map) = _affine_maps(scale, offsets)
     rows, n, m = base.distances, base.n, base.m
     # deleting the distances that fit leaves a byte only in a row holding one too large
     if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
         return None
-    blob = b"".join(_edge_rows(base))
+    blob, pairs = base._vertex_edge, base._edge_edge
 
     def joined(i: int, head: bytes, head_map: bytes, tail: bytes, tail_map: bytes) -> bytes:
         row = bytearray(head.translate(head_map) + tail.translate(tail_map))
@@ -351,10 +385,9 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> 
         return bytes(row)
 
     table = [joined(x, row, vertex_map, blob[x::n], split_map) for x, row in enumerate(rows)]
-    pairs = _least_rows(((blob[a::n], blob[b::n]) for a, b in base.edges), m)
-    for j, pair in enumerate(pairs):
+    for j in range(m):
         table.append(joined(n + j, blob[n * j:n * j + n], split_map,
-                            pair.to_bytes(m, "little"), pair_map))
+                            pairs[m * j:m * j + m], pair_map))
     return tuple(table)
 
 

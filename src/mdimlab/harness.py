@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -78,6 +79,12 @@ def dumps(payload: dict) -> str:
     return json.dumps({**payload, "version": TOOL_VERSION}, sort_keys=True, indent=2) + "\n"
 
 
+# a record's "edges" value in ``dumps`` text: a raw newline and indent occur
+# only between tokens, never inside a string, and records are the only
+# objects at this depth
+_EDGES_NUMBER = re.compile(r'(?<=\n      "edges": )\d+')
+
+
 @dataclass
 class TheoremCheck:
     theorem: str
@@ -119,14 +126,17 @@ class Report:
         return counts
 
     def to_json(self, timings: bool = False) -> str:
-        payload = {
-            "source": self.source,
-            "summary": self.summary,
-            "records": [r.to_dict(timings) for r in self.records],
-        }
+        """``dumps`` of the report.  The records of one instance share one
+        edge list, so each record carries the list's number instead, and
+        each list is encoded once, at the records' indent, into the text."""
+        lists = {id(r.edges): r.edges for r in self.records}
+        number = {key: i for i, key in enumerate(lists)}
+        records = [{**r.to_dict(timings), "edges": number[id(r.edges)]} for r in self.records]
+        payload = {"source": self.source, "summary": self.summary, "records": records}
         if self.extra is not None:
             payload["findings"] = self.extra
-        return dumps(payload)
+        encoded = [json.dumps(edges, indent=2).replace("\n", "\n      ") for edges in lists.values()]
+        return _EDGES_NUMBER.sub(lambda found: encoded[int(found[0])], dumps(payload))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -111,17 +111,23 @@ class PhiResult:
 def _resolves(g: Graph, kind: str, witness: Iterable[int]) -> bool:
     """True iff the witness gives the elements of the kind's universe pairwise
     distinct distance vectors.  One row per witness vertex: its distances to
-    the universe, vertices first, then edges, as in ``_universe_columns``."""
+    the universe, vertices first, then edges, as in ``_universe_columns``.
+    A vertex w's edge distances are column w of g's vertex-edge rows."""
     ws = sorted(set(witness))
     if not ws:
         raise GraphError("witness set must be nonempty")
     if ws[0] < 0 or ws[-1] >= g.n:
         raise GraphError("witness contains a vertex outside 0..n-1")
-    rows = []
-    for w in ws:
-        dw = g.distances[w]
-        edges = [] if kind == DIM else [min(dw[a], dw[b]) for a, b in g.edges]
-        rows.append(edges if kind == EDIM else [*dw, *edges])
+    if kind == DIM:
+        rows = [g.distances[w] for w in ws]
+    else:
+        block = g._vertex_edge
+        if isinstance(block, bytes):
+            rows = [block[w::g.n] for w in ws]
+        else:
+            rows = [tuple(row[w] for row in block) for w in ws]
+        if kind == MDIM:
+            rows = [g.distances[w] + edges for w, edges in zip(ws, rows)]
     return len(set(zip(*rows))) == len(rows[0])
 
 

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -17,6 +19,7 @@ from mdimlab import (
     path_graph,
     complete_graph,
     cycle_graph,
+    random_cactus,
     random_tree,
     star_graph,
     subdivision,
@@ -252,6 +255,59 @@ def test_edge_rows_of_tuple_rows_match_vertex_edge_distance():
     g = path_graph(257)
     assert type(g.distances[0]) is tuple
     _assert_edge_rows(g)
+
+
+def _assert_cached_blocks(g):
+    d, n, m = g.distances, g.n, g.m
+    fresh = [[min(d[a][x], d[b][x]) for x in range(n)] for a, b in g.edges]
+    block = g._vertex_edge
+    assert block is g._vertex_edge  # computed once, then read
+    if type(d[0]) is tuple:
+        assert [list(row) for row in block] == fresh
+        return
+    assert block == bytes(x for row in fresh for x in row)
+    assert g._edge_edge == bytes(edge_edge_distance(g, j, k) for j in range(m) for k in range(m))
+
+
+@given(connected_graphs(), st.sampled_from([None, subdivision, middle, total]))
+def test_cached_blocks_match_a_fresh_computation(g, derive):
+    _assert_cached_blocks(g if derive is None else derive(g).graph)
+
+
+def test_cached_blocks_of_tuple_rows_match_a_fresh_computation():
+    g = path_graph(257)
+    assert type(g.distances[0]) is tuple
+    _assert_cached_blocks(g)
+
+
+@pytest.mark.parametrize("base", [random_tree(60, 3), random_cactus(40, 6, 2)],
+                         ids=["tree60", "cactus40"])
+def test_s_m_and_t_compute_the_base_blocks_once(monkeypatch, base):
+    base = build_graph(base.n, base.edges)  # nothing cached yet
+    widths = []
+    least = graph._least_rows
+
+    def counting(groups, width):
+        return least((widths.append(width) or group for group in groups), width)
+
+    monkeypatch.setattr(graph, "_least_rows", counting)
+    for _ in range(2):
+        for derive in (subdivision, middle, total):
+            derive(base)
+    # one group per edge for the vertex-edge rows, one per edge for the edge-edge rows
+    assert sorted(widths) == sorted([base.n] * base.m + [base.m] * base.m)
+
+
+def test_the_cached_blocks_live_and_die_with_their_graph():
+    base = random_tree(60, 3)
+    derived = [derive(base) for derive in (subdivision, middle, total)]
+    assert {"_vertex_edge", "_edge_edge"} <= vars(base).keys()
+    twin = build_graph(base.n, base.edges)  # nothing cached
+    assert twin == base and hash(twin) == hash(base)
+    ref = weakref.ref(base)
+    del base, derived
+    gc.collect()
+    assert ref() is None
 
 
 def _counting_bfs(monkeypatch):

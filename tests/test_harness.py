@@ -200,6 +200,24 @@ def test_violated_and_full_instance_travel_in_json():
     assert payload["summary"]["violated"] == 1
 
 
+@pytest.mark.parametrize("timings", [False, True])
+def test_report_json_equals_dumps_of_every_record(timings):
+    # ids that spell the text an edge list's number is found by, and an explore
+    # report, whose findings hold objects of their own
+    instances = [Instance(id='x\n      "edges": 0', graph=cycle_graph(4)),
+                 Instance(id="x", graph=path_graph(3))]
+    reports = [run_checks(instances, theorems=["T3.1i", "E1-E6-identities"]),
+               explore(instances, target="mdim_eq_mdims")]
+    reports[0].records.append(TheoremCheck(theorem="T4.2", instance="y", status=SKIPPED,
+                                           values={"edges": 1}, n=2, edges=[]))
+    for report in reports:
+        payload = {"source": report.source, "summary": report.summary,
+                   "records": [r.to_dict(timings) for r in report.records]}
+        if report.extra is not None:
+            payload["findings"] = report.extra
+        assert report.to_json(timings) == harness.dumps(payload)
+
+
 def test_csv_has_one_row_per_check():
     inst = Instance(id="path:n=4", graph=path_graph(4))
     report = run_checks([inst], theorems=["T3.1i", "T4.1"])
