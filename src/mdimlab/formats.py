@@ -93,6 +93,10 @@ def emit_edge_list(g: Graph) -> bytes:
 # six-bit digits of the vertex count after zero, one or two '~'
 _COUNT_DIGITS = (1, 3, 6)
 _SIX_BITS = tuple(format(v, "06b") for v in range(64))
+# per six-bit digit, the offsets of its set bits, most significant first
+_SET_BITS = tuple(tuple(k for k, bit in enumerate(bits) if bit == "1") for bits in _SIX_BITS)
+_OUTSIDE_GRAPH6 = re.compile(rb"[^?-~]")
+_NONZERO_SIX = re.compile(rb"[^?]")
 
 
 def _bit_string(raw: bytes) -> str:
@@ -109,9 +113,10 @@ def parse_graph6(data: bytes | str) -> Graph:
     if not text:
         raise ParseError("empty graph6 input", position=0)
     raw = text.encode("ascii")
-    for pos, byte in enumerate(raw):
-        if not (63 <= byte <= 126):
-            raise ParseError(f"byte {byte} outside graph6 range 63..126", position=pos)
+    outside = _OUTSIDE_GRAPH6.search(raw)
+    if outside:
+        pos = outside.start()
+        raise ParseError(f"byte {raw[pos]} outside graph6 range 63..126", position=pos)
 
     # '~' and then a byte other than '~' opens the 18-bit count; '~~' or a
     # lone '~' opens the 36-bit one
@@ -127,18 +132,19 @@ def parse_graph6(data: bytes | str) -> Graph:
     if len(body) != bytes_needed:
         raise ParseError(f"adjacency body has {len(body)} bytes, expected {bytes_needed}",
                          position=len(raw) - 1)
-    bits = _bit_string(body)
-    if "1" in bits[bits_needed:]:
+    # the padding is the low 6 * bytes_needed - bits_needed bits of the last byte
+    if body and (body[-1] - 63) & ((1 << 6 * bytes_needed - bits_needed) - 1):
         raise ParseError("nonzero padding bits", position=len(raw) - 1)
 
     # bit k is the pair (i, j), i < j, with k = j(j - 1)/2 + i: the upper
-    # triangle in column order
+    # triangle in column order; a '?' byte carries no edge
     edges = []
-    k = bits.find("1")
-    while k >= 0:
-        j = (1 + isqrt(8 * k + 1)) // 2
-        edges.append((k - j * (j - 1) // 2, j))
-        k = bits.find("1", k + 1)
+    for nonzero in _NONZERO_SIX.finditer(body):
+        pos = nonzero.start()
+        for bit in _SET_BITS[body[pos] - 63]:
+            k = 6 * pos + bit
+            j = (1 + isqrt(8 * k + 1)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return build_graph(n, edges)
 
 

@@ -9,13 +9,17 @@ lookups.  One BFS gives a BFS tree, and a vertex below one of its
 bridges takes its parent's row plus or minus one per entry.  BFS runs
 from the other vertices outside a greedy independent set, and each vertex
 of the set takes one plus the least of its neighbours' rows, so a tree
-takes one BFS.  The subdivision, middle and total graphs of
-``transforms`` take no BFS: their tables are read off the base graph's
-table and its vertex-edge and edge-edge blocks, d(x, e) and d(e, f)
+takes one BFS.  Input graphs go through ``build_graph``, which normalises
+and checks an edge list.  The subdivision, middle and total graphs of
+``transforms`` are built as ``Graph`` directly, valid by construction,
+and take no BFS: their tables are read off the base graph's table and its
+vertex-edge and edge-edge blocks, d(x, e) and d(e, f)
 (``_table_from_base``).  A graph computes each block once, on first use
 (``Graph._vertex_edge`` and ``Graph._edge_edge``), and keeps it for as
 long as the graph lives, so S, M and T, the solvers' edge columns and the
-resolving tests read one copy.  Every row read off other rows goes
+resolving tests read one copy.  The two ends of an edge have rows that
+differ by at most one in every lane, so each block row is a lane-wise
+floor average (``_floor_means``); every other row read off other rows goes
 through one lane-wise least (``_least_rows``).  All arithmetic is exact
 integer hop counts.
 
@@ -39,7 +43,9 @@ Row = bytes | tuple[int, ...]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple connected undirected graph; construct via :func:`build_graph`.
+    """Simple connected undirected graph.  :func:`build_graph` makes one from
+    any edge list; ``transforms`` builds derived graphs field by field, in
+    the same canonical form.
 
     ``distances[u][v]`` is the hop distance from u to v.  Every row is
     ``bytes`` (one byte per entry) when the diameter is below 256, and every
@@ -81,7 +87,8 @@ class Graph:
         otherwise one tuple row per edge."""
         d, n = self.distances, self.n
         if isinstance(d[0], bytes):
-            return _joined(_least_rows(((d[a], d[b]) for a, b in self.edges), n), n, self.m)
+            rows = [int.from_bytes(row, "little") for row in d]
+            return _joined(_floor_means(((rows[a], rows[b]) for a, b in self.edges), n), n, self.m)
         return tuple(tuple(map(min, d[a], d[b])) for a, b in self.edges)
 
     @cached_property
@@ -90,20 +97,16 @@ class Graph:
         they meet, as one blob of m rows of m bytes: edge j = ab's row is the
         lane-wise least of the columns of a and b in ``_vertex_edge``."""
         blob, n, m = self._vertex_edge, self.n, self.m
-        return _joined(_least_rows(((blob[a::n], blob[b::n]) for a, b in self.edges), m), m, m)
+        columns = [int.from_bytes(blob[x::n], "little") for x in range(n)]
+        return _joined(_floor_means(((columns[a], columns[b]) for a, b in self.edges), m), m, m)
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]], *,
-                _from_base: tuple[Graph, int, tuple[int, int, int]] | None = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Canonicalize and validate an edge list into a Graph.
 
     Pairs are normalized to u < v, deduplicated, and sorted; loops,
     out-of-range endpoints, fewer than two vertices, and disconnected
     inputs are rejected.
-
-    ``transforms`` passes ``_from_base`` when the edges are those of a
-    graph derived from a base graph, whose table is then read off the
-    base's (see ``_table_from_base``) instead of found by BFS.
     """
     if n < 2:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
@@ -125,11 +128,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], *,
     # already increasing: w's lower neighbours come from the edges (u, w),
     # which sort before the edges (w, v) that give its higher ones
     adjacency = tuple(map(tuple, neighbors))
-
-    distances = _table_from_base(*_from_base) if _from_base else None
-    if distances is None:
-        distances = _all_pairs_bfs(n, adjacency)
-    return Graph(n=n, edges=sorted_edges, adjacency=adjacency, distances=distances)
+    return Graph(n=n, edges=sorted_edges, adjacency=adjacency,
+                 distances=_all_pairs_bfs(n, adjacency))
 
 
 def _bfs(n: int, adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
@@ -331,6 +331,18 @@ def _least_rows(groups: Iterable[Iterable[bytes]], width: int) -> Iterator[int]:
             ge = ((x & ~y) | (~(x ^ y) & ((x | top) - (y & rest)))) & top
             x ^= (x ^ y) & (ge | ge - (ge >> 7))  # y in those lanes
         yield x
+
+
+def _floor_means(pairs: Iterable[tuple[int, int]], width: int) -> Iterator[int]:
+    """For each pair of little-endian integers with ``width`` byte lanes
+    whose lanes differ by at most one, as the rows of two adjacent vertices
+    do, their lane-wise least.  That is the floor of the mean,
+    (x & y) + ((x ^ y) >> 1) lane by lane, where masking each lane's top bit
+    drops the low bit that the shift moves in from the lane above, and no
+    lane carries, since the sum is at most the larger entry."""
+    low = int.from_bytes(b"\x7f" * width, "little")
+    for x, y in pairs:
+        yield (x & y) + ((x ^ y) >> 1 & low)
 
 
 def _joined(rows: Iterable[int], width: int, count: int) -> bytes:

@@ -16,9 +16,12 @@ and an end of f:
   M(G):  d(x, y) + 1, d(x, e) + 1,     d(e, f) + 1     (x != y)
   T(G):  d(x, y),     d(x, e) + 1,     d(e, f) + 1
 
-so ``build_graph`` reads each derived table off the base graph's byte rows,
-with no BFS on the derived graph, whenever every such distance fits a
-byte, and otherwise runs BFS as for any other graph.
+so each derived table is read off the base graph's byte rows, with no BFS
+on the derived graph, whenever every such distance fits a byte, and is
+otherwise found by BFS as for any other graph.  The derived graph itself
+is built in canonical form straight from the base's incidence lists (the
+edges at each base vertex), not passed through ``build_graph``: its
+edges, adjacency and edge classes come out sorted by construction.
 ``check_distance_identities`` checks the S and M identities against BFS
 over the derived graph's adjacency, not against its stored table.
 """
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import TooSmallError
-from .graph import Graph, _bfs, _edge_rows, build_graph, edge_edge_distance
+from .graph import (Graph, _all_pairs_bfs, _bfs, _edge_rows, _table_from_base, build_graph,
+                    edge_edge_distance)
 
 ORIGINAL = "original"
 SUBDIVISION = "subdivision"
@@ -70,59 +74,75 @@ _MIDDLE_DISTANCES = (1, (1, 1, 1))
 _TOTAL_DISTANCES = (1, (0, 1, 1))
 
 
-def _assemble(base: Graph, classed_edges: dict[tuple[int, int], str],
-              distances: tuple[int, tuple[int, int, int]]) -> DerivedGraph:
-    graph = build_graph(base.n + base.m, classed_edges.keys(), _from_base=(base, *distances))
-    edge_classes = tuple(classed_edges[e] for e in graph.edges)
-    return DerivedGraph(graph=graph, base_n=base.n, edge_classes=edge_classes)
+def _incidence(base: Graph, first: int) -> list[list[int]]:
+    """Per base vertex v, first + j for each base edge j at v, ascending."""
+    at: list[list[int]] = [[] for _ in range(base.n)]
+    for j, (u, w) in enumerate(base.edges, start=first):
+        at[u].append(j)
+        at[w].append(j)
+    return at
 
 
-def _split_edges(base: Graph) -> dict[tuple[int, int], str]:
-    n = base.n
-    out: dict[tuple[int, int], str] = {}
-    for j, (u, w) in enumerate(base.edges):
-        out[(u, n + j)] = S_EDGE
-        out[(w, n + j)] = S_EDGE
-    return out
+def _derive(base: Graph, distances: tuple[int, tuple[int, int, int]],
+            ledges: bool, originals: bool) -> DerivedGraph:
+    """S(G), plus the ledges for M(G), plus the base edges for T(G), in
+    canonical form straight from base's incidence lists, with no sort.
 
-
-def _incident_pairs(base: Graph):
-    """Pairs of base edge indices sharing an endpoint, each pair once."""
-    ids = {e: j for j, e in enumerate(base.edges)}
-    for v in range(base.n):
-        incident = sorted(ids[(v, w) if v < w else (w, v)] for w in base.adjacency[v])
-        yield from combinations(incident, 2)
+    Base vertex u lists its higher base neighbours (T only), then the splits
+    of its edges, ascending, so its edges (u, v), u < v, come in order; the
+    ledges (s, t), s < t, follow by s and then t.  Split s of edge ab is
+    adjacent to a, b and the splits of the other edges at a or b, which in
+    a simple graph share no edge but ab."""
+    n, N = base.n, base.n + base.m
+    at = _incidence(base, n)  # at[v]: the splits adjacent to base vertex v
+    edges: list[tuple[int, int]] = []
+    classes: list[str] = []
+    adjacency: list[tuple[int, ...]] = []
+    for u, splits in enumerate(at):
+        if originals:
+            higher = [(u, v) for v in base.adjacency[u] if v > u]
+            edges += higher
+            classes += [ORIGINAL_EDGE] * len(higher)
+            adjacency.append(base.adjacency[u] + tuple(splits))
+        else:
+            adjacency.append(tuple(splits))
+        edges += [(u, s) for s in splits]
+        classes += [S_EDGE] * len(splits)
+    for s, (a, b) in enumerate(base.edges, start=n):
+        if ledges:
+            near = [t for t in sorted(at[a] + at[b]) if t != s]
+            edges += [(s, t) for t in near if t > s]
+            adjacency.append((a, b, *near))
+        else:
+            adjacency.append((a, b))
+    classes += [L_EDGE] * (len(edges) - len(classes))
+    neighbours = tuple(adjacency)
+    table = _table_from_base(base, *distances)
+    graph = Graph(n=N, edges=tuple(edges), adjacency=neighbours,
+                  distances=_all_pairs_bfs(N, neighbours) if table is None else table)
+    return DerivedGraph(graph=graph, base_n=n, edge_classes=tuple(classes))
 
 
 def subdivision(base: Graph) -> DerivedGraph:
     """Replace every edge by a length-2 path through a new vertex."""
-    return _assemble(base, _split_edges(base), _SUBDIVISION_DISTANCES)
-
-
-def _middle_edges(base: Graph) -> dict[tuple[int, int], str]:
-    n = base.n
-    classed = _split_edges(base)
-    for i, j in _incident_pairs(base):
-        classed[(n + i, n + j)] = L_EDGE
-    return classed
+    return _derive(base, _SUBDIVISION_DISTANCES, ledges=False, originals=False)
 
 
 def middle(base: Graph) -> DerivedGraph:
     """Subdivision plus edges between splits of incident base edges."""
-    return _assemble(base, _middle_edges(base), _MIDDLE_DISTANCES)
+    return _derive(base, _MIDDLE_DISTANCES, ledges=True, originals=False)
 
 
 def total(base: Graph) -> DerivedGraph:
     """Middle graph plus the base edges themselves."""
-    return _assemble(base, _middle_edges(base) | dict.fromkeys(base.edges, ORIGINAL_EDGE),
-                     _TOTAL_DISTANCES)
+    return _derive(base, _TOTAL_DISTANCES, ledges=True, originals=True)
 
 
 def line_graph(base: Graph) -> Graph:
     """Graph on the edge indices of the base, adjacent iff incident."""
     if base.m < 2:
         raise TooSmallError("line graph of a single edge has one vertex")
-    return build_graph(base.m, _incident_pairs(base))
+    return build_graph(base.m, (pair for at in _incidence(base, 0) for pair in combinations(at, 2)))
 
 
 @dataclass(frozen=True)

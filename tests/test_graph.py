@@ -223,6 +223,15 @@ def test_least_rows_passes_a_single_row_through():
     assert list(graph._least_rows([[row]], 256)) == [int.from_bytes(row, "little")]
 
 
+def test_floor_means_take_every_equal_and_neighbouring_byte_pair_at_once():
+    pairs = [(a, a) for a in range(256)] + [(a, a + 1) for a in range(255)]
+    pairs += [(a + 1, a) for a in range(255)]
+    xs, ys = bytes(x for x, _ in pairs), bytes(y for _, y in pairs)
+    width = len(pairs)
+    (low,) = graph._floor_means([(int.from_bytes(xs, "little"), int.from_bytes(ys, "little"))], width)
+    assert low.to_bytes(width, "little") == bytes(map(min, xs, ys))
+
+
 @st.composite
 def _row_groups(draw):
     """A width and 1-4 groups of 1-5 random byte rows of that width."""
@@ -285,16 +294,16 @@ def test_cached_blocks_of_tuple_rows_match_a_fresh_computation():
 def test_s_m_and_t_compute_the_base_blocks_once(monkeypatch, base):
     base = build_graph(base.n, base.edges)  # nothing cached yet
     widths = []
-    least = graph._least_rows
+    means = graph._floor_means
 
-    def counting(groups, width):
-        return least((widths.append(width) or group for group in groups), width)
+    def counting(pairs, width):
+        return means((widths.append(width) or pair for pair in pairs), width)
 
-    monkeypatch.setattr(graph, "_least_rows", counting)
+    monkeypatch.setattr(graph, "_floor_means", counting)
     for _ in range(2):
         for derive in (subdivision, middle, total):
             derive(base)
-    # one group per edge for the vertex-edge rows, one per edge for the edge-edge rows
+    # one pair per edge for the vertex-edge rows, one per edge for the edge-edge rows
     assert sorted(widths) == sorted([base.n] * base.m + [base.m] * base.m)
 
 

@@ -72,13 +72,13 @@ def test_gn_gap_check():
 
 def test_each_derived_graph_is_built_once_per_instance(monkeypatch):
     built = []
-    original = transforms.build_graph
+    original = transforms._derive
 
-    def counting_build_graph(n, edges, **options):
-        built.append(n)
-        return original(n, edges, **options)
+    def counting_derive(base, *args, **options):
+        built.append(base.n + base.m)
+        return original(base, *args, **options)
 
-    monkeypatch.setattr(transforms, "build_graph", counting_build_graph)
+    monkeypatch.setattr(transforms, "_derive", counting_derive)
     tree = list(enumerate_small_trees(6))[2]
     g5 = gn_graph(5)[0]
     report = run_checks([Instance(id="tree", graph=tree), Instance(id="gn:n=5", graph=g5)])
@@ -508,6 +508,27 @@ SINGLE_GRAPH_COMMANDS = {
     "solve": (["--kind", "mdim", "--derived", "s"],
               "248061aac03a8faad30f68684a1a8bdbf238210471d57fb70928c930c93d4edb"),
 }
+
+
+TRANSFORM_JSON = {
+    # sha256 of the whole `transform --format json` output
+    ("gn:n=5", "s"): "e8dd23568c6020dd14f56219aa23da67ece70768428934606c9fa75291093f55",
+    ("gn:n=5", "m"): "fcdc71fdfc36277a6eceaffc2d54041ce7a318c6e8da37c8bd691688a0eeccbe",
+    ("gn:n=5", "t"): "5c852814e8c2bde982622bc6d19ba405b622796b24679d2c1b9ee6cca275057f",
+    ("random_cactus:n=30,cycles=5,seed=1", "s"):
+        "fa58072b7b60c03ed5f03598e375e83cdb7c675645e33741e70a77b5b1b60799",
+    ("random_cactus:n=30,cycles=5,seed=1", "m"):
+        "611328c8d34f274b7806fa65260678d2c999e929258709f5a410b8d81acc2b27",
+    ("random_cactus:n=30,cycles=5,seed=1", "t"):
+        "780b008a37717bb8dd8a4077461b425abf1b707f32ec889ce52be89da3a003c9",
+}
+
+
+@pytest.mark.parametrize(("family", "derived"), sorted(TRANSFORM_JSON))
+def test_transform_json_bytes_are_pinned(family, derived, capsys):
+    assert main(["transform", "--family", family, "--derived", derived, "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == TRANSFORM_JSON[family, derived]
 
 
 @pytest.mark.parametrize("command", sorted(SINGLE_GRAPH_COMMANDS))

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -113,6 +114,46 @@ def test_subdivision_is_bipartite(g):
 def test_subdivision_spans_middle_and_total(g):
     s_edges = set(subdivision(g).graph.edges)
     assert s_edges <= set(middle(g).graph.edges) <= set(total(g).graph.edges)
+
+
+def _classes_by_dict(g, derive):
+    """Edge classes from a dict keyed by edge, in sorted edge order."""
+    n = g.n
+    classed = {}
+    for j, (u, w) in enumerate(g.edges):
+        classed[(u, n + j)] = classed[(w, n + j)] = S_EDGE
+    if derive is not subdivision:
+        for i, k in combinations(range(g.m), 2):
+            if set(g.edges[i]) & set(g.edges[k]):
+                classed[(n + i, n + k)] = L_EDGE
+    if derive is total:
+        classed.update(dict.fromkeys(g.edges, ORIGINAL_EDGE))
+    return tuple(classed[e] for e in sorted(classed))
+
+
+def _assert_built_as_from_edges(g):
+    for derive in (subdivision, middle, total):
+        dg = derive(g)
+        rebuilt = build_graph(dg.graph.n, dg.graph.edges)
+        for field in fields(rebuilt):
+            assert getattr(dg.graph, field.name) == getattr(rebuilt, field.name), field.name
+        assert dg.edge_classes == _classes_by_dict(g, derive)
+
+
+@given(connected_graphs())
+def test_derived_graphs_equal_their_edge_lists_through_build_graph(g):
+    _assert_built_as_from_edges(g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: path_graph(2),
+    lambda: path_graph(128),  # S's diameter is 254: its table is read off G's
+    lambda: path_graph(129),  # S's is 256: tuple rows by BFS
+    lambda: path_graph(257),  # G's own rows are tuples
+    lambda: gn_graph(5)[0],
+], ids=["K2", "P128", "P129", "P257", "G5"])
+def test_derived_graphs_equal_their_edge_lists_through_build_graph_at_the_limits(make):
+    _assert_built_as_from_edges(make())
 
 
 @given(connected_graphs(max_n=7))
