@@ -5,23 +5,20 @@ sorted tuple of pairs (u, v) with u < v; the position of a pair in that
 tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction and shared read-only, so distance queries are table
-lookups.  One BFS gives a BFS tree, and a vertex below one of its
-bridges takes its parent's row plus or minus one per entry.  BFS runs
-from the other vertices outside a greedy independent set, and each vertex
-of the set takes one plus the least of its neighbours' rows, so a tree
-takes one BFS.  Input graphs go through ``build_graph``, which normalises
-and checks an edge list.  The subdivision, middle and total graphs of
-``transforms`` are built as ``Graph`` directly, valid by construction,
-and take no BFS: their tables are read off the base graph's table and its
-vertex-edge and edge-edge blocks, d(x, e) and d(e, f)
-(``_table_from_base``).  A graph computes each block once, on first use
-(``Graph._vertex_edge`` and ``Graph._edge_edge``), and keeps it for as
-long as the graph lives, so S, M and T, the solvers' edge columns and the
-resolving tests read one copy.  The two ends of an edge have rows that
-differ by at most one in every lane, so each block row is a lane-wise
-floor average (``_floor_means``); every other row read off other rows goes
-through one lane-wise least (``_least_rows``).  All arithmetic is exact
-integer hop counts.
+lookups.  One BFS, from vertex 0, gives a BFS tree; a vertex below one of
+its bridges takes its parent's row plus or minus one per entry, and every
+other vertex runs BFS, so a tree takes one BFS.  Input graphs go through
+``build_graph``, which normalises and checks an edge list.  The
+subdivision, middle and total graphs of ``transforms`` are built as
+``Graph`` directly, valid by construction, and take no BFS: their tables
+are read off the base graph's table and its vertex-edge and edge-edge
+blocks, d(x, e) and d(e, f) (``_table_from_base``).  A graph computes each
+block once, on first use (``Graph._vertex_edge`` and
+``Graph._edge_edge``), and keeps it for as long as the graph lives, so S,
+M and T, the solvers' edge columns and the resolving tests read one copy.
+The two ends of an edge have rows that differ by at most one in every
+lane, so each block row is a lane-wise floor average (``_floor_means``).
+All arithmetic is exact integer hop counts.
 
 A disconnected input is rejected after at most one BFS: fewer than n - 1
 distinct edges fail before any table is allocated, and otherwise the first
@@ -150,63 +147,46 @@ def _bfs(n: int, adjacency: tuple[tuple[int, ...], ...], source: int) -> list[in
     return dist
 
 
-def _independent_set(n: int, adjacency: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Greedy independent set: by ascending degree, then by index, take each
-    vertex none of whose neighbours is taken yet."""
-    degree = list(map(len, adjacency))
-    taken, blocked = [], bytearray(n)
-    for v in sorted(range(n), key=degree.__getitem__):
-        if not blocked[v]:
-            taken.append(v)
-            for w in adjacency[v]:
-                blocked[w] = 1
-    return taken
-
-
 def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row, ...]:
     """Distance rows of a connected graph; DisconnectedError if the first
-    BFS row misses a vertex.
+    BFS row, from vertex 0, misses a vertex.
 
-    The first BFS runs from the first vertex outside a greedy independent
-    set I, and its row gives a BFS tree.  Across a bridge (p, c) of that
-    tree, d(c, x) = d(p, x) - 1 for x on c's side and + 1 elsewhere, so c's
-    row is p's row plus one in every lane minus two in the lanes of c's
-    subtree (``_bridge_sides``).  BFS runs from the other vertices outside
-    I, those whose tree edge to their parent is not a bridge.  A shortest
-    path from a member v of I to any other vertex leaves v through a
-    neighbour, so v's row is one plus the lane-wise least of its
-    neighbours' rows (``_least_rows``), with its own entry 0; members that
-    touch a bridge leave I, because their bridge child's row needs theirs
-    first, and that child needs no BFS.  So a tree takes one BFS, a
-    bridgeless graph n - |I|, and no graph more than n - |I|.
+    That row gives a BFS tree.  Across a bridge (p, c) of the tree,
+    d(c, x) = d(p, x) - 1 for x on c's side and + 1 elsewhere, so c's row is
+    p's row plus one in every lane minus two in the lanes of c's subtree
+    (``_bridge_sides``).  BFS runs from every other vertex.  So a tree takes
+    one BFS, a bridgeless graph n, and no graph more than n minus its bridge
+    tree edges.
 
     Rows are read across bridges only while every distance fits a byte,
-    which twice the first row's largest entry bounds; otherwise
-    ``_rows_by_bfs`` runs BFS from every vertex outside I."""
-    independent = _independent_set(n, adjacency)
-    inside = set(independent)
-    root = next(v for v in range(n) if v not in inside)
-    first = _bfs(n, adjacency, root)
+    which twice the first row's largest entry bounds; otherwise BFS runs
+    from every vertex.  Each BFS row is converted as soon as it is
+    finished, so one list row is alive at a time.  Rows are ``bytes`` until
+    a distance reaches 256; that row and every later one are tuples, and
+    the rows built so far become tuples too."""
+    first = _bfs(n, adjacency, 0)
     if -1 in first:
         raise DisconnectedError("graph is not connected")
     if 2 * max(first) > 255:
-        return _rows_by_bfs(n, adjacency, independent, root, first)
-    order, parent, sides = _bridge_sides(n, adjacency, first)
-    for c in order[1:]:
-        if sides[c]:
-            inside.discard(parent[c])
-    rows: list[bytes | None] = [None] * n
-    rows[root] = bytes(first)
-    ones = int.from_bytes(b"\x01" * n, "little")
-    for v in order[1:]:
+        order, parent, sides = range(n), [], [0] * n
+    else:
+        order, parent, sides = _bridge_sides(n, adjacency, first)
+    rows: list[Row] = [b""] * n
+    convert, ones = bytes, int.from_bytes(b"\x01" * n, "little")
+    for v in order:
         if sides[v]:
             lanes = bin(sides[v])[:1:-1].encode().translate(_TO_TWOS)
             sides[v] = 0  # one mask fewer alive for each row added
             row = int.from_bytes(rows[parent[v]], "little") + ones - int.from_bytes(lanes, "little")
             rows[v] = row.to_bytes(n, "little")
-        elif v not in inside:
-            rows[v] = bytes(_bfs(n, adjacency, v))
-    _fill_from_neighbours(rows, adjacency, [v for v in independent if rows[v] is None], n)
+            continue
+        dist = first if v == 0 else _bfs(n, adjacency, v)
+        try:
+            rows[v] = convert(dist)
+        except ValueError:  # a distance of 256 or more: no row fits a byte
+            convert = tuple
+            rows = list(map(tuple, rows))
+            rows[v] = tuple(dist)
     return tuple(rows)
 
 
@@ -263,74 +243,6 @@ def _bridge_sides(n: int, adjacency: tuple[tuple[int, ...], ...],
             sides[c] = 0
     sides[order[0]] = 0
     return order, parent, sides
-
-
-def _rows_by_bfs(n: int, adjacency: tuple[tuple[int, ...], ...], independent: list[int],
-                 root: int, first: list[int]) -> tuple[Row, ...]:
-    """Distance rows by BFS from every vertex outside I, given the row of
-    the first of them, ``root``.
-
-    Each BFS row is converted as soon as it is finished, so one list row is
-    alive at a time.  Rows are ``bytes`` until a distance reaches 256; that
-    row and every later one are tuples, and the rows built so far become
-    tuples too.  Once a BFS row reaches 255, a row of I might need 256, so
-    I gets BFS runs as well; otherwise I's rows are read off their
-    neighbours' (``_fill_from_neighbours``)."""
-    inside = set(independent)
-    rows: list[Row | None] = [None] * n
-    convert, highest = bytes, 0
-
-    def keep(source: int, dist: list[int]) -> None:
-        nonlocal rows, convert, highest
-        highest = max(highest, max(dist))
-        try:
-            rows[source] = convert(dist)
-        except ValueError:  # a distance of 256 or more: no row fits a byte
-            convert = tuple
-            rows = [row if row is None else tuple(row) for row in rows]
-            rows[source] = tuple(dist)
-
-    keep(root, first)
-    for v in range(root + 1, n):
-        if v not in inside:
-            keep(v, _bfs(n, adjacency, v))
-    if highest >= 255:
-        for v in independent:
-            keep(v, _bfs(n, adjacency, v))
-    else:
-        _fill_from_neighbours(rows, adjacency, independent, n)
-    return tuple(rows)
-
-
-def _fill_from_neighbours(rows: list, adjacency: tuple[tuple[int, ...], ...],
-                          members: list[int], n: int) -> None:
-    """Set the row of each member of an independent set whose neighbours'
-    byte rows are all set: one plus their lane-wise least, own entry 0."""
-    ones = int.from_bytes(b"\x01" * n, "little")
-    groups = ([rows[w] for w in adjacency[v]] for v in members)
-    for v, nearest in zip(members, _least_rows(groups, n)):
-        rows[v] = (nearest + ones - (2 << 8 * v)).to_bytes(n, "little")
-
-
-def _least_rows(groups: Iterable[Iterable[bytes]], width: int) -> Iterator[int]:
-    """For each nonempty group of byte rows of ``width`` bytes, their
-    lane-wise least, as a little-endian integer with one byte lane per
-    entry.  All lanes are compared at once (Lamport, *Multiple byte
-    processing with full-word instructions*, CACM 1975), so a row costs a
-    few big-integer operations and no Python step per entry."""
-    top = int.from_bytes(b"\x80" * width, "little")
-    rest = top - (top >> 7)  # the low 7 bits of every lane
-    for group in groups:
-        rows = iter(group)
-        x = int.from_bytes(next(rows), "little")
-        for row in rows:
-            y = int.from_bytes(row, "little")
-            # the top bit of each lane where x >= y: x's top bit is set and
-            # y's is not, or both agree and x's low 7 bits are no less, which
-            # (x | top) - (y & rest) shows without borrowing across lanes
-            ge = ((x & ~y) | (~(x ^ y) & ((x | top) - (y & rest)))) & top
-            x ^= (x ^ y) & (ge | ge - (ge >> 7))  # y in those lanes
-        yield x
 
 
 def _floor_means(pairs: Iterable[tuple[int, int]], width: int) -> Iterator[int]:

@@ -160,11 +160,9 @@ def _with_pendant_paths(draw):
 def test_distances_match_oracle(g, derive):
     if derive is not None:
         g = derive(g).graph
-    independent = graph._independent_set(g.n, g.adjacency)
-    assert not any(set(g.adjacency[v]) & set(independent) for v in independent)
     assert all(a < b for ns in g.adjacency for a, b in zip(ns, ns[1:]))
     oracle = oracle_distances(g.n, g.edges)
-    for u in range(g.n):  # the rows of the independent set included
+    for u in range(g.n):
         assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
 
 
@@ -190,12 +188,12 @@ def test_distance_rows_are_bytes_below_diameter_256(g, row_type):
 def _c4_with_tail(diameter):
     """The 4-cycle 0-1-2-3 with a path of diameter - 2 edges hung on vertex 0.
 
-    Its far ends are vertex 2 and the path's leaf.  The leaf and vertices 1
-    and 3 join the independent set first, so vertex 2 runs BFS and its row
-    spans the diameter; on a path only the end vertices' rows do, and they
-    are in the set.  Up to diameter 129 the tail's rows are read across its
-    bridges from vertex 0's BFS row; beyond that the tail's vertices outside
-    the set run BFS too."""
+    Its far ends are vertex 2 and the path's leaf, and vertex 0's BFS row
+    reaches diameter - 2.  Up to diameter 129 the tail's rows are read
+    across its bridges from that row, and vertices 1 to 3 run BFS, vertex
+    2's row spanning the diameter; beyond that every vertex runs BFS.  At
+    diameter 256, rows 0 and 1 fit a byte and vertex 2's row is the first
+    that does not."""
     tail = [(0, 4)] + [(v, v + 1) for v in range(4, diameter + 1)]
     return build_graph(diameter + 2, [(0, 1), (1, 2), (2, 3), (0, 3), *tail])
 
@@ -211,18 +209,6 @@ def test_distance_rows_at_the_lane_and_byte_boundaries(shape, diameter):
         assert list(g.distances[u]) == [oracle[u][v] for v in range(g.n)]
 
 
-def test_least_rows_takes_every_byte_pair_at_once():
-    xs = bytes(a for a in range(256) for b in range(256))
-    ys = bytes(b for a in range(256) for b in range(256))
-    (low,) = graph._least_rows([(xs, ys)], 65536)
-    assert low.to_bytes(65536, "little") == bytes(map(min, xs, ys))
-
-
-def test_least_rows_passes_a_single_row_through():
-    row = bytes(range(255, -1, -1))
-    assert list(graph._least_rows([[row]], 256)) == [int.from_bytes(row, "little")]
-
-
 def test_floor_means_take_every_equal_and_neighbouring_byte_pair_at_once():
     pairs = [(a, a) for a in range(256)] + [(a, a + 1) for a in range(255)]
     pairs += [(a + 1, a) for a in range(255)]
@@ -230,21 +216,6 @@ def test_floor_means_take_every_equal_and_neighbouring_byte_pair_at_once():
     width = len(pairs)
     (low,) = graph._floor_means([(int.from_bytes(xs, "little"), int.from_bytes(ys, "little"))], width)
     assert low.to_bytes(width, "little") == bytes(map(min, xs, ys))
-
-
-@st.composite
-def _row_groups(draw):
-    """A width and 1-4 groups of 1-5 random byte rows of that width."""
-    width = draw(st.integers(min_value=1, max_value=40))
-    row = st.binary(min_size=width, max_size=width)
-    return width, draw(st.lists(st.lists(row, min_size=1, max_size=5), min_size=1, max_size=4))
-
-
-@given(_row_groups())
-def test_least_rows_matches_the_bytewise_least(case):
-    width, groups = case
-    lows = [low.to_bytes(width, "little") for low in graph._least_rows(groups, width)]
-    assert lows == [bytes(map(min, zip(*group))) for group in groups]
 
 
 def _assert_edge_rows(g):
@@ -333,18 +304,6 @@ def _counting_bfs(monkeypatch):
     return maxima
 
 
-def test_an_independent_end_needing_256_makes_every_row_a_tuple(monkeypatch):
-    # on the 257-path the rows of the vertices outside the independent set
-    # reach 255 at most, but the end vertices, which are in it, need 256
-    maxima = _counting_bfs(monkeypatch)
-    g = path_graph(257)
-    independent = graph._independent_set(g.n, g.adjacency)
-    assert {0, 256} <= set(independent)
-    assert max(maxima[: g.n - len(independent)]) == 255
-    assert max(g.distances[0]) == 256
-    assert {type(row) for row in g.distances} == {tuple}
-
-
 @pytest.mark.parametrize("derive", [subdivision, middle, total])
 def test_derived_tables_take_no_bfs(monkeypatch, derive):
     base = random_tree(60, 3)
@@ -401,17 +360,15 @@ def test_derived_tables_at_the_byte_limits(monkeypatch, derive, n, bfs):
 
 
 @pytest.mark.parametrize("derive", [subdivision, middle, total])
-def test_bfs_runs_only_from_outside_the_independent_set(monkeypatch, derive):
-    # the derived graph's edge list taken through build_graph like any input.
-    # S of a tree is a tree: one BFS.  M's bridges are the pendant edges to
-    # G's leaves, which are in I and only leave it; every edge of T lies on
-    # a triangle.  So M and T keep the n - |I| runs.
+def test_derived_edge_lists_as_input_take_bfs_off_their_bridges(monkeypatch, derive):
+    # the derived graph's edge list taken through build_graph like any input,
+    # 119 vertices.  S of a tree is a tree: one BFS.  M's bridges are the
+    # pendant edges to G's 26 leaves, so 93 runs; every edge of T lies on a
+    # triangle, so every vertex runs BFS.
     derived = derive(random_tree(60, 3)).graph
     maxima = _counting_bfs(monkeypatch)
     g = build_graph(derived.n, derived.edges)
-    independent = graph._independent_set(g.n, g.adjacency)
-    runs = {subdivision: 1, middle: 59, total: 76}[derive]
-    assert len(maxima) == runs <= g.n - len(independent) < 0.7 * g.n
+    assert len(maxima) == {subdivision: 1, middle: 93, total: 119}[derive]
 
 
 def _bfs_runs(g):
@@ -444,30 +401,53 @@ def test_a_star_and_a_large_tree_take_one_bfs(g):
     _assert_oracle_rows(g, rows)
 
 
+def _bridges(g):
+    """The edges of g whose deletion disconnects it, each found by one BFS
+    from vertex 0 over the other edges."""
+    bridges = set()
+    for e in g.edges:
+        seen, frontier = {0}, [0]
+        while frontier:
+            reached = []
+            for u in frontier:
+                for w in g.adjacency[u]:
+                    if w not in seen and (min(u, w), max(u, w)) != e:
+                        seen.add(w)
+                        reached.append(w)
+            frontier = reached
+        if len(seen) < g.n:
+            bridges.add(e)
+    return bridges
+
+
 @given(_with_pendant_paths())
-def test_bridges_take_no_more_bfs_runs_than_the_independent_set(g):
+def test_bfs_runs_from_the_root_and_each_vertex_not_below_a_bridge(g):
+    # BFS runs from vertex 0, and from each other vertex whose edge to its
+    # parent in vertex 0's BFS tree is not a bridge
+    depth, bridges = oracle_distances(g.n, g.edges)[0], _bridges(g)
     runs, rows = _bfs_runs(g)
-    assert runs <= g.n - len(graph._independent_set(g.n, g.adjacency))
+    above = (next(w for w in g.adjacency[v] if depth[w] < depth[v]) for v in range(1, g.n))
+    assert runs == 1 + sum((min(v, p), max(v, p)) not in bridges for v, p in enumerate(above, 1))
     _assert_oracle_rows(g, rows)
 
 
 @pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(100), cycle_graph(300),
                                complete_graph(6), complete_graph(80)],
                          ids=["C3", "C100", "C300", "K6", "K80"])
-def test_a_bridgeless_graph_takes_n_minus_the_independent_set(g):
+def test_a_bridgeless_graph_takes_n_bfs_runs(g):
     runs, rows = _bfs_runs(g)
-    assert runs == g.n - len(graph._independent_set(g.n, g.adjacency))
+    assert runs == g.n
     _assert_oracle_rows(g, rows)
 
 
-# on a path the first vertex outside I is vertex 1, at n - 2 from the far
-# end: 2 * 127 fits a byte, 2 * 128 does not.  Without the bridges, BFS runs
-# from the vertices outside I, the odd ones and n - 2, and from every vertex
-# once a BFS row reaches 255.
+# on a path the first BFS runs from vertex 0, an end, at n - 1 from the
+# other: 2 * 127 fits a byte, 2 * 128 does not.  Without the bridges, BFS
+# runs from every vertex.
 @pytest.mark.parametrize("n, runs, row_type", [
-    (129, 1, bytes),
-    (130, 65, bytes),
-    (256, 128, bytes),
+    (128, 1, bytes),
+    (129, 129, bytes),
+    (130, 130, bytes),
+    (256, 256, bytes),
     (257, 257, tuple),
 ])
 def test_rows_are_read_across_bridges_only_below_the_byte_bound(n, runs, row_type):
