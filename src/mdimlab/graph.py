@@ -6,19 +6,20 @@ tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction and shared read-only, so distance queries are table
 lookups.  One BFS, from vertex 0, gives a BFS tree; a vertex below one of
-its bridges takes its parent's row plus or minus one per entry, and every
-other vertex runs BFS, so a tree takes one BFS.  Input graphs go through
-``build_graph``, which normalises and checks an edge list.  The
-subdivision, middle and total graphs of ``transforms`` are built as
-``Graph`` directly, valid by construction, and take no BFS: their tables
-are read off the base graph's table and its vertex-edge and edge-edge
-blocks, d(x, e) and d(e, f) (``_table_from_base``).  A graph computes each
-block once, on first use (``Graph._vertex_edge`` and
-``Graph._edge_edge``), and keeps it for as long as the graph lives, so S,
-M and T, the solvers' edge columns and the resolving tests read one copy.
-The two ends of an edge have rows that differ by at most one in every
-lane, so each block row is a lane-wise floor average (``_floor_means``).
-All arithmetic is exact integer hop counts.
+its bridges, found by one children-first pass of subtree masks, takes its
+parent's row plus or minus one per entry, and every other vertex runs
+BFS, so a tree takes one BFS.  Input graphs go through ``build_graph``,
+which normalises and checks an edge list.  The subdivision, middle and
+total graphs of ``transforms`` are built as ``Graph`` directly, valid by
+construction, and take no BFS: their tables are read off the base graph's
+table and its vertex-edge and edge-edge blocks, d(x, e) and d(e, f)
+(``_table_from_base``).  A graph computes each block once, on first use,
+as one flat sequence of rows (``Graph._vertex_edge`` and
+``Graph._edge_edge``), and keeps it while it lives, so S, M and T, the
+solvers' edge columns and the resolving tests read one copy.  The two
+ends of an edge have rows that differ by at most one in every lane, so
+each block row is a lane-wise floor average (``_floor_means``).  All
+arithmetic is exact integer hop counts.
 
 A disconnected input is rejected after at most one BFS: fewer than n - 1
 distinct edges fail before any table is allocated, and otherwise the first
@@ -30,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedError, GraphError, LoopEdgeError, TooSmallError
@@ -77,16 +79,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     @cached_property
-    def _vertex_edge(self) -> bytes | tuple[tuple[int, ...], ...]:
+    def _vertex_edge(self) -> bytes | tuple[int, ...]:
         """d(x, e_j) = min(d(x, a), d(x, b)) for every vertex x and edge
-        e_j = ab.  For byte rows, one blob of m rows of n bytes: edge j's row
-        is ``blob[n * j:n * j + n]`` and vertex x's column ``blob[x::n]``;
-        otherwise one tuple row per edge."""
+        e_j = ab, as one flat sequence of m rows of n entries, of the type
+        of the distance rows: edge j's row is ``blob[n * j:n * j + n]`` and
+        vertex x's column ``blob[x::n]``."""
         d, n = self.distances, self.n
         if isinstance(d[0], bytes):
             rows = [int.from_bytes(row, "little") for row in d]
             return _joined(_floor_means(((rows[a], rows[b]) for a, b in self.edges), n), n, self.m)
-        return tuple(tuple(map(min, d[a], d[b])) for a, b in self.edges)
+        return tuple(chain.from_iterable(map(min, d[a], d[b]) for a, b in self.edges))
 
     @cached_property
     def _edge_edge(self) -> bytes:
@@ -200,46 +202,28 @@ def _bridge_sides(n: int, adjacency: tuple[tuple[int, ...], ...],
     its subtree as an n-bit mask if c's tree edge to its parent is a
     bridge, else 0.
 
-    A tree edge (p, c) is a bridge iff no non-tree edge leaves c's subtree
-    (Tarjan, *A note on finding the bridges of a graph*, IPL 1974).  The
-    tree's vertices are numbered in preorder, so c's subtree holds the
-    numbers pre[c] to pre[c] + size[c] - 1, and the least and greatest
-    number that the subtree's vertices reach by one edge other than (p, c)
-    show whether an edge leaves it.  The test takes O(n + m) steps on
-    small ints."""
+    A tree edge (p, c) is a bridge iff no edge other than (p, c) joins c's
+    subtree to a vertex outside it.  Children first, each vertex c ORs its
+    subtree mask into its parent's, and into reach[p] the vertices that c
+    and its subtree reach by edges other than their tree edges upward;
+    (p, c) is a bridge iff reach[c] has no bit outside c's subtree.  The
+    pass takes O(n + m) operations on n-bit ints."""
     order = sorted(range(n), key=dist.__getitem__)
-    parent, size = [-1] * n, [1] * n
+    bit = [1 << v for v in range(n)]
+    parent, sides, reach = [-1] * n, bit[:], [0] * n
     for c in reversed(order[1:]):  # children before their parents
         d = dist[c]
-        for w in adjacency[c]:  # the first neighbour one step nearer the root
-            if dist[w] < d:
-                parent[c] = w
-                size[w] += size[c]
+        for p in adjacency[c]:  # the first neighbour one step nearer the root
+            if dist[p] < d:
                 break
-    pre, free = [0] * n, [1] * n  # free[p]: the number of p's next child
-    for c in order[1:]:
-        p = parent[c]
-        pre[c] = free[p]
-        free[p] += size[c]
-        free[c] = pre[c] + 1
-    low, high = pre[:], pre[:]
-    sides = [1 << v for v in range(n)]
-    for c in reversed(order[1:]):
-        p = parent[c]
-        lo, hi = low[c], high[c]  # what c's children reach
+        parent[c] = p
+        out = reach[c]  # what c's children reach
         for w in adjacency[c]:
             if w != p:
-                x = pre[w]
-                if x < lo:
-                    lo = x
-                elif x > hi:
-                    hi = x
-        if lo < low[p]:
-            low[p] = lo
-        if hi > high[p]:
-            high[p] = hi
+                out |= bit[w]
         sides[p] |= sides[c]
-        if lo < pre[c] or hi >= pre[c] + size[c]:
+        reach[p] |= out
+        if out & ~sides[c]:
             sides[c] = 0
     sides[order[0]] = 0
     return order, parent, sides
@@ -269,10 +253,8 @@ def _joined(rows: Iterable[int], width: int, count: int) -> bytes:
 def _edge_rows(g: Graph) -> list[Row]:
     """One row per edge j = ab of g: d(v, e_j) = min(d(v, a), d(v, b)) for
     every vertex v, of the type of g's rows, read off ``g._vertex_edge``."""
-    rows, n = g._vertex_edge, g.n
-    if isinstance(rows, bytes):
-        return [rows[i:i + n] for i in range(0, len(rows), n)]
-    return list(rows)
+    blob, n = g._vertex_edge, g.n
+    return [blob[i:i + n] for i in range(0, len(blob), n)]
 
 
 @cache

@@ -387,7 +387,7 @@ def explore(
     scanned instances only and asserts nothing beyond them."""
     if target not in _EXPLORE:
         raise ValueError(f"unknown explore target {target!r}; known: {', '.join(EXPLORE_TARGETS)}")
-    key, _, test = _EXPLORE[target]
+    key, found, test = _EXPLORE[target]
 
     def scan(lab: _Lab):
         mdim, mdim_s = lab.cert(MDIM).value, lab.cert(MDIM, "s").value
@@ -395,24 +395,16 @@ def explore(
         return HOLDS, {"mdim": mdim, "mdim_s": mdim_s, "gap": gap, key: test(gap)}
 
     records = _records(instances, [(f"explore:{target}", scan)], budget, DEFAULT_PHI_CAP)
-    report = Report(source=source, records=records)
-    report.extra = explore_summary(report, target)
-    return report
-
-
-def explore_summary(report: Report, target: str) -> dict:
-    """Corpus-scoped summary: maxima and matches found, never a general claim."""
-    scanned = [r for r in report.records if r.status == HOLDS]
-    gaps = {r.instance: r.values["gap"] for r in scanned}
-    _, found, test = _EXPLORE[target]
-    return {
+    # corpus-scoped summary: maxima and matches found, never a general claim
+    gaps = {r.instance: r.values["gap"] for r in records if r.status == HOLDS}
+    return Report(source=source, records=records, extra={
         "target": target,
-        "instances_scanned": len(scanned),
-        "instances_skipped": len(report.records) - len(scanned),
+        "instances_scanned": len(gaps),
+        "instances_skipped": len(records) - len(gaps),
         "max_gap_found": max(gaps.values()) if gaps else None,
         found: sorted(i for i, gap in gaps.items() if test(gap)),
         "scope": "scanned corpus only",
-    }
+    })
 
 
 # the corpus a bare verify or explore runs: every tree up to 7 vertices, cycles,

@@ -121,11 +121,7 @@ def _resolves(g: Graph, kind: str, witness: Iterable[int]) -> bool:
     if kind == DIM:
         rows = [g.distances[w] for w in ws]
     else:
-        block = g._vertex_edge
-        if isinstance(block, bytes):
-            rows = [block[w::g.n] for w in ws]
-        else:
-            rows = [tuple(row[w] for row in block) for w in ws]
+        rows = [g._vertex_edge[w::g.n] for w in ws]
         if kind == MDIM:
             rows = [g.distances[w] + edges for w, edges in zip(ws, rows)]
     return len(set(zip(*rows))) == len(rows[0])

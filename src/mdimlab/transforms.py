@@ -21,7 +21,8 @@ on the derived graph, whenever every such distance fits a byte, and is
 otherwise found by BFS as for any other graph.  The derived graph itself
 is built in canonical form straight from the base's incidence lists (the
 edges at each base vertex), not passed through ``build_graph``: its
-edges, adjacency and edge classes come out sorted by construction.
+edges and adjacency come out sorted by construction, and an edge's class
+follows from which of its ends are original vertices.
 ``check_distance_identities`` checks the S and M identities against BFS
 over the derived graph's adjacency, not against its stored table.
 """
@@ -49,13 +50,19 @@ class DerivedGraph:
     """A derived graph plus maps back to the base graph.
 
     ``base_n`` is the base graph's vertex count, so vertex i < base_n is
-    original vertex i and vertex base_n + j splits base edge j;
-    edge_classes[j] tags edge j of ``graph``.
+    original vertex i and vertex base_n + j splits base edge j.
     """
 
     graph: Graph
     base_n: int
-    edge_classes: tuple[str, ...]
+
+    @property
+    def edge_classes(self) -> tuple[str, ...]:
+        """The class of each edge (u, v), u < v, of ``graph``: original when
+        v < base_n, sedge when only u < base_n, and ledge otherwise."""
+        n = self.base_n
+        return tuple(ORIGINAL_EDGE if v < n else S_EDGE if u < n else L_EDGE
+                     for u, v in self.graph.edges)
 
     @property
     def provenance(self) -> tuple[tuple[str, int], ...]:
@@ -96,31 +103,20 @@ def _derive(base: Graph, distances: tuple[int, tuple[int, int, int]],
     n, N = base.n, base.n + base.m
     at = _incidence(base, n)  # at[v]: the splits adjacent to base vertex v
     edges: list[tuple[int, int]] = []
-    classes: list[str] = []
     adjacency: list[tuple[int, ...]] = []
     for u, splits in enumerate(at):
-        if originals:
-            higher = [(u, v) for v in base.adjacency[u] if v > u]
-            edges += higher
-            classes += [ORIGINAL_EDGE] * len(higher)
-            adjacency.append(base.adjacency[u] + tuple(splits))
-        else:
-            adjacency.append(tuple(splits))
-        edges += [(u, s) for s in splits]
-        classes += [S_EDGE] * len(splits)
+        near = base.adjacency[u] if originals else ()
+        edges += [(u, v) for v in near if v > u] + [(u, s) for s in splits]
+        adjacency.append(near + tuple(splits))
     for s, (a, b) in enumerate(base.edges, start=n):
-        if ledges:
-            near = [t for t in sorted(at[a] + at[b]) if t != s]
-            edges += [(s, t) for t in near if t > s]
-            adjacency.append((a, b, *near))
-        else:
-            adjacency.append((a, b))
-    classes += [L_EDGE] * (len(edges) - len(classes))
+        near = [t for t in sorted(at[a] + at[b]) if t != s] if ledges else []
+        edges += [(s, t) for t in near if t > s]
+        adjacency.append((a, b, *near))
     neighbours = tuple(adjacency)
     table = _table_from_base(base, *distances)
     graph = Graph(n=N, edges=tuple(edges), adjacency=neighbours,
                   distances=_all_pairs_bfs(N, neighbours) if table is None else table)
-    return DerivedGraph(graph=graph, base_n=n, edge_classes=tuple(classes))
+    return DerivedGraph(graph=graph, base_n=n)
 
 
 def subdivision(base: Graph) -> DerivedGraph:

@@ -4,7 +4,7 @@ import weakref
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mdimlab import graph
 from mdimlab import (
@@ -242,11 +242,10 @@ def _assert_cached_blocks(g):
     fresh = [[min(d[a][x], d[b][x]) for x in range(n)] for a, b in g.edges]
     block = g._vertex_edge
     assert block is g._vertex_edge  # computed once, then read
-    if type(d[0]) is tuple:
-        assert [list(row) for row in block] == fresh
-        return
-    assert block == bytes(x for row in fresh for x in row)
-    assert g._edge_edge == bytes(edge_edge_distance(g, j, k) for j in range(m) for k in range(m))
+    assert list(block) == [x for row in fresh for x in row]  # m rows of n, flat
+    assert type(block) is type(d[0])
+    if type(d[0]) is bytes:  # the edge-edge block serves only byte rows
+        assert g._edge_edge == bytes(edge_edge_distance(g, j, k) for j in range(m) for k in range(m))
 
 
 @given(connected_graphs(), st.sampled_from([None, subdivision, middle, total]))
@@ -420,7 +419,15 @@ def _bridges(g):
     return bridges
 
 
+def _ladder(k):
+    """The 2 x k grid: two k-paths, rung i joining vertex i to k + i."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return build_graph(2 * k, rails + [(i, k + i) for i in range(k)])
+
+
 @given(_with_pendant_paths())
+@example(random_cactus(300, 75, 3))  # 75 cycles: 260 runs, 40 bridges
+@example(_ladder(100))  # bridgeless, with a cycle at every rung
 def test_bfs_runs_from_the_root_and_each_vertex_not_below_a_bridge(g):
     # BFS runs from vertex 0, and from each other vertex whose edge to its
     # parent in vertex 0's BFS tree is not a bridge
