@@ -16,10 +16,14 @@ table and its vertex-edge and edge-edge blocks, d(x, e) and d(e, f)
 (``_table_from_base``).  A graph computes each block once, on first use,
 as one flat sequence of rows (``Graph._vertex_edge`` and
 ``Graph._edge_edge``), and keeps it while it lives, so S, M and T, the
-solvers' edge columns and the resolving tests read one copy.  The two
-ends of an edge have rows that differ by at most one in every lane, so
-each block row is a lane-wise floor average (``_floor_means``).  All
-arithmetic is exact integer hop counts.
+solvers' edge columns and the resolving tests read one copy.  It also
+keeps the vertex-edge block laid out vertex by vertex
+(``Graph._vertex_major``), so a derived vertex row and an edge-edge row
+slice it contiguously, and the derived split rows of each pair of block
+maps (``Graph._shared``), which M(G) and T(G) share.  The two ends of an
+edge have rows that differ by at most one in every lane, so each block
+row is a lane-wise floor average (``_floor_means``).  All arithmetic is
+exact integer hop counts.
 
 A disconnected input is rejected after at most one BFS: fewer than n - 1
 distinct edges fail before any table is allocated, and otherwise the first
@@ -51,9 +55,10 @@ class Graph:
     row is a tuple of ints otherwise; rows are only indexed and iterated, so
     the two read alike.
 
-    The vertex-edge and edge-edge blocks of the metric are computed on first
-    use and kept in the instance's ``__dict__``; equality and hashing see
-    only the fields."""
+    The vertex-edge and edge-edge blocks of the metric, and the pieces that
+    the graphs derived from this one share, are computed on first use and
+    kept in the instance's ``__dict__``, so they die with it; equality and
+    hashing see only the fields."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -91,13 +96,29 @@ class Graph:
         return tuple(chain.from_iterable(map(min, d[a], d[b]) for a, b in self.edges))
 
     @cached_property
+    def _vertex_major(self) -> bytes:
+        """For byte rows only, ``_vertex_edge`` laid out vertex by vertex: n
+        rows of m bytes, vertex x's row ``blob[m * x:m * x + m]`` holding
+        d(x, e_j) for every edge j, built once from the n strided columns."""
+        blob, n = self._vertex_edge, self.n
+        return b"".join([blob[x::n] for x in range(n)])
+
+    @cached_property
     def _edge_edge(self) -> bytes:
         """For byte rows only, d(e_j, e_k) for every pair of edges, 0 where
         they meet, as one blob of m rows of m bytes: edge j = ab's row is the
-        lane-wise least of the columns of a and b in ``_vertex_edge``."""
-        blob, n, m = self._vertex_edge, self.n, self.m
-        columns = [int.from_bytes(blob[x::n], "little") for x in range(n)]
-        return _joined(_floor_means(((columns[a], columns[b]) for a, b in self.edges), m), m, m)
+        lane-wise least of the rows of a and b in ``_vertex_major``."""
+        blob, m = self._vertex_major, self.m
+        rows = [int.from_bytes(blob[i:i + m], "little") for i in range(0, len(blob), m)]
+        return _joined(_floor_means(((rows[a], rows[b]) for a, b in self.edges), m), m, m)
+
+    @cached_property
+    def _shared(self) -> dict:
+        """Pieces of the graphs derived from this one that depend on it
+        alone, keyed by what they are, built by the first derivation that
+        needs them and kept while this graph lives (``_table_from_base``,
+        ``transforms._derive``)."""
+        return {}
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -258,11 +279,15 @@ def _edge_rows(g: Graph) -> list[Row]:
 
 
 @cache
-def _affine_maps(scale: int, offsets: tuple[int, ...]) -> tuple[bytes, tuple[bytes, ...]]:
+def _affine_maps(scale: int, offsets: tuple[int, ...]) -> tuple[bytes, tuple[bytes | None, ...]]:
     """The base distances that every map d -> scale * d + offset takes to a
-    byte, and one translate table per offset."""
-    tables = tuple(bytes(min(scale * d + b, 255) for d in range(256)) for b in offsets)
-    return bytes(range((255 - max(offsets)) // scale + 1)), tables
+    byte, and one translate table per offset.  The first, of d(x, y), sends
+    0 to 0, since a vertex's own entry is the only 0 in its row, and is None
+    when it maps every byte to itself."""
+    vertex, *tables = (bytes(min(scale * d + b, 255) for d in range(256)) for b in offsets)
+    vertex = b"\0" + vertex[1:]
+    return bytes(range((255 - max(offsets)) // scale + 1)), (
+        None if vertex == bytes(range(256)) else vertex, *tables)
 
 
 def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> tuple[bytes, ...] | None:
@@ -272,29 +297,37 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> 
     base edges e != f; or None when base's rows are not bytes or hold a
     distance that some map takes past 255.
 
-    Row n + j, of base edge e_j, is its row of base's vertex-edge block,
-    then its row of base's edge-edge block (``Graph._vertex_edge`` and
-    ``Graph._edge_edge``, computed once per base for all three graphs);
-    row x of a base vertex is its base row, then its column of the
-    vertex-edge block, a strided slice.  Each block is mapped by its
-    translate table, and the own entry is set to 0."""
+    Row x of a base vertex is its base row, then its row of base's
+    vertex-major vertex-edge block (``Graph._vertex_major``), each mapped
+    by its translate table; the vertex map keeps the own entry 0, and
+    where it is the identity, as in T(G), the base row is used as it
+    stands.  Row n + j, of base edge e_j, is its row of base's vertex-edge
+    block, then its row of base's edge-edge block (``Graph._vertex_edge``
+    and ``Graph._edge_edge``), each translated whole, the diagonal of the
+    second, the own entries, zeroed at once.  The split rows depend only
+    on the two maps, so base keeps them (``Graph._shared``): M(G) and
+    T(G), which map both blocks alike, share the same row objects."""
     fits, (vertex_map, split_map, pair_map) = _affine_maps(scale, offsets)
-    rows, n, m = base.distances, base.n, base.m
+    rows, m = base.distances, base.m
     # deleting the distances that fit leaves a byte only in a row holding one too large
     if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
         return None
-    blob, pairs = base._vertex_edge, base._edge_edge
+    splits = base._shared.get((split_map, pair_map)) or _split_rows(base, split_map, pair_map)
+    blob = base._vertex_major
+    return (*[row.translate(vertex_map) + blob[m * x:m * x + m].translate(split_map)
+              for x, row in enumerate(rows)], *splits)
 
-    def joined(i: int, head: bytes, head_map: bytes, tail: bytes, tail_map: bytes) -> bytes:
-        row = bytearray(head.translate(head_map) + tail.translate(tail_map))
-        row[i] = 0
-        return bytes(row)
 
-    table = [joined(x, row, vertex_map, blob[x::n], split_map) for x, row in enumerate(rows)]
-    for j in range(m):
-        table.append(joined(n + j, blob[n * j:n * j + n], split_map,
-                            pairs[m * j:m * j + m], pair_map))
-    return tuple(table)
+def _split_rows(base: Graph, split_map: bytes, pair_map: bytes) -> tuple[bytes, ...]:
+    """Row n + j of ``_table_from_base`` for every base edge e_j, kept in
+    ``base._shared``; the translated blocks are freed on return, before
+    any vertex row is built."""
+    n, m = base.n, base.m
+    heads, tails = base._vertex_edge.translate(split_map), bytearray(base._edge_edge.translate(pair_map))
+    tails[::m + 1] = bytes(m)  # each split's own entry
+    rows = base._shared[split_map, pair_map] = tuple(
+        [heads[n * j:n * j + n] + tails[m * j:m * j + m] for j in range(m)])
+    return rows
 
 
 def vertex_edge_distance(g: Graph, v: int, edge_idx: int) -> int:

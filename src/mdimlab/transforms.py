@@ -18,7 +18,10 @@ and an end of f:
 
 so each derived table is read off the base graph's byte rows, with no BFS
 on the derived graph, whenever every such distance fits a byte, and is
-otherwise found by BFS as for any other graph.  The derived graph itself
+otherwise found by BFS as for any other graph.  M(G) and T(G) map the
+d(x, e) and d(e, f) blocks alike, so their split rows are the same
+objects, built by whichever comes first and kept by the base graph; so
+are their ledges and split adjacency lists.  The derived graph itself
 is built in canonical form straight from the base's incidence lists (the
 edges at each base vertex), not passed through ``build_graph``: its
 edges and adjacency come out sorted by construction, and an edge's class
@@ -90,6 +93,20 @@ def _incidence(base: Graph, first: int) -> list[list[int]]:
     return at
 
 
+def _ledges(base: Graph, at: list[list[int]]) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """The ledges (s, t), s < t, by s and then t, and each split's
+    adjacency, its base edge's ends and then the splits of the other edges
+    at them, ascending; M(G) and T(G) share both, so base keeps them
+    (``Graph._shared``)."""
+    edges, adjacency = [], []
+    for s, (a, b) in enumerate(base.edges, start=base.n):
+        near = [t for t in sorted(at[a] + at[b]) if t != s]
+        edges += [(s, t) for t in near if t > s]
+        adjacency.append((a, b, *near))
+    base._shared["ledges"] = edges, adjacency
+    return edges, adjacency
+
+
 def _derive(base: Graph, distances: tuple[int, tuple[int, int, int]],
             ledges: bool, originals: bool) -> DerivedGraph:
     """S(G), plus the ledges for M(G), plus the base edges for T(G), in
@@ -99,7 +116,9 @@ def _derive(base: Graph, distances: tuple[int, tuple[int, int, int]],
     of its edges, ascending, so its edges (u, v), u < v, come in order; the
     ledges (s, t), s < t, follow by s and then t.  Split s of edge ab is
     adjacent to a, b and the splits of the other edges at a or b, which in
-    a simple graph share no edge but ab."""
+    a simple graph share no edge but ab.  Those ledges and split adjacency
+    lists are built once per base for M(G) and T(G) alike (``_ledges``);
+    in S(G), split s is adjacent to a and b only, base's edge tuple."""
     n, N = base.n, base.n + base.m
     at = _incidence(base, n)  # at[v]: the splits adjacent to base vertex v
     edges: list[tuple[int, int]] = []
@@ -108,10 +127,12 @@ def _derive(base: Graph, distances: tuple[int, tuple[int, int, int]],
         near = base.adjacency[u] if originals else ()
         edges += [(u, v) for v in near if v > u] + [(u, s) for s in splits]
         adjacency.append(near + tuple(splits))
-    for s, (a, b) in enumerate(base.edges, start=n):
-        near = [t for t in sorted(at[a] + at[b]) if t != s] if ledges else []
-        edges += [(s, t) for t in near if t > s]
-        adjacency.append((a, b, *near))
+    if ledges:
+        split_edges, split_adjacency = base._shared.get("ledges") or _ledges(base, at)
+        edges += split_edges
+        adjacency += split_adjacency
+    else:
+        adjacency += base.edges
     neighbours = tuple(adjacency)
     table = _table_from_base(base, *distances)
     graph = Graph(n=N, edges=tuple(edges), adjacency=neighbours,

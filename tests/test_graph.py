@@ -1,7 +1,7 @@
 import gc
 import tracemalloc
 import weakref
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -289,6 +289,58 @@ def test_the_cached_blocks_live_and_die_with_their_graph():
     assert ref() is None
 
 
+@pytest.mark.parametrize("first, second", [(middle, total), (total, middle)],
+                         ids=["M-then-T", "T-then-M"])
+def test_m_and_t_share_their_split_rows(first, second):
+    base = random_tree(60, 3)
+    a, b = first(base).graph, second(base).graph
+    for rows in ("distances", "adjacency"):  # both hold one row per split
+        splits = zip(getattr(a, rows)[base.n:], getattr(b, rows)[base.n:], strict=True)
+        assert all(x is y for x, y in splits), rows
+
+
+def _assert_built_as_from_a_fresh_base(g, orders, check_oracle):
+    fresh = {derive: derive(build_graph(g.n, g.edges)).graph for derive in orders[0]}
+    for order in orders:
+        base = build_graph(g.n, g.edges)  # nothing cached yet
+        for derive in order:
+            d = derive(base).graph
+            assert d == fresh[derive], (derive.__name__, [f.__name__ for f in order])
+            if check_oracle:
+                _assert_oracle_rows(d, d.distances)
+
+
+@given(connected_graphs())
+def test_s_m_and_t_built_in_any_order_equal_fresh_builds(g):
+    _assert_built_as_from_a_fresh_base(g, list(permutations((subdivision, middle, total))),
+                                       check_oracle=True)
+
+
+def test_s_m_and_t_of_tuple_rows_built_in_any_position_equal_fresh_builds():
+    g = path_graph(300)  # tuple rows: every derived table by BFS
+    assert type(g.distances[0]) is tuple
+    rotations = [(subdivision, middle, total), (middle, total, subdivision), (total, subdivision, middle)]
+    _assert_built_as_from_a_fresh_base(g, rotations, check_oracle=False)
+
+
+def test_the_shared_pieces_live_and_die_with_their_graph():
+    base = random_tree(600, 1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        derived = [derive(base) for derive in (subdivision, middle, total)]
+        assert {"_vertex_major", "_shared"} <= vars(base).keys()
+        assert len(base._shared) == 3  # S's split rows, M's and T's, and their ledges
+        ref = weakref.ref(base)
+        del base, derived
+        gc.collect()
+        assert ref() is None
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 << 10  # the blocks and split rows alone take about 2.4 MiB
+
+
 def _counting_bfs(monkeypatch):
     """Patch graph._bfs to record the maximum of each row it returns."""
     maxima = []
@@ -378,8 +430,8 @@ def _bfs_runs(g):
     return len(maxima), rebuilt.distances
 
 
-def _assert_oracle_rows(g, rows):
-    oracle = oracle_distances(g.n, g.edges)
+def _assert_oracle_rows(g, rows, oracle=None):
+    oracle = oracle or oracle_distances(g.n, g.edges)
     for u in range(g.n):
         assert list(rows[u]) == [oracle[u][v] for v in range(g.n)]
 
@@ -401,12 +453,14 @@ def test_a_star_and_a_large_tree_take_one_bfs(g):
 
 
 def _bridges(g):
-    """The edges of g whose deletion disconnects it, each found by one BFS
-    from vertex 0 over the other edges."""
+    """The edges of g whose deletion disconnects it: e = ab is one iff a BFS
+    from a over the other edges never reaches b, and each BFS stops once it
+    has."""
     bridges = set()
     for e in g.edges:
-        seen, frontier = {0}, [0]
-        while frontier:
+        a, b = e
+        seen, frontier = {a}, [a]
+        while frontier and b not in seen:
             reached = []
             for u in frontier:
                 for w in g.adjacency[u]:
@@ -414,7 +468,7 @@ def _bridges(g):
                         seen.add(w)
                         reached.append(w)
             frontier = reached
-        if len(seen) < g.n:
+        if b not in seen:
             bridges.add(e)
     return bridges
 
@@ -431,11 +485,12 @@ def _ladder(k):
 def test_bfs_runs_from_the_root_and_each_vertex_not_below_a_bridge(g):
     # BFS runs from vertex 0, and from each other vertex whose edge to its
     # parent in vertex 0's BFS tree is not a bridge
-    depth, bridges = oracle_distances(g.n, g.edges)[0], _bridges(g)
+    oracle, bridges = oracle_distances(g.n, g.edges), _bridges(g)
+    depth = oracle[0]
     runs, rows = _bfs_runs(g)
     above = (next(w for w in g.adjacency[v] if depth[w] < depth[v]) for v in range(1, g.n))
     assert runs == 1 + sum((min(v, p), max(v, p)) not in bridges for v, p in enumerate(above, 1))
-    _assert_oracle_rows(g, rows)
+    _assert_oracle_rows(g, rows, oracle)
 
 
 @pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(100), cycle_graph(300),
@@ -496,6 +551,18 @@ def test_distance_table_takes_a_byte_per_entry():
             tracemalloc.stop()
         assert dg.graph.n == 1199
         assert peak < 4 << 20, derive.__name__  # tuple rows take about 11.4 MiB here
+
+
+def test_total_after_middle_allocates_only_its_vertex_rows():
+    base = random_tree(600, 1)
+    middle(base)
+    tracemalloc.start()
+    try:
+        total(base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (1 << 20)  # 600 rows of 1,199 bytes, edges and adjacency
 
 
 def test_too_few_edges_rejected_before_any_bfs(monkeypatch):
