@@ -19,8 +19,8 @@ as one flat sequence of rows (``Graph._vertex_edge`` and
 solvers' edge columns and the resolving tests read one copy.  It also
 keeps the vertex-edge block laid out vertex by vertex
 (``Graph._vertex_major``), so a derived vertex row and an edge-edge row
-slice it contiguously, and the derived split rows of each pair of block
-maps (``Graph._shared``), which M(G) and T(G) share.  The two ends of an
+slice it contiguously, and the derived split rows that M(G) and T(G)
+share (``Graph._shared``).  The two ends of an
 edge have rows that differ by at most one in every lane, so each block
 row is a lane-wise floor average (``_floor_means``).  All arithmetic is
 exact integer hop counts.
@@ -290,7 +290,8 @@ def _affine_maps(scale: int, offsets: tuple[int, ...]) -> tuple[bytes, tuple[byt
         None if vertex == bytes(range(256)) else vertex, *tables)
 
 
-def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> tuple[bytes, ...] | None:
+def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int],
+                     shared: bool) -> tuple[bytes, ...] | None:
     """The byte rows of a graph on base's vertices and then one vertex per
     base edge, whose distances are scale * d + offset with the offsets of
     three blocks: d(x, y), d(x, e) and d(e, f) for base vertices x, y and
@@ -305,28 +306,30 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int]) -> 
     block, then its row of base's edge-edge block (``Graph._vertex_edge``
     and ``Graph._edge_edge``), each translated whole, the diagonal of the
     second, the own entries, zeroed at once.  The split rows depend only
-    on the two maps, so base keeps them (``Graph._shared``): M(G) and
-    T(G), which map both blocks alike, share the same row objects."""
+    on the two maps, so when another derived graph maps both blocks alike
+    (``shared``, as M(G) and T(G) do) base keeps them (``Graph._shared``)
+    and both hold the same row objects; S(G)'s are not kept."""
     fits, (vertex_map, split_map, pair_map) = _affine_maps(scale, offsets)
     rows, m = base.distances, base.m
     # deleting the distances that fit leaves a byte only in a row holding one too large
     if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
         return None
-    splits = base._shared.get((split_map, pair_map)) or _split_rows(base, split_map, pair_map)
+    splits = base._shared.get((split_map, pair_map)) or _split_rows(base, split_map, pair_map, shared)
     blob = base._vertex_major
     return (*[row.translate(vertex_map) + blob[m * x:m * x + m].translate(split_map)
               for x, row in enumerate(rows)], *splits)
 
 
-def _split_rows(base: Graph, split_map: bytes, pair_map: bytes) -> tuple[bytes, ...]:
+def _split_rows(base: Graph, split_map: bytes, pair_map: bytes, shared: bool) -> tuple[bytes, ...]:
     """Row n + j of ``_table_from_base`` for every base edge e_j, kept in
-    ``base._shared``; the translated blocks are freed on return, before
-    any vertex row is built."""
+    ``base._shared`` when ``shared``; the translated blocks are freed on
+    return, before any vertex row is built."""
     n, m = base.n, base.m
     heads, tails = base._vertex_edge.translate(split_map), bytearray(base._edge_edge.translate(pair_map))
     tails[::m + 1] = bytes(m)  # each split's own entry
-    rows = base._shared[split_map, pair_map] = tuple(
-        [heads[n * j:n * j + n] + tails[m * j:m * j + m] for j in range(m)])
+    rows = tuple([heads[n * j:n * j + n] + tails[m * j:m * j + m] for j in range(m)])
+    if shared:
+        base._shared[split_map, pair_map] = rows
     return rows
 
 

@@ -41,9 +41,15 @@ mask ids, so a pick is one AND with the ids of the masks the picked vertex
 misses.
 
 For mdim, the forced vertices (Kelenc, Kuziak, Taranenko and Yero, *Mixed
-metric dimension of graphs*, 2017) lie in every mixed resolving set; when
-they resolve the graph on their own they are the unique minimum, and no
-masks are built.
+metric dimension of graphs*, 2017) lie in every mixed resolving set, and
+they seed the search: masks are built only for the pairs of elements at
+equal distances to every forced vertex, and the witness is the forced
+vertices plus one minimum set per mask group.  A forced vertex v with a
+dominating neighbour u is the whole separator mask of u and the edge uv,
+so seeding drops exactly the one-vertex masks {v}; the masks left miss
+the forced vertices, so the union stays the lexicographically smallest.
+When the forced vertices resolve the graph on their own, no pair is left
+and no mask is built.
 
 The budget counts search nodes: every partial set the search visits,
 the empty set of each cardinality included.
@@ -80,7 +86,8 @@ DEFAULT_PHI_CAP = 10**7
 class SolveStats:
     """How a minimum was found: search nodes visited, separator masks kept
     after dropping non-minimal ones, and the cardinality the search started
-    from.  The mdim forced-set shortcut builds no masks and visits no node."""
+    from.  For mdim the masks are those the forced vertices leave open, and
+    the starting cardinality counts the forced vertices."""
 
     search_nodes: int
     masks_kept: int
@@ -108,22 +115,27 @@ class PhiResult:
     witness_phi_set: tuple[int, ...]
 
 
+def _rows(g: Graph, kind: str, ws: Sequence[int]) -> list[Sequence[int]]:
+    """One row per vertex of ``ws``: its distances to the kind's universe,
+    vertices first, then edges, as in ``_universe_columns``.  A vertex w's
+    edge distances are column w of g's vertex-edge rows."""
+    if kind == DIM:
+        return [g.distances[w] for w in ws]
+    rows = [g._vertex_edge[w::g.n] for w in ws]
+    if kind == MDIM:
+        rows = [g.distances[w] + edges for w, edges in zip(ws, rows)]
+    return rows
+
+
 def _resolves(g: Graph, kind: str, witness: Iterable[int]) -> bool:
     """True iff the witness gives the elements of the kind's universe pairwise
-    distinct distance vectors.  One row per witness vertex: its distances to
-    the universe, vertices first, then edges, as in ``_universe_columns``.
-    A vertex w's edge distances are column w of g's vertex-edge rows."""
+    distinct distance vectors."""
     ws = sorted(set(witness))
     if not ws:
         raise GraphError("witness set must be nonempty")
     if ws[0] < 0 or ws[-1] >= g.n:
         raise GraphError("witness contains a vertex outside 0..n-1")
-    if kind == DIM:
-        rows = [g.distances[w] for w in ws]
-    else:
-        rows = [g._vertex_edge[w::g.n] for w in ws]
-        if kind == MDIM:
-            rows = [g.distances[w] + edges for w, edges in zip(ws, rows)]
+    rows = _rows(g, kind, ws)
     return len(set(zip(*rows))) == len(rows[0])
 
 
@@ -144,11 +156,14 @@ def is_mixed_resolving(g: Graph, witness: Iterable[int]) -> bool:
 
 def forced_vertices_mdim(g: Graph) -> tuple[int, ...]:
     """Vertices with a maximal neighbor; they lie in every mixed resolving set."""
-    closed = [frozenset(g.adjacency[v]) | {v} for v in range(g.n)]
+    closed = [{v, *near} for v, near in enumerate(g.adjacency)]
     forced = []
-    for v in range(g.n):
-        if any(closed[v] <= closed[u] for u in g.adjacency[v]):
-            forced.append(v)
+    for v, near in enumerate(g.adjacency):
+        mine = closed[v]
+        for u in near:
+            if mine <= closed[u]:
+                forced.append(v)
+                break
     return tuple(forced)
 
 
@@ -170,8 +185,20 @@ _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _separator_masks(g: Graph, kind: str) -> list[int]:
-    """Inclusion-minimal separator masks of the kind's universe, smallest first."""
+def _separator_masks(g: Graph, kind: str, forced: Sequence[int] = ()) -> list[int]:
+    """Inclusion-minimal separator masks of the pairs of the kind's universe
+    that the forced vertices leave unseparated, smallest first: of every
+    pair when there is no forced vertex."""
+    classes = None  # every pair
+    if forced:
+        rows = _rows(g, kind, forced)
+        if len(set(zip(*rows))) == len(rows[0]):
+            return []  # the forced vertices separate every pair
+        # pair only the elements at equal distances to every forced vertex
+        by_key: dict[tuple, list[int]] = {}
+        for x, key in enumerate(zip(*rows)):
+            by_key.setdefault(key, []).append(x)
+        classes = [c for c in by_key.values() if len(c) > 1]
     diameter = max(map(max, g.distances))
     code = next(c for c in "BHIQ" if diameter < 1 << 8 * struct.calcsize(f"<{c}"))
     step = struct.calcsize(f"<{code}")
@@ -186,12 +213,13 @@ def _separator_masks(g: Graph, kind: str) -> list[int]:
     if step > 1:
         pack = struct.Struct(f"<{g.n}{code}").pack
         packed = [pack(*c) for c in packed]
-    columns = [int.from_bytes(c, "little") for c in packed]
     fields = set()
-    for i, a in enumerate(columns):
-        # a field of a ^ b is nonzero iff adding `rest` to its low bits
-        # carries into the top bit, or the top bit is already set
-        fields.update([((((x := a ^ b) & rest) + rest) | x) & high for b in columns[i + 1:]])
+    for group in [packed] if classes is None else [[packed[x] for x in c] for c in classes]:
+        columns = [int.from_bytes(c, "little") for c in group]
+        for i, a in enumerate(columns):
+            # a field of a ^ b is nonzero iff adding `rest` to its low bits
+            # carries into the top bit, or the top bit is already set
+            fields.update([((((x := a ^ b) & rest) + rest) | x) & high for b in columns[i + 1:]])
     # the field tops keep the vertex order, so subsets and order carry over;
     # every pending field of the least size is minimal, and its supersets go
     pending, kept = sorted(fields, key=int.bit_count), []
@@ -332,20 +360,15 @@ def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certif
     """
     if kind not in KINDS:
         raise GraphError(f"unknown kind {kind!r}")
-    forced: tuple[int, ...] = ()
-    if kind == MDIM:
-        forced = forced_vertices_mdim(g)
-        if forced and is_mixed_resolving(g, forced):
-            stats = SolveStats(search_nodes=0, masks_kept=0, lower_bound=len(forced))
-            return Certificate(kind=kind, vertices=forced, value=len(forced), forced=forced,
-                               stats=stats)
-    masks = _separator_masks(g, kind)
+    forced = forced_vertices_mdim(g) if kind == MDIM else ()
+    masks = _separator_masks(g, kind, forced)
     parts = _components(masks)
     search = _Search(budget)
-    # with no pair to separate, any single vertex resolves
-    witness = tuple(sorted(v for part in parts for v in next(search.minimum_sets(part)))) or (0,)
+    picks = (next(search.minimum_sets(part)) for part in parts)
+    # with no forced vertex and no pair to separate, any single vertex resolves
+    witness = tuple(sorted(chain(forced, *picks))) or (0,)
     stats = SolveStats(search_nodes=search.nodes, masks_kept=len(masks),
-                       lower_bound=max(1, sum(map(_packing, parts))))
+                       lower_bound=max(1, len(forced) + sum(map(_packing, parts))))
     return Certificate(kind=kind, vertices=witness, value=len(witness), forced=forced, stats=stats)
 
 

@@ -134,7 +134,8 @@ def _derive(base: Graph, distances: tuple[int, tuple[int, int, int]],
     else:
         adjacency += base.edges
     neighbours = tuple(adjacency)
-    table = _table_from_base(base, *distances)
+    # M(G) and T(G) share their split rows; no other graph maps G's blocks as S(G) does
+    table = _table_from_base(base, *distances, shared=ledges)
     graph = Graph(n=N, edges=tuple(edges), adjacency=neighbours,
                   distances=_all_pairs_bfs(N, neighbours) if table is None else table)
     return DerivedGraph(graph=graph, base_n=n)

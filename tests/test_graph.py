@@ -330,7 +330,7 @@ def test_the_shared_pieces_live_and_die_with_their_graph():
         before, _ = tracemalloc.get_traced_memory()
         derived = [derive(base) for derive in (subdivision, middle, total)]
         assert {"_vertex_major", "_shared"} <= vars(base).keys()
-        assert len(base._shared) == 3  # S's split rows, M's and T's, and their ledges
+        assert len(base._shared) == 2  # M's and T's split rows, and their ledges
         ref = weakref.ref(base)
         del base, derived
         gc.collect()
@@ -339,6 +339,13 @@ def test_the_shared_pieces_live_and_die_with_their_graph():
     finally:
         tracemalloc.stop()
     assert after - before < 64 << 10  # the blocks and split rows alone take about 2.4 MiB
+
+
+def test_s_leaves_no_split_rows_in_its_base():
+    # no other derived graph maps G's blocks as S does, so G keeps none of its rows
+    base = random_tree(60, 3)
+    subdivision(base)
+    assert base._shared == {}
 
 
 def _counting_bfs(monkeypatch):

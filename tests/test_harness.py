@@ -7,7 +7,7 @@ import pytest
 
 from mdimlab import (BadSpecError, Certificate, build_graph, complete_graph, cycle_graph, emit_graph6,
                      enumerate_small_trees, gn_graph, path_graph)
-from mdimlab import families, harness, middle, transforms
+from mdimlab import families, harness, middle, solvers, transforms
 from mdimlab.cli import main
 from mdimlab.harness import (
     HOLDS,
@@ -295,6 +295,20 @@ def test_forced_check_reports_a_wrong_certificate_as_violated(monkeypatch, verti
     assert record.status == VIOLATED
     assert record.values == {"forced": list(forced), "mdim": len(vertices),
                              "witness": list(vertices), **removable}
+
+
+def test_forced_check_catches_a_wrong_forced_set_that_seeds_the_search(monkeypatch, capsys):
+    # the search puts every forced vertex in the witness, so "forced inside
+    # the witness" holds by construction; a vertex wrongly called forced
+    # must still show as removable
+    monkeypatch.setattr(solvers, "forced_vertices_mdim", lambda g: (0, 1, 3))
+    report = run_checks([Instance(id="path:n=4", graph=path_graph(4))], theorems=["L2.1-forced"])
+    (record,) = report.records
+    assert record.status == VIOLATED
+    assert record.values == {"forced": [0, 1, 3], "mdim": 3, "witness": [0, 1, 3],
+                             "removable_forced_vertex": 1}
+    assert main(["verify", "--family", "path:n=4", "--theorems", "L2.1-forced"]) == 1
+    assert json.loads(capsys.readouterr().out)["records"][0]["status"] == VIOLATED
 
 
 # ---------------------------------------------------------------------------

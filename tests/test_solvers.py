@@ -25,6 +25,7 @@ from mdimlab import (
     phi_of_basis,
     phi_of_graph,
     phi_set,
+    random_cactus,
     random_tree,
     solve_dimension,
     star_graph,
@@ -433,3 +434,87 @@ def test_separator_masks_match_oracle(g):
 @pytest.mark.parametrize("name", ["S", "M", "T"])
 def test_separator_masks_match_oracle_on_derived_g3(name):
     _assert_masks_match_oracle(DERIVED[name](gn_graph(3)[0]))
+
+
+def _oracle_pair_mask(dist, n, x, y):
+    return sum(1 << w for w in range(n)
+               if oracle_element_distance(dist, x, w) != oracle_element_distance(dist, y, w))
+
+
+def _assert_seeded_masks_match_oracle(g):
+    forced = forced_vertices_mdim(g)
+    hit = sum(1 << v for v in forced)
+    open_masks = [m for m in _oracle_minimal_masks(g.n, g.edges, "mdim") if not m & hit]
+    assert _separator_masks(g, "mdim", forced) == open_masks, g.edges
+
+
+def _assert_forced_pairs_separate_only_their_vertex(g):
+    # v is forced when a neighbour u has N[v] inside N[u]; then only v
+    # separates u from the edge uv
+    dist = oracle_distances(g.n, g.edges)
+    closed = {v: {w for w in range(g.n) if dist[v][w] <= 1} for v in range(g.n)}
+    dominated = set()
+    for v in range(g.n):
+        for u in closed[v] - {v}:
+            if closed[v] <= closed[u]:
+                dominated.add(v)
+                edge = ("e", (min(u, v), max(u, v)))
+                assert _oracle_pair_mask(dist, g.n, ("v", u), edge) == 1 << v, (u, v, g.edges)
+    assert tuple(sorted(dominated)) == forced_vertices_mdim(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_seeded_masks_are_the_oracle_masks_that_miss_the_forced_vertices(g):
+    _assert_seeded_masks_match_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_a_forced_vertex_alone_separates_its_dominating_neighbour_from_their_edge(g):
+    _assert_forced_pairs_separate_only_their_vertex(g)
+
+
+@pytest.mark.parametrize("name", ["S", "M", "T"])
+def test_seeded_masks_and_forced_pairs_on_derived_g3(name):
+    g = DERIVED[name](gn_graph(3)[0])
+    _assert_seeded_masks_match_oracle(g)
+    _assert_forced_pairs_separate_only_their_vertex(g)
+
+
+_CACTUS_200_FORCED = (
+    22, 52, 65, 66, 68, 69, 73, 74, 77, 79, 88, 92, 96, 97, 98, 99, 102, 106, 107, 108, 110, 111,
+    114, 115, 116, 117, 118, 121, 124, 125, 126, 127, 132, 133, 135, 138, 141, 142, 145, 146, 147,
+    149, 150, 153, 154, 155, 157, 158, 159, 160, 162, 163, 164, 165, 166, 167, 169, 170,
+    *range(172, 200))
+
+
+# (graph, value, witness, forced, lower bound, and the masks kept and the
+# search nodes when every forced vertex was a one-vertex mask group)
+_PINNED_MDIM = [
+    pytest.param(lambda: middle(gn_graph(6)[0]).graph, 15, tuple(range(15)), tuple(range(8)),
+                 14, 26, 27, id="M(G_6)"),
+    pytest.param(lambda: middle(gn_graph(7)[0]).graph, 17, tuple(range(17)), tuple(range(9)),
+                 16, 30, 30, id="M(G_7)"),
+    pytest.param(lambda: middle(gn_graph(12)[0]).graph, 27, tuple(range(27)), tuple(range(14)),
+                 26, 50, 45, id="M(G_12)"),
+    pytest.param(lambda: subdivision(random_cactus(12, 3, 3)).graph, 6, (0, 4, 5, 7, 9, 11), (11,),
+                 4, 13, 12, id="S(random_cactus(12, 3, 3))"),
+    pytest.param(lambda: random_cactus(200, 20, 1), 90, tuple(sorted((23, 30, 33, 41) + _CACTUS_200_FORCED)),
+                 _CACTUS_200_FORCED, 90, 92, 180, id="random_cactus(200, 20, 1)"),
+    pytest.param(lambda: total(random_tree(18, 2)).graph, 14,
+                 (1, 2, 6, 10, 13, 16, 17, 20, 21, 25, 26, 32, 33, 34),
+                 (1, 2, 6, 10, 13, 16, 17, 20, 21, 25, 26, 32, 33, 34), 14, 14, 28,
+                 id="T(random_tree(18, 2))"),
+]
+
+
+@pytest.mark.parametrize("make, value, witness, forced, lower, all_masks, all_nodes", _PINNED_MDIM)
+def test_mdim_certificates_pinned_across_seeding(make, value, witness, forced, lower, all_masks,
+                                                  all_nodes):
+    cert = solve_dimension(make(), "mdim")
+    assert (cert.value, cert.vertices, cert.forced) == (value, witness, forced)
+    assert cert.stats.lower_bound == lower
+    # seeding drops the forced vertices' one-vertex masks and their two nodes each
+    assert cert.stats.masks_kept == all_masks - len(forced)
+    assert cert.stats.search_nodes == all_nodes - 2 * len(forced)
