@@ -5,22 +5,22 @@ sorted tuple of pairs (u, v) with u < v; the position of a pair in that
 tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction and shared read-only, so distance queries are table
-lookups.  One BFS, from vertex 0, gives a BFS tree; a vertex below one of
-its bridges, found by one children-first pass of subtree masks, takes its
-parent's row plus or minus one per entry, and every other vertex runs
-BFS, so a tree takes one BFS.  Input graphs go through ``build_graph``,
-which normalises and checks an edge list.  The subdivision, middle and
-total graphs of ``transforms`` are built as ``Graph`` directly, valid by
-construction, and take no BFS: their tables are read off the base graph's
-table and its vertex-edge and edge-edge blocks, d(x, e) and d(e, f)
-(``_table_from_base``).  A graph computes each block once, on first use,
-as one flat sequence of rows (``Graph._vertex_edge`` and
-``Graph._edge_edge``), and keeps it while it lives, so S, M and T, the
-solvers' edge columns and the resolving tests read one copy.  It also
-keeps the vertex-edge block laid out vertex by vertex
-(``Graph._vertex_major``), so a derived vertex row and an edge-edge row
-slice it contiguously, and the derived split rows that M(G) and T(G)
-share (``Graph._shared``).  The two ends of an
+lookups.  One BFS gives a BFS tree; a vertex on one of its bridges or
+cycle blocks, found by one walk of the rings that its other edges close,
+takes its row from the block's top vertex's row by a few big-int sums,
+and every other vertex runs BFS, so a tree or a cactus takes one BFS.
+Input graphs go through ``build_graph``, which normalises and checks an
+edge list.  The subdivision, middle and total graphs of ``transforms``
+are built as ``Graph`` directly, valid by construction, and take no BFS:
+their tables are read off the base graph's table and its vertex-edge and
+edge-edge blocks, d(x, e) and d(e, f) (``_table_from_base``).  A graph
+computes each block once, on first use, as one flat sequence of rows
+(``Graph._vertex_edge`` and ``Graph._edge_edge``), and keeps it while it
+lives, so S, M and T, the solvers' edge columns and the resolving tests
+read one copy.  It also keeps the vertex-edge block laid out vertex by
+vertex (``Graph._vertex_major``), so a derived vertex row and an
+edge-edge row slice it contiguously, and the derived split rows that
+M(G) and T(G) share (``Graph._shared``).  The two ends of an
 edge have rows that differ by at most one in every lane, so each block
 row is a lane-wise floor average (``_floor_means``).  All arithmetic is
 exact integer hop counts.
@@ -174,36 +174,42 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
     """Distance rows of a connected graph; DisconnectedError if the first
     BFS row, from vertex 0, misses a vertex.
 
-    That row gives a BFS tree.  Across a bridge (p, c) of the tree,
-    d(c, x) = d(p, x) - 1 for x on c's side and + 1 elsewhere, so c's row is
-    p's row plus one in every lane minus two in the lanes of c's subtree
-    (``_bridge_sides``).  BFS runs from every other vertex.  So a tree takes
-    one BFS, a bridgeless graph n, and no graph more than n minus its bridge
-    tree edges.
+    That row gives a BFS tree, whose tree edges are bridges, lie on cycle
+    blocks, or lie in larger blocks (``_rings``).  Around a cycle block
+    p = w0, ..., w(L-1) from its top vertex p, each x hangs off the ring
+    vertex w whose part holds it (w's subtree less its ring child's, p's
+    part everything else), so d(wk, x) = d(p, x) + d_ring(wk, w) - d_ring(p, w).
+    A step around the ring adds one to every lane, takes two off the lanes
+    of the L // 2 parts ahead and, for odd L, one off the part opposite: a
+    few big-int sums per row (``_around``).  A bridge (p, c) is the ring
+    p, c.  A vertex whose tree edge lies in a larger block runs BFS, and
+    rows below it are read from its row, so a tree or a cactus takes one BFS.
 
-    Rows are read across bridges only while every distance fits a byte,
-    which twice the first row's largest entry bounds; otherwise BFS runs
-    from every vertex.  Each BFS row is converted as soon as it is
-    finished, so one list row is alive at a time.  Rows are ``bytes`` until
-    a distance reaches 256; that row and every later one are tuples, and
-    the rows built so far become tuples too."""
+    Rows are read only while twice the root's eccentricity fits a byte; if
+    it does not at vertex 0, the root is the middle of a longest path from
+    the vertex farthest from 0, when it fits there (three BFS).  Otherwise
+    BFS runs from every vertex, one list row alive at a time, and rows are
+    ``bytes`` until a distance reaches 256; that row and every later one
+    are tuples, and the rows built so far become tuples too."""
     first = _bfs(n, adjacency, 0)
     if -1 in first:
         raise DisconnectedError("graph is not connected")
-    if 2 * max(first) > 255:
-        order, parent, sides = range(n), [], [0] * n
-    else:
-        order, parent, sides = _bridge_sides(n, adjacency, first)
+    ran, root, reach = {0: first}, 0, max(first)
+    if 127 < reach < 256:  # a centre of a long path may halve the eccentricity
+        end = first.index(reach)
+        far = ran[end] = _bfs(n, adjacency, end)
+        root = far.index(max(far))
+        for _ in range(max(far) // 2):
+            root = next(w for w in adjacency[root] if far[w] < far[root])
+        if root not in ran:
+            ran[root] = _bfs(n, adjacency, root)
+        reach = max(ran[root])
+    if 2 * reach < 256:
+        return _read_rows(n, adjacency, ran[root])
     rows: list[Row] = [b""] * n
-    convert, ones = bytes, int.from_bytes(b"\x01" * n, "little")
-    for v in order:
-        if sides[v]:
-            lanes = bin(sides[v])[:1:-1].encode().translate(_TO_TWOS)
-            sides[v] = 0  # one mask fewer alive for each row added
-            row = int.from_bytes(rows[parent[v]], "little") + ones - int.from_bytes(lanes, "little")
-            rows[v] = row.to_bytes(n, "little")
-            continue
-        dist = first if v == 0 else _bfs(n, adjacency, v)
+    convert = bytes
+    for v in range(n):
+        dist = ran.pop(v, None) or _bfs(n, adjacency, v)
         try:
             rows[v] = convert(dist)
         except ValueError:  # a distance of 256 or more: no row fits a byte
@@ -213,41 +219,130 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
     return tuple(rows)
 
 
-# binary digits, least significant first, to a byte of 2 per bit that is set
-_TO_TWOS = bytes.maketrans(b"01", b"\x00\x02")
-
-
-def _bridge_sides(n: int, adjacency: tuple[tuple[int, ...], ...],
-                  dist: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """The BFS order and tree parents given by a BFS row, and per vertex c
-    its subtree as an n-bit mask if c's tree edge to its parent is a
-    bridge, else 0.
-
-    A tree edge (p, c) is a bridge iff no edge other than (p, c) joins c's
-    subtree to a vertex outside it.  Children first, each vertex c ORs its
-    subtree mask into its parent's, and into reach[p] the vertices that c
-    and its subtree reach by edges other than their tree edges upward;
-    (p, c) is a bridge iff reach[c] has no bit outside c's subtree.  The
-    pass takes O(n + m) operations on n-bit ints."""
+def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int]) -> tuple[bytes, ...]:
+    """The byte rows of ``_all_pairs_bfs`` read around the bridges and rings
+    of the BFS tree that the row ``dist`` of its root gives."""
     order = sorted(range(n), key=dist.__getitem__)
-    bit = [1 << v for v in range(n)]
-    parent, sides, reach = [-1] * n, bit[:], [0] * n
+    parent, owner, rings, block = _rings(adjacency, dist, settle=True)
+    subtree = [1 << v for v in range(n)]
     for c in reversed(order[1:]):  # children before their parents
-        d = dist[c]
-        for p in adjacency[c]:  # the first neighbour one step nearer the root
-            if dist[p] < d:
+        subtree[parent[c]] |= subtree[c]
+
+    def parts(arm: list[int]) -> list[int]:
+        # a ring vertex's part is its subtree less its ring child's, the one before it
+        below = [0, *map(subtree.__getitem__, arm)]
+        return [_lanes(subtree[x] - b) for x, b in zip(arm, below)]
+
+    rows = [b""] * n
+    rows[order[0]] = bytes(dist)
+    ones = int.from_bytes(b"\x01" * n, "little")
+    for v in order[1:]:
+        if rows[v]:
+            continue
+        i = owner[v]
+        if i < 0:  # the ring of the bridge (p, v) has length 2: take two off v's part
+            row = int.from_bytes(rows[parent[v]], "little") + ones - (_lanes(subtree[v]) << 1)
+            rows[v], subtree[v] = row.to_bytes(n, "little"), 0  # one mask fewer alive
+        elif block[i] >= 0:
+            rows[v] = bytes(_bfs(n, adjacency, v))
+        else:
+            u, w, p = rings[i]
+            down, up = _climb(parent, u, p), _climb(parent, w, p)
+            walk = _around(int.from_bytes(rows[p], "little"), parts(down)[::-1] + parts(up), ones)
+            for x, row in zip(down[::-1] + up, walk):
+                rows[x], subtree[x] = row.to_bytes(n, "little"), 0
+    return tuple(rows)
+
+
+def _climb(parent: list[int], x: int, top: int) -> list[int]:
+    """x and its tree ancestors below ``top``, from x up."""
+    path = []
+    while x != top:
+        path.append(x)
+        x = parent[x]
+    return path
+
+
+def _around(row: int, parts: list[int], ones: int) -> Iterator[int]:
+    """The rows of w1, ..., w(L-1) around a ring from w0, whose row is
+    ``row``, given the lane ints of the parts of w1 to w(L-1)."""
+    size = len(parts) + 1
+    half, odd = size // 2, size % 2
+    parts = [ones - sum(parts), *parts] * 2
+    window = sum(parts[1:half + 1])  # the parts ahead of w0
+    for k in range(size - 1):
+        if k:
+            window += parts[k + half] - parts[k]
+        row += ones - (window << 1) - (parts[k + half + 1] if odd else 0)
+        yield row
+
+
+# binary digits, least significant first, to a byte of 1 per bit that is set
+_TO_ONES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lanes(mask: int) -> int:
+    """An n-bit mask as a little-endian int with a byte lane of 1 per set bit."""
+    return int.from_bytes(bin(mask)[:1:-1].encode().translate(_TO_ONES), "little")
+
+
+def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: bool = False
+           ) -> tuple[list[int], list[int], list[tuple[int, int, int]], list[int]]:
+    """The BFS tree that a BFS row ``depth`` gives, each vertex's parent its
+    first neighbour one step nearer the source, and the rings that the edges
+    (u, v), u < v, outside it close, in their order: up from u and v to
+    where they meet.  A ring that shares no tree edge with another is a
+    cycle block (a cycle through a path outside it would be a sum of rings,
+    one sharing its tree edges).  ``owner[x]`` is the first ring through the
+    tree edge above x, or -1.  A union-find joins the rings that share an
+    edge; a class's root is its last ring, whose walk ended at the class's
+    top vertex, and a walk jumps from an owned edge to that top, so no edge
+    is walked twice.  Ring i is (u, v, the vertex its walk ended at, the
+    common ancestor unless it met another), and ``block[i]`` its class, or
+    -1 if it shares no edge.  With ``settle`` the walk stops once every tree
+    edge lies in a class of two or more rings, which no later ring undoes."""
+    n = len(adjacency)
+    parent = list(range(n))
+    for v, d in enumerate(depth):
+        for w in adjacency[v]:
+            if depth[w] < d:
+                parent[v] = w
                 break
-        parent[c] = p
-        out = reach[c]  # what c's children reach
-        for w in adjacency[c]:
-            if w != p:
-                out |= bit[w]
-        sides[p] |= sides[c]
-        reach[p] |= out
-        if out & ~sides[c]:
-            sides[c] = 0
-    sides[order[0]] = 0
-    return order, parent, sides
+    owner, root, rings = [-1] * n, [], []
+    lone = {}  # the rings that met no other, to the tree edges each owns
+    loose = n - 1  # tree edges on no ring or on a lone one
+    closing = ((u, v) for u in range(n) for v in adjacency[u]
+               if u < v and parent[v] != u and parent[u] != v)
+    for u, v in closing:
+        i, x, y, met, new = len(rings), u, v, [], 0
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            j = owner[x]
+            if j < 0:
+                owner[x], x, new = i, parent[x], new + 1
+                continue
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            met.append(j)
+            x = rings[j][2]
+        rings.append((u, v, x))
+        root.append(i)
+        if not met:
+            lone[i] = new
+            continue
+        loose -= new
+        for j in met:
+            loose -= lone.pop(j, 0)
+            root[j] = i
+        if settle and not loose:
+            break
+    block = []
+    for j in range(len(rings)):
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        block.append(-1 if j in lone else j)
+    return parent, owner, rings, block
 
 
 def _floor_means(pairs: Iterable[tuple[int, int]], width: int) -> Iterator[int]:

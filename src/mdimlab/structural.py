@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .errors import ClassMismatchError, GraphError, NotCactusError
 from .families import gn_graph
-from .graph import Graph
+from .graph import Graph, _climb, _rings
 
 MDIM_CACTUS = "mdim_cactus"
 MDIM_TREE = "mdim_tree"
@@ -68,53 +68,21 @@ def is_tree(g: Graph) -> bool:
 
 
 def _cactus_rings(g: Graph) -> list[list[int]]:
-    """The cycles of a cactus, read off the BFS tree from vertex 0.
-
-    The parent of v is its first neighbour one step closer to 0.  Each edge
-    outside that tree closes one ring, which runs from one end up to the
-    common ancestor and down to the other end.  Only tree edges can lie on
-    two rings: ``owner[x]`` is the first ring through the edge above x, and
-    a union-find joins every later ring through it to that one.  When some
-    edge is shared, NotCactusError names the block of the first ring that
-    shares one: the rings joined to it and their edges."""
-    depth = g.distances[0]
-    parent = [next((w for w in g.adjacency[v] if depth[w] < depth[v]), v) for v in range(g.n)]
-    owner = [-1] * g.n
-    root: list[int] = []
-    rings: list[list[int]] = []
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    first = g.m
-    for u, v in g.edges:
-        if parent[u] == v or parent[v] == u:
-            continue
-        i = len(rings)
-        root.append(i)
-        up, down = [u], [v]
-        while up[-1] != down[-1]:
-            deeper = up if depth[up[-1]] >= depth[down[-1]] else down
-            x = deeper[-1]
-            if owner[x] < 0:
-                owner[x] = i
-            else:
-                first = min(first, owner[x])
-                root[find(i)] = find(owner[x])
-            deeper.append(parent[x])
-        rings.append(up + down[-2::-1])
-    if first < g.m:
-        joined = find(first)
-        block = [ring for i, ring in enumerate(rings) if find(i) == joined]
-        tree_edges = sum(1 for i in owner if i >= 0 and find(i) == joined)
+    """The cycles of a cactus, read off the BFS tree from vertex 0
+    (``graph._rings``): one ring per edge outside that tree, from its top
+    vertex down to one end of that edge and up from the other.  When two
+    rings share an edge, NotCactusError names the block of the first ring
+    that shares one: its tree edges and the edges that close its rings."""
+    parent, owner, rings, block = _rings(g.adjacency, g.distances[0])
+    first = next((b for b in block if b >= 0), -1)
+    if first >= 0:
+        tree = [x for x, i in enumerate(owner) if i >= 0 and block[i] == first]
         raise NotCactusError(
             f"not a cactus (biconnected component on vertices "
-            f"{sorted({v for ring in block for v in ring})} has {len(block) + tree_edges} "
+            f"{sorted({*tree, *(parent[x] for x in tree)})} has {block.count(first) + len(tree)} "
             "edges; cycles share an edge)"
         )
-    return rings
+    return [[p, *_climb(parent, u, p)[::-1], *_climb(parent, v, p)] for u, v, p in rings]
 
 
 def _rotate(ring: list[int]) -> tuple[int, ...]:

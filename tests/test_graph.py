@@ -189,11 +189,11 @@ def _c4_with_tail(diameter):
     """The 4-cycle 0-1-2-3 with a path of diameter - 2 edges hung on vertex 0.
 
     Its far ends are vertex 2 and the path's leaf, and vertex 0's BFS row
-    reaches diameter - 2.  Up to diameter 129 the tail's rows are read
-    across its bridges from that row, and vertices 1 to 3 run BFS, vertex
-    2's row spanning the diameter; beyond that every vertex runs BFS.  At
-    diameter 256, rows 0 and 1 fit a byte and vertex 2's row is the first
-    that does not."""
+    reaches diameter - 2.  Up to diameter 129 every other row is read from
+    that row, around the 4-cycle and across the tail's bridges; up to 254,
+    from the row of the middle of the tail and cycle; beyond that every
+    vertex runs BFS.  At diameter 256, rows 0 and 1 fit a byte and vertex
+    2's row is the first that does not."""
     tail = [(0, 4)] + [(v, v + 1) for v in range(4, diameter + 1)]
     return build_graph(diameter + 2, [(0, 1), (1, 2), (2, 3), (0, 3), *tail])
 
@@ -420,13 +420,13 @@ def test_derived_tables_at_the_byte_limits(monkeypatch, derive, n, bfs):
 @pytest.mark.parametrize("derive", [subdivision, middle, total])
 def test_derived_edge_lists_as_input_take_bfs_off_their_bridges(monkeypatch, derive):
     # the derived graph's edge list taken through build_graph like any input,
-    # 119 vertices.  S of a tree is a tree: one BFS.  M's bridges are the
-    # pendant edges to G's 26 leaves, so 93 runs; every edge of T lies on a
-    # triangle, so every vertex runs BFS.
+    # 119 vertices.  S of a tree is a tree: one BFS.  M's blocks are G's
+    # leaf edges, bridges, and per vertex of degree d >= 2 the clique on it
+    # and its d edges, a triangle when d = 2, so 63 runs; T's are larger.
     derived = derive(random_tree(60, 3)).graph
     maxima = _counting_bfs(monkeypatch)
     g = build_graph(derived.n, derived.edges)
-    assert len(maxima) == {subdivision: 1, middle: 93, total: 119}[derive]
+    assert len(maxima) == _block_bfs_runs(g) == {subdivision: 1, middle: 63, total: 119}[derive]
 
 
 def _bfs_runs(g):
@@ -459,25 +459,54 @@ def test_a_star_and_a_large_tree_take_one_bfs(g):
     _assert_oracle_rows(g, rows)
 
 
-def _bridges(g):
-    """The edges of g whose deletion disconnects it: e = ab is one iff a BFS
-    from a over the other edges never reaches b, and each BFS stops once it
-    has."""
-    bridges = set()
-    for e in g.edges:
-        a, b = e
-        seen, frontier = {a}, [a]
-        while frontier and b not in seen:
-            reached = []
-            for u in frontier:
-                for w in g.adjacency[u]:
-                    if w not in seen and (min(u, w), max(u, w)) != e:
-                        seen.add(w)
-                        reached.append(w)
-            frontier = reached
-        if b not in seen:
-            bridges.add(e)
-    return bridges
+def _blocks(g):
+    """Each edge of g mapped to a label of its block.  Two edges lie in one
+    block iff no vertex x separates them: after deleting x, the ends of
+    each other than x lie in one component.  So an edge's label is, per x,
+    the component of G - x that holds it."""
+    adjacency = {v: [] for v in range(g.n)}
+    for a, b in g.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    labels = {e: [] for e in g.edges}
+    for x in range(g.n):
+        comp = {x: -1}
+        for s in range(g.n):
+            if s in comp:
+                continue
+            comp[s], frontier = s, [s]
+            while frontier:
+                reached = []
+                for u in frontier:
+                    for w in adjacency[u]:
+                        if w not in comp:
+                            comp[w] = s
+                            reached.append(w)
+                frontier = reached
+        for a, b in g.edges:
+            labels[(a, b)].append(comp[b] if a == x else comp[a])
+    return {e: tuple(label) for e, label in labels.items()}
+
+
+def _block_bfs_runs(g):
+    """The BFS runs that g's table should take, from a brute-force block
+    search: one from vertex 0, and one from each other vertex whose edge to
+    its parent in vertex 0's BFS tree (its first neighbour one step nearer
+    0) lies in a block that is neither one edge nor a cycle."""
+    depth = oracle_distances(g.n, g.edges)[0]
+    assert 2 * max(depth.values()) <= 255  # so vertex 0 stays the root
+    adjacency = {v: [w for e in g.edges if v in e for w in e if w != v] for v in range(g.n)}
+    blocks = _blocks(g)
+    vertices, edges = {}, {}
+    for (a, b), label in blocks.items():
+        vertices.setdefault(label, set()).update((a, b))
+        edges[label] = edges.get(label, 0) + 1
+    runs = 1
+    for v in range(1, g.n):
+        p = min(w for w in adjacency[v] if depth[w] < depth[v])
+        label = blocks[(min(v, p), max(v, p))]
+        runs += edges[label] > 1 and edges[label] != len(vertices[label])
+    return runs
 
 
 def _ladder(k):
@@ -486,23 +515,63 @@ def _ladder(k):
     return build_graph(2 * k, rails + [(i, k + i) for i in range(k)])
 
 
-@given(_with_pendant_paths())
-@example(random_cactus(300, 75, 3))  # 75 cycles: 260 runs, 40 bridges
-@example(_ladder(100))  # bridgeless, with a cycle at every rung
+@st.composite
+def _cacti(draw, chord=False):
+    """A cactus of up to six blocks, each a bridge or a cycle of up to 12
+    vertices hung on a vertex already there, with its vertices relabelled;
+    with ``chord``, one more edge joins two vertices not yet adjacent, so
+    the blocks it closes a path through become one block of several rings."""
+    edges, n = [], 1
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        at, size = draw(st.integers(min_value=0, max_value=n - 1)), draw(st.integers(2, 12))
+        ring = [at, *range(n, n + size - 1)]
+        edges += zip(ring, ring[1:] + ring[:1] if size > 2 else ring[1:])
+        n += size - 1
+    label = draw(st.permutations(range(n)))
+    edges = [(label[a], label[b]) for a, b in edges]
+    if chord:
+        present = {frozenset(e) for e in edges}
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n) if {u, v} not in present]
+        if absent:
+            edges.append(draw(st.sampled_from(absent)))
+    return build_graph(n, edges)
+
+
+_RINGS_AND_CHORDS = st.one_of(_cacti(), _cacti(chord=True),
+                              st.integers(3, 60).map(cycle_graph))
+
+
+@given(st.one_of(_with_pendant_paths(), _RINGS_AND_CHORDS))
+@example(random_cactus(300, 75, 3))  # a cactus: one run
+@example(_ladder(100))  # one block of 99 rings: every vertex runs BFS
 def test_bfs_runs_from_the_root_and_each_vertex_not_below_a_bridge(g):
     # BFS runs from vertex 0, and from each other vertex whose edge to its
-    # parent in vertex 0's BFS tree is not a bridge
-    oracle, bridges = oracle_distances(g.n, g.edges), _bridges(g)
-    depth = oracle[0]
+    # parent in vertex 0's BFS tree is neither a bridge nor on a cycle block
     runs, rows = _bfs_runs(g)
-    above = (next(w for w in g.adjacency[v] if depth[w] < depth[v]) for v in range(1, g.n))
-    assert runs == 1 + sum((min(v, p), max(v, p)) not in bridges for v, p in enumerate(above, 1))
-    _assert_oracle_rows(g, rows, oracle)
+    assert runs == _block_bfs_runs(g)
+    _assert_oracle_rows(g, rows)
 
 
-@pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(100), cycle_graph(300),
-                               complete_graph(6), complete_graph(80)],
-                         ids=["C3", "C100", "C300", "K6", "K80"])
+@given(_RINGS_AND_CHORDS)
+def test_rows_match_the_oracle_on_cacti_cycles_and_chorded_cacti(g):
+    _assert_oracle_rows(g, g.distances)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(100), cycle_graph(255),
+                               random_cactus(600, 150, 3)],
+                         ids=["C3", "C100", "C255", "cactus600-150"])
+def test_a_cycle_and_a_cactus_take_one_bfs_run(g):
+    # C255 sits at the byte bound: its rows reach 127, and 2 * 127 fits a byte
+    runs, rows = _bfs_runs(g)
+    assert runs == 1
+    assert {type(row) for row in rows} == {bytes}
+    _assert_oracle_rows(g, rows)
+
+
+# K6 and K80 are one block of many rings; C300's rows reach 150, and twice
+# that does not fit a byte from any root
+@pytest.mark.parametrize("g", [cycle_graph(300), complete_graph(6), complete_graph(80)],
+                         ids=["C300", "K6", "K80"])
 def test_a_bridgeless_graph_takes_n_bfs_runs(g):
     runs, rows = _bfs_runs(g)
     assert runs == g.n
@@ -510,12 +579,15 @@ def test_a_bridgeless_graph_takes_n_bfs_runs(g):
 
 
 # on a path the first BFS runs from vertex 0, an end, at n - 1 from the
-# other: 2 * 127 fits a byte, 2 * 128 does not.  Without the bridges, BFS
-# runs from every vertex.
+# other: 2 * 127 fits a byte, 2 * 128 does not.  Then BFS runs from that
+# other end and from the middle of the path, whose rows reach n // 2: up to
+# n = 255 twice that fits a byte, and the rows are read from the middle.
+# Past that BFS runs from every vertex.
 @pytest.mark.parametrize("n, runs, row_type", [
     (128, 1, bytes),
-    (129, 129, bytes),
-    (130, 130, bytes),
+    (129, 3, bytes),
+    (130, 3, bytes),
+    (255, 3, bytes),
     (256, 256, bytes),
     (257, 257, tuple),
 ])
