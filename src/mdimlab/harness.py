@@ -36,6 +36,7 @@ from .solvers import (
     EDIM,
     MDIM,
     Certificate,
+    _first_removable,
     is_mixed_resolving,
     phi_of_graph,
     solve_dimension,
@@ -206,12 +207,11 @@ def _check_forced(lab: _Lab):
     values = {"forced": list(cert.forced), "mdim": cert.value, "witness": list(cert.vertices)}
     if not set(cert.forced) <= witness:
         return VIOLATED, values
-    for v in cert.forced:
-        trimmed = sorted(witness - {v})
-        if trimmed and is_mixed_resolving(lab.g, trimmed):
-            values["removable_forced_vertex"] = v
-            return VIOLATED, values
-    return HOLDS, values
+    removable = _first_removable(lab.g, sorted(witness), cert.forced)
+    if removable is None:
+        return HOLDS, values
+    values["removable_forced_vertex"] = removable
+    return VIOLATED, values
 
 
 def _check_cactus_formula(lab: _Lab):

@@ -62,6 +62,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, product
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -137,6 +138,30 @@ def _resolves(g: Graph, kind: str, witness: Iterable[int]) -> bool:
         raise GraphError("witness contains a vertex outside 0..n-1")
     rows = _rows(g, kind, ws)
     return len(set(zip(*rows))) == len(rows[0])
+
+
+def _first_removable(g: Graph, witness: Sequence[int], candidates: Iterable[int]) -> int | None:
+    """The first of ``candidates``, vertices of the sorted witness W, whose
+    removal leaves a nonempty mixed resolving set, or None.  W's rows are
+    transposed once, into one key per vertex and edge, and a removal drops
+    that vertex's coordinate from every key.  As ``is_mixed_resolving`` of
+    W less a candidate would, raises GraphError when that set holds a
+    vertex outside 0..n-1."""
+    inside = [w for w in witness if 0 <= w < g.n]
+    rows = _rows(g, MDIM, inside)
+    size = len(rows[0]) if rows else 0
+    blob = b"".join(rows) if rows and isinstance(rows[0], bytes) else tuple(chain(*rows))
+    keys = [blob[x::size] for x in range(size)]
+    for v in candidates:
+        if len(witness) == 1:
+            continue  # nothing left to test
+        if len(witness) - len(inside) > (not 0 <= v < g.n):
+            raise GraphError("witness contains a vertex outside 0..n-1")
+        # a vertex outside 0..n-1 has no coordinate to drop
+        i = bisect_left(inside, v) if 0 <= v < g.n else size
+        if len({key[:i] + key[i + 1:] for key in keys}) == size:
+            return v
+    return None
 
 
 def is_resolving(g: Graph, witness: Iterable[int]) -> bool:
@@ -394,15 +419,41 @@ def phi_of_basis(sg: DerivedGraph, basis: Iterable[int]) -> tuple[int, ...]:
     return phi_set(sg, bs)
 
 
+def _footprints(group: list[tuple[int, ...]], footprint: list[int]) -> list[int]:
+    """The footprint bitmask of each set of ``group``, the OR of its
+    vertices' ``footprint``; a group's minimum sets share one size, so the
+    ORs run one pick position at a time across the whole group."""
+    masks = [0] * len(group)
+    for i in range(len(group[0])):
+        masks = list(map(or_, masks, map(footprint.__getitem__, map(itemgetter(i), group))))
+    return masks
+
+
 def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
                  budget: int = DEFAULT_BUDGET) -> PhiResult:
     """Enumerate every metric basis of the subdivision graph ``sg`` = S(G)
     and minimize the phi footprint in G.
 
-    Raises EnumerationOverflowError when the count of candidate k-subsets
-    of V(S(G)) exceeds the cap, with k = dim(S(G)).  Search nodes of the
+    Raises GraphError, before any search, when a split vertex has a
+    neighbour that is not an original vertex (``sg`` is not a subdivision
+    graph), and EnumerationOverflowError when the count of candidate
+    k-subsets of V(S(G)) exceeds the cap, with k = dim(S(G)), before any
+    basis past each mask group's first is listed.  Search nodes of the
     minimum search and of the enumeration both count against the budget.
+
+    A basis is one minimum set per mask group, and its footprint the union
+    of theirs.  Each group's sets become bitmasks over V(G) once
+    (``_footprints``), every basis is scored by an OR and
+    ``int.bit_count``, one size per basis held, and only the bases tied at
+    the least size are sorted, so the witness is the lexicographically
+    least of them.
     """
+    n = sg.base_n
+    near = sg.graph.adjacency
+    if any(v >= n for ends in near[n:] for v in ends):
+        raise GraphError("split vertex adjacent to a non-original vertex; not a subdivision graph")
+    # each vertex of S(G) in G: an original vertex itself, a split its base edge's ends
+    footprint = [1 << v for v in range(n)] + [sum(1 << v for v in ends) for ends in near[n:]]
     parts = _components(_separator_masks(sg.graph, DIM))
     search = _Search(budget)
     walks = [search.minimum_sets(part) for part in parts]
@@ -413,12 +464,19 @@ def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
 
     # every metric basis is one minimum hitting set per mask group
     choices = [[first, *walk] for first, walk in zip(firsts, walks)]
-    bases = (tuple(sorted(chain(*combo))) for combo in product(*choices))
-    best_basis = min(bases, key=lambda b: (len(phi_set(sg, b)), b))
-    best_phi = phi_set(sg, best_basis)
+    feet = [_footprints(group, footprint) for group in choices]
+    # the bases' footprint sizes in product order: the groups but the last
+    # folded into one list of footprints, then the last one ORed onto it
+    prefix = [0]
+    for masks in feet[:-1]:
+        prefix = [a | b for a in prefix for b in masks]
+    sizes = [(a | b).bit_count() for a in prefix for b in feet[-1]]
+    least = min(sizes)
+    tied = compress(product(*choices), map(least.__eq__, sizes))
+    best_basis = min(tuple(sorted(chain(*combo))) for combo in tied)
     return PhiResult(
-        phi_value=len(best_phi),
+        phi_value=least,
         bases_enumerated=math.prod(map(len, choices)),
         witness_basis=best_basis,
-        witness_phi_set=best_phi,
+        witness_phi_set=phi_set(sg, best_basis),
     )

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mdimlab import (BadSpecError, Certificate, build_graph, complete_graph, cycle_graph, emit_graph6,
                      enumerate_small_trees, gn_graph, path_graph)
@@ -21,6 +23,8 @@ from mdimlab.harness import (
     explore,
     run_checks,
 )
+
+from conftest import connected_graphs
 
 
 def _tree_instances(n_max):
@@ -309,6 +313,73 @@ def test_forced_check_catches_a_wrong_forced_set_that_seeds_the_search(monkeypat
                              "removable_forced_vertex": 1}
     assert main(["verify", "--family", "path:n=4", "--theorems", "L2.1-forced"]) == 1
     assert json.loads(capsys.readouterr().out)["records"][0]["status"] == VIOLATED
+
+
+def _forced_by_resolving_tests(g, vertices, forced):
+    """L2.1 written with one resolving test of the witness less each forced vertex."""
+    witness = set(vertices)
+    values = {"forced": list(forced), "mdim": len(vertices), "witness": list(vertices)}
+    if not set(forced) <= witness:
+        return VIOLATED, values
+    for v in forced:
+        trimmed = sorted(witness - {v})
+        if trimmed and solvers.is_mixed_resolving(g, trimmed):
+            return VIOLATED, {**values, "removable_forced_vertex": v}
+    return HOLDS, values
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:  # the same error type and text on both sides
+        return type(exc), str(exc)
+
+
+@given(st.data())
+def test_forced_check_equals_a_resolving_test_per_forced_vertex(data):
+    # any certificate, right or wrong, with vertices outside 0..n-1 among them
+    g = data.draw(connected_graphs(max_n=7))
+    vertices = tuple(data.draw(st.lists(st.integers(-1, g.n), min_size=1, max_size=g.n + 1)))
+    forced = tuple(data.draw(st.lists(st.sampled_from(vertices + (g.n + 1,)), max_size=4)))
+    lab = harness._Lab(g, 10**6, 10**6)
+    lab._cache["mdim", None] = Certificate(kind="mdim", vertices=vertices, value=len(vertices),
+                                           forced=forced)
+    assert _outcome(harness._check_forced, lab) == _outcome(_forced_by_resolving_tests, g, vertices,
+                                                            forced)
+
+
+@pytest.mark.parametrize("vertices, forced", [((0, 150, 299), (0, 150, 299)), ((0, 299), (0, 299))])
+def test_forced_check_equals_a_resolving_test_per_forced_vertex_on_tuple_rows(vertices, forced):
+    g = path_graph(300)  # diameter 299: its rows are tuples
+    lab = harness._Lab(g, 10**6, 10**6)
+    lab._cache["mdim", None] = Certificate(kind="mdim", vertices=vertices, value=len(vertices),
+                                           forced=forced)
+    assert harness._check_forced(lab) == _forced_by_resolving_tests(g, vertices, forced)
+
+
+def _phi_off_by_one(monkeypatch):
+    real = harness._Lab.phi
+
+    def off(lab):
+        phi = real(lab)
+        return dataclasses.replace(phi, phi_value=phi.phi_value - 1)
+
+    monkeypatch.setattr(harness._Lab, "phi", off)
+
+
+@pytest.mark.parametrize("theorem, plant, instance, values", [
+    ("T3.1ii", _phi_off_by_one, "cycle:n=4", {"phi": 1, "dim": 2, "edim": 2, "bases": 24}),
+    ("C3.2", _phi_off_by_one, "cycle:n=4", {"dim": 2, "edim": 2, "phi": 1, "mdim_s": 3, "mdim": 3}),
+])
+def test_planted_fault_is_reported_as_violated(monkeypatch, capsys, theorem, plant, instance, values):
+    # phi(C4) = 2 = max(dim, edim), so a phi one too small breaks both bounds
+    plant(monkeypatch)
+    report = run_checks(families.generate(instance), theorems=[theorem])
+    (record,) = report.records
+    assert (record.status, record.values) == (VIOLATED, values)
+    assert main(["verify", "--family", instance, "--theorems", theorem]) == 1
+    (printed,) = json.loads(capsys.readouterr().out)["records"]
+    assert (printed["status"], printed["values"]) == (VIOLATED, values)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,16 @@ def test_phi_chain_on_two_hub(g2):
     assert len(result.witness_phi_set) == result.phi_value
 
 
+@pytest.mark.parametrize("derived", [middle(cycle_graph(4)), total(cycle_graph(4)),
+                                     middle(path_graph(3))], ids=["M(C4)", "T(C4)", "M(P3)"])
+def test_phi_refuses_a_graph_that_is_not_a_subdivision_graph(derived):
+    # every split of these is adjacent to another split, whether or not a
+    # metric basis holds one
+    with pytest.raises(GraphError, match="^split vertex adjacent to a non-original vertex; "
+                                         "not a subdivision graph$"):
+        phi_of_graph(derived)
+
+
 def test_phi_enumeration_cap():
     with pytest.raises(EnumerationOverflowError):
         phi_of_graph(subdivision(cycle_graph(6)), cap=1)

@@ -1,9 +1,10 @@
 from dataclasses import fields, replace
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from mdimlab import (
     TooSmallError,
@@ -19,7 +20,9 @@ from mdimlab import (
     subdivision,
     total,
 )
-from mdimlab.transforms import L_EDGE, ORIGINAL_EDGE, S_EDGE, SUBDIVISION
+from mdimlab import transforms
+from mdimlab.graph import Graph
+from mdimlab.transforms import L_EDGE, ORIGINAL_EDGE, S_EDGE, SUBDIVISION, IdentityCheck, IdentityReport
 
 from conftest import connected_graphs, oracle_distances
 
@@ -282,3 +285,109 @@ def test_identities_check_bfs_distances_not_the_stored_table():
         "eq2": (2, 0, 5, 3),
         "eq4": (2, 0, 5, (2, 3)),
     }
+
+
+@lru_cache(maxsize=3)
+def _oracle_rows(g):
+    bfs = oracle_distances(g.n, g.edges)
+    return [[bfs[u].get(v, -1) for v in range(g.n)] for u in range(g.n)]
+
+
+def _scan_identities(g, sg, mg):
+    """check_distance_identities written pair by pair over every domain,
+    with distances from the oracle's BFS (-1 for a vertex it misses)."""
+    n, m = g.n, g.m
+    dg, ds, dm = map(_oracle_rows, (g, sg.graph, mg.graph))
+    to_edge = [[min(dg[x][a], dg[x][b]) for x in range(n)] for a, b in g.edges]
+    between = [[min(dg[a][c], dg[a][d], dg[b][c], dg[b][d]) for c, d in g.edges] for a, b in g.edges]
+    xs, js = range(n), range(m)
+
+    def eq4(x, k):
+        a, b = sg.graph.edges[k]
+        d = 2 * to_edge[(a if a >= n else b) - n][x] if b >= n else None
+        return min(ds[x][a], ds[x][b]), () if d is None else (d, d + 1)
+
+    domains = {
+        "eq1": ((x, y, ds[x][y], 2 * dg[x][y]) for x in xs for y in xs),
+        "eq2": ((x, j, ds[x][n + j], 2 * to_edge[j][x] + 1) for x in xs for j in js),
+        "eq3": ((e, f, ds[n + e][n + f], 2 * between[e][f] + 2) for e in js for f in js if f != e),
+        "eq4": ((x, k, *eq4(x, k)) for x in xs for k in range(sg.graph.m)),
+        "eq5": ((x, y, dm[x][y], dg[x][y] + 1) for x in xs for y in xs if y != x),
+        "eq6": ((x, j, dm[x][n + j], 1 if x in g.edges[j] else to_edge[j][x] + 1)
+                for x in xs for j in js),
+    }
+    sizes = {"eq1": n * n, "eq2": n * m, "eq3": m * (m - 1), "eq4": n * sg.graph.m,
+             "eq5": n * (n - 1), "eq6": n * m}
+    return IdentityReport(tuple(
+        IdentityCheck(name, sizes[name], next(
+            (pair for pair in pairs if not (pair[2] in pair[3] if name == "eq4" else pair[2] == pair[3])),
+            None))
+        for name, pairs in domains.items()))
+
+
+def _graph_on(n, edges):
+    """A Graph with these edges and no table, connected or not: the identity
+    check reads only the adjacency of the derived graphs it is given."""
+    edges = tuple(sorted((min(e), max(e)) for e in edges))
+    near = [[] for _ in range(n)]
+    for u, v in edges:
+        near[u].append(v)
+        near[v].append(u)
+    return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, map(sorted, near))), distances=())
+
+
+def _moved(dg, k, to):
+    """dg with the lower end of its edge k, a split half-edge's original
+    end, moved to ``to``, unless that makes a loop or an edge already there."""
+    edges = list(dg.graph.edges)
+    a, b = edges[k]
+    moved = (to, b) if a != to and b != to else (a, b)
+    if (min(moved), max(moved)) not in edges:
+        edges[k] = moved
+    return replace(dg, graph=_graph_on(dg.graph.n, edges))
+
+
+@st.composite
+def identity_inputs(draw):
+    """G with its true S(G) and M(G), or with a wrong one: M(G) or T(G)
+    posing as S(G), S(G) posing as M(G), or one edge of S(G) or M(G) moved
+    to another vertex, which may leave it disconnected."""
+    g = draw(connected_graphs(max_n=7))
+    sg, mg = subdivision(g), middle(g)
+    which = draw(st.sampled_from(["true", "m as s", "t as s", "s as m", "move s", "move m"]))
+    if which == "m as s":
+        sg = mg
+    elif which == "t as s":
+        sg = total(g)
+    elif which == "s as m":
+        mg = sg
+    elif which.startswith("move"):
+        dg = sg if which == "move s" else mg
+        k = draw(st.integers(0, dg.graph.m - 1))
+        moved = _moved(dg, k, draw(st.integers(0, dg.graph.n - 1)))
+        sg, mg = (moved, mg) if which == "move s" else (sg, moved)
+    return g, sg, mg
+
+
+@given(identity_inputs())
+def test_identities_by_rows_equal_a_pair_scan(inputs):
+    assert check_distance_identities(*inputs) == _scan_identities(*inputs)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: path_graph(n) for n in range(126, 131)],  # 2 diam + 2 = 252 ... 260
+    lambda: cycle_graph(255),
+    lambda: cycle_graph(256),
+    lambda: path_graph(300),  # tuple rows
+], ids=[*(f"P{n}" for n in range(126, 131)), "C255", "C256", "P300"])
+def test_identities_equal_a_pair_scan_on_both_sides_of_the_byte_bound(monkeypatch, make):
+    g = make()
+    sg, mg = subdivision(g), middle(g)
+    runs = []
+    bfs = transforms._bfs
+    monkeypatch.setattr(transforms, "_bfs", lambda *args: runs.append(1) or bfs(*args))
+    report = check_distance_identities(g, sg, mg)
+    assert report == _scan_identities(g, sg, mg) and report.ok
+    assert len(runs) == sg.graph.n + g.n  # one BFS per vertex of S, one per original of M
+    posing = check_distance_identities(g, mg, mg)  # M(G) posing as S(G)
+    assert posing == _scan_identities(g, mg, mg) and not posing.ok
