@@ -374,15 +374,34 @@ def _edge_rows(g: Graph) -> list[Row]:
 
 
 @cache
-def _affine_maps(scale: int, offsets: tuple[int, ...]) -> tuple[bytes, tuple[bytes | None, ...]]:
-    """The base distances that every map d -> scale * d + offset takes to a
-    byte, and one translate table per offset.  The first, of d(x, y), sends
-    0 to 0, since a vertex's own entry is the only 0 in its row, and is None
-    when it maps every byte to itself."""
+def _affine_maps(scale: int, offsets: tuple[int, ...]
+                 ) -> tuple[tuple[bytes, ...], tuple[bytes | None, ...]]:
+    """Per offset of the maps d -> scale * d + offset, the base distances
+    that it takes to a byte, and its translate table.  The first table, of
+    d(x, y), sends 0 to 0, since a vertex's own entry is the only 0 in its
+    row, and is None when it maps every byte to itself."""
+    fits = tuple(bytes(range((255 - b) // scale + 1)) for b in offsets)
     vertex, *tables = (bytes(min(scale * d + b, 255) for d in range(256)) for b in offsets)
     vertex = b"\0" + vertex[1:]
-    return bytes(range((255 - max(offsets)) // scale + 1)), (
-        None if vertex == bytes(range(256)) else vertex, *tables)
+    return fits, (None if vertex == bytes(range(256)) else vertex, *tables)
+
+
+def _blocks_fit(base: Graph, fits: tuple[bytes, ...]) -> bool:
+    """Whether base's blocks d(x, y), d(x, e) and d(e, f) hold only the
+    distances that their maps take to a byte (``fits``, from
+    ``_affine_maps``).  Their largest entries fall from block to block,
+    d(e, f) <= d(x, e) <= d(x, y) <= 2 ecc(0), so a block is scanned only
+    when the bound known from the block before it, or 2 ecc(0) for the
+    first, is past its own; on most graphs none is."""
+    reach = 2 * max(base.distances[0])
+    blocks = (lambda: base.distances, lambda: (base._vertex_edge,), lambda: (base._edge_edge,))
+    for keep, block in zip(fits, blocks):
+        if reach >= len(keep):
+            # deleting the distances that fit leaves a byte only in a row holding one too large
+            if any(row.translate(None, keep) for row in block()):
+                return False
+            reach = len(keep) - 1
+    return True
 
 
 def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int],
@@ -390,8 +409,8 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int],
     """The byte rows of a graph on base's vertices and then one vertex per
     base edge, whose distances are scale * d + offset with the offsets of
     three blocks: d(x, y), d(x, e) and d(e, f) for base vertices x, y and
-    base edges e != f; or None when base's rows are not bytes or hold a
-    distance that some map takes past 255.
+    base edges e != f; or None when base's rows are not bytes or a block
+    holds a distance that its own map takes past 255 (``_blocks_fit``).
 
     Row x of a base vertex is its base row, then its row of base's
     vertex-major vertex-edge block (``Graph._vertex_major``), each mapped
@@ -403,11 +422,12 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int],
     second, the own entries, zeroed at once.  The split rows depend only
     on the two maps, so when another derived graph maps both blocks alike
     (``shared``, as M(G) and T(G) do) base keeps them (``Graph._shared``)
-    and both hold the same row objects; S(G)'s are not kept."""
+    and both hold the same row objects; S(G)'s are not kept.  These rows
+    are the only statement of the identities in the package:
+    ``transforms.check_distance_identities`` compares BFS rows with them."""
     fits, (vertex_map, split_map, pair_map) = _affine_maps(scale, offsets)
     rows, m = base.distances, base.m
-    # deleting the distances that fit leaves a byte only in a row holding one too large
-    if not isinstance(rows[0], bytes) or any(row.translate(None, fits) for row in rows):
+    if not isinstance(rows[0], bytes) or not _blocks_fit(base, fits):
         return None
     splits = base._shared.get((split_map, pair_map)) or _split_rows(base, split_map, pair_map, shared)
     blob = base._vertex_major

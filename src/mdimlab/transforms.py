@@ -17,28 +17,31 @@ and an end of f:
   T(G):  d(x, y),     d(x, e) + 1,     d(e, f) + 1
 
 so each derived table is read off the base graph's byte rows, with no BFS
-on the derived graph, whenever every such distance fits a byte, and is
-otherwise found by BFS as for any other graph.  M(G) and T(G) map the
-d(x, e) and d(e, f) blocks alike, so their split rows are the same
-objects, built by whichever comes first and kept by the base graph; so
-are their ledges and split adjacency lists.  The derived graph itself
+on the derived graph, whenever each block's distances fit a byte under
+its own map, and is otherwise found by BFS as for any other graph.  M(G)
+and T(G) map the d(x, e) and d(e, f) blocks alike, so their split rows
+are the same objects, built by whichever comes first and kept by the
+base graph; so are their ledges and split adjacency lists.  The derived graph itself
 is built in canonical form straight from the base's incidence lists (the
 edges at each base vertex), not passed through ``build_graph``: its
 edges and adjacency come out sorted by construction, and an edge's class
 follows from which of its ends are original vertices.
 ``check_distance_identities`` checks the S and M identities against BFS
-over the derived graph's adjacency, not against its stored table.
+over the derived graphs' adjacency, not against their stored tables, and
+compares each BFS row whole with the row ``graph._table_from_base`` reads
+off G, so the identities are written down once, in ``graph``.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, compress
 
-from .errors import TooSmallError
-from .graph import (Graph, _affine_maps, _all_pairs_bfs, _bfs, _edge_rows, _floor_means,
-                    _table_from_base, build_graph, edge_edge_distance)
+from .errors import DisconnectedError, TooSmallError
+from .graph import (Graph, _all_pairs_bfs, _bfs, _edge_rows, _table_from_base, build_graph,
+                    edge_edge_distance)
 
 ORIGINAL = "original"
 SUBDIVISION = "subdivision"
@@ -196,78 +199,6 @@ def _first_bad(pairs, got, expected, holds=operator.eq) -> tuple | None:
     return None
 
 
-def _byte_row(row: list[int]) -> bytes:
-    """A BFS row as bytes, or b"" when it holds -1 (a vertex it missed) or a
-    distance past 255, so that it equals no row of expected distances."""
-    try:
-        return bytes(row)
-    except ValueError:
-        return b""
-
-
-def _held(got: list[bytes], want: bytes | bytearray, width: int) -> list[bool]:
-    """Whether each row of ``got`` equals its ``width`` bytes of ``want``,
-    the rows of one block laid end to end.  The rows are no longer than
-    ``width``, so when they join into ``want`` every one matches."""
-    if b"".join(got) == want:
-        return [True] * len(got)
-    return [row == want[width * i:width * i + width] for i, row in enumerate(got)]
-
-
-def _rows_that_hold(base: Graph, sg: DerivedGraph, mg: DerivedGraph, ds: list[list[int]],
-                    dm: list[list[int]]) -> dict[str, list[bool]]:
-    """Per identity of ``check_distance_identities``, whether each row of its
-    domain (x, or e for eq3) holds at every pair, by whole-row comparisons
-    of the BFS rows ``ds`` and ``dm``, as bytes, with base's byte rows and
-    blocks mapped through the translate tables of 2d (0 kept), 2d + 1,
-    2d + 2 and d + 1 (0 kept) (``graph._affine_maps``).  Own entries are 0
-    on both sides: BFS gives its source 0, and so do the vertex maps and
-    the zeroed diagonal of the edge-edge block.  Empty, so that every pair
-    is scanned, when base's rows are tuples, 2 diam(G) + 2 > 255, or either
-    derived graph has other than n + m vertices."""
-    dg, n, m = base.distances, base.n, base.m
-    fits, (twice, s_split, s_pair) = _affine_maps(*_SUBDIVISION_DISTANCES)
-    if (not isinstance(dg[0], bytes) or any(row.translate(None, fits) for row in dg)
-            or sg.graph.n != n + m or mg.graph.n != n + m):
-        return {}
-    _, (m_vertex, m_split, _) = _affine_maps(*_MIDDLE_DISTANCES)
-    s_rows, m_rows = list(map(_byte_row, ds)), list(map(_byte_row, dm))
-    table, heads, ve = b"".join(dg), base._vertex_major, base._vertex_edge
-    tails = bytearray(base._edge_edge.translate(s_pair))
-    tails[::m + 1] = bytes(m)  # each split's own entry
-    # eq4 by the columns of S(G)'s edges, all at once: edge ab's column over
-    # x is the lane-wise least of the rows of a and b (BFS rows are
-    # symmetric, and adjacent vertices' differ by at most one:
-    # ``graph._floor_means``), and row x holds when no column has a lane x
-    # outside {2 d(x, e), 2 d(x, e) + 1}
-    edges = sg.graph.edges
-    eq4 = [False] * n  # an edge with no split end, or a BFS row that is not bytes
-    if all(s_rows) and all(b >= n for _, b in edges):
-        width = n * len(edges)
-        lower, upper = (int.from_bytes(b"".join([s_rows[v][:n] for v in side]), "little")
-                        for side in zip(*edges))
-        (got,) = _floor_means([(lower, upper)], width)
-        splits = [(a if a >= n else b) - n for a, b in edges]
-        low = int.from_bytes(b"".join([ve[n * j:n * j + n] for j in splits]).translate(twice),
-                             "little")
-        ones, high = (int.from_bytes(bytes([lane]) * width, "little") for lane in (1, 0x80))
-        rest = high - ones  # the low seven bits of every lane
-        off, over = got ^ low, got ^ (low + ones)
-        # a lane is nonzero iff adding `rest` to its low bits carries into
-        # the top bit, or the top bit is already set
-        bad = (((off & rest) + rest) | off) & (((over & rest) + rest) | over) & high
-        lanes, clean = bad.to_bytes(width, "little"), bytes(len(edges))
-        eq4 = [lanes[x::n] == clean for x in range(n)]
-    return {
-        "eq1": _held([row[:n] for row in s_rows[:n]], table.translate(twice), n),
-        "eq2": _held([row[n:] for row in s_rows[:n]], heads.translate(s_split), m),
-        "eq3": _held([row[n:] for row in s_rows[n:]], tails, m),
-        "eq4": eq4,
-        "eq5": _held([row[:n] for row in m_rows], table.translate(m_vertex), n),
-        "eq6": _held([row[n:] for row in m_rows], heads.translate(m_split), m),
-    }
-
-
 def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -> IdentityReport:
     """Exhaustively verify the distance identities tying ``base`` = G to
     ``sg`` = S(G) and ``mg`` = M(G).
@@ -291,23 +222,49 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
     (``pairs_checked`` is the size of its domain); a failure would
     indicate a construction bug, so this doubles as a self-check.  The
     derived tables are read off base's through these identities, so the
-    S(G) and M(G) distances checked here come from BFS over the derived
-    graphs' adjacency, never from their stored tables.
+    distances checked here come from BFS over the derived graphs'
+    adjacency, never from their stored tables: S(G)'s rows from one
+    ``_all_pairs_bfs``, the routine that builds G's own table, and M(G)'s
+    from one BFS per original vertex (M's blocks are cliques, around which
+    ``_all_pairs_bfs`` would run BFS from most of its vertices).  A
+    disconnected S(G), which only a wrong one is, takes one BFS per
+    vertex, whose lists keep -1 for the vertices each misses.
 
-    Each BFS runs once.  When base's rows are bytes and 2 diam(G) + 2 fits
-    a byte, each row of an identity's domain (one x, or one e for eq3) is
-    first compared whole, as bytes, with a row read off base's byte rows
-    and blocks (``_rows_that_hold``; eq4 by S(G)-edge columns, lane by
-    lane), and only a row that differs is scanned pair by pair, so the
-    first counterexample is the pair scan's.  Otherwise every pair is
-    scanned.
+    The expected rows are the ones ``graph._table_from_base`` builds for
+    S(G) and M(G), so the identities are stated once, there.  Each row of
+    an identity's domain (one x, or one e for eq3) is first compared whole
+    with its part of the expected row, own entries 0 on both sides, and
+    only a row that differs is scanned pair by pair, so the first
+    counterexample is the pair scan's.  M(G)'s BFS lists become bytes
+    unless one holds a -1 or a distance past 255; a list, like a tuple
+    row, equals no byte row.  When ``_table_from_base`` returns None
+    (tuple rows, or a distance past a byte), every row is scanned.
+
+    eq4 has no expected row.  When every S(G)-edge is (a, s_e) with a an
+    end of e, as in a true S(G), row x of eq4 holds whenever rows x of eq1
+    and eq2 do: d_G(x, a) is d_G(x, e) or d_G(x, e) + 1, since the ends of
+    e are adjacent, so d_S(x, f) = min(2 d_G(x, a), 2 d_G(x, e) + 1) is
+    2 d_G(x, e) or 2 d_G(x, e) + 1.  Otherwise every row of eq4 is scanned.
     """
     n, m = base.n, base.m
     dg = base.distances
-    ds = [_bfs(sg.graph.n, sg.graph.adjacency, v) for v in range(sg.graph.n)]
+    try:
+        ds = _all_pairs_bfs(sg.graph.n, sg.graph.adjacency)
+    except DisconnectedError:
+        ds = [_bfs(sg.graph.n, sg.graph.adjacency, v) for v in range(sg.graph.n)]
     dm = [_bfs(mg.graph.n, mg.graph.adjacency, x) for x in range(n)]  # eq5 and eq6 read x < n
+    with suppress(ValueError):  # a -1 or a distance past 255 keeps the lists
+        dm = list(map(bytes, dm))
     xs, js, ks = range(n), range(m), range(sg.graph.m)
     ve = _edge_rows(base)  # ve[j][x] = d_G(x, e_j)
+    s_want = _table_from_base(base, *_SUBDIVISION_DISTANCES, shared=False)
+    m_want = _table_from_base(base, *_MIDDLE_DISTANCES, shared=True)
+    head, tail = slice(n), slice(n, None)
+
+    def whole(got, want, rows, part):
+        if want is None:
+            return [False] * len(rows)
+        return [got[r][part] == want[r][part] for r in rows]
 
     def eq4_range(x, k):
         # the base edge S(G)-edge k arises from is the one its split end
@@ -324,26 +281,27 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
         a, b = sg.graph.edges[k]
         return min(ds[x][a], ds[x][b])
 
-    # (identity, domain size, its rows, the pairs of a row, got, expected[, holds])
+    eq1, eq2 = whole(ds, s_want, xs, head), whole(ds, s_want, xs, tail)
+    split_ends = all(a < n <= b < n + m and a in base.edges[b - n] for a, b in sg.graph.edges)
+    # (identity, domain size, its rows, whether each holds whole, the pairs
+    # of a row, got, expected[, holds])
     rows = (
-        ("eq1", n * n, xs, lambda x: xs,
+        ("eq1", n * n, xs, eq1, lambda x: xs,
          lambda x, y: ds[x][y], lambda x, y: 2 * dg[x][y]),
-        ("eq2", n * m, xs, lambda x: js,
+        ("eq2", n * m, xs, eq2, lambda x: js,
          lambda x, j: ds[x][n + j], lambda x, j: 2 * ve[j][x] + 1),
-        ("eq3", m * (m - 1), js, lambda e: (f for f in js if f != e),
+        ("eq3", m * (m - 1), js, whole(ds, s_want, range(n, n + m), tail),
+         lambda e: (f for f in js if f != e),
          lambda e, f: ds[n + e][n + f], lambda e, f: 2 * edge_edge_distance(base, e, f) + 2),
-        ("eq4", n * len(ks), xs, lambda x: ks,
-         eq4_got, eq4_range, operator.contains),
-        ("eq5", n * (n - 1), xs, lambda x: (y for y in xs if y != x),
+        ("eq4", n * len(ks), xs, map(operator.and_, eq1, eq2) if split_ends else [False] * n,
+         lambda x: ks, eq4_got, eq4_range, operator.contains),
+        ("eq5", n * (n - 1), xs, whole(dm, m_want, xs, head), lambda x: (y for y in xs if y != x),
          lambda x, y: dm[x][y], lambda x, y: dg[x][y] + 1),
-        ("eq6", n * m, xs, lambda x: js,
+        ("eq6", n * m, xs, whole(dm, m_want, xs, tail), lambda x: js,
          lambda x, j: dm[x][n + j], lambda x, j: 1 if x in base.edges[j] else ve[j][x] + 1),
     )
-    held = _rows_that_hold(base, sg, mg, ds, dm)
     checks = []
-    for name, size, domain, pairs, *rules in rows:
-        if name in held:
-            domain = compress(domain, map(operator.not_, held[name]))
-        scan = ((a, b) for a in domain for b in pairs(a))
+    for name, size, domain, held, pairs, *rules in rows:
+        scan = ((a, b) for a in compress(domain, map(operator.not_, held)) for b in pairs(a))
         checks.append(IdentityCheck(name, size, _first_bad(scan, *rules)))
     return IdentityReport(tuple(checks))

@@ -397,12 +397,12 @@ def test_single_edge_derived_tables(monkeypatch):
 
 @pytest.mark.parametrize("derive, n, bfs", [
     (subdivision, 127, False),  # base diameter 126: 2 * 126 + 2 fits a byte
-    (subdivision, 128, True),  # 127: a split-split distance might need 256
+    (subdivision, 128, False),  # 127: 2 * 127 fits, and d(e, f) <= 125
     (subdivision, 129, True),  # S(G) has diameter 256
     (middle, 255, False),  # 254: 254 + 1 fits
     (middle, 256, True),  # 255: M(G) has diameter 256
     (total, 255, False),
-    (total, 256, True),  # T(G) has diameter 255, but 255 + 1 might not fit
+    (total, 256, False),  # T(G) has diameter 255, and d(x, e) + 1 <= 255
     (total, 257, True),  # the base rows are tuples
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_derived_tables_at_the_byte_limits(monkeypatch, derive, n, bfs):

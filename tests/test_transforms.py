@@ -16,11 +16,13 @@ from mdimlab import (
     line_graph,
     middle,
     path_graph,
+    random_cactus,
+    random_tree,
     star_graph,
     subdivision,
     total,
 )
-from mdimlab import transforms
+from mdimlab import graph, transforms
 from mdimlab.graph import Graph
 from mdimlab.transforms import L_EDGE, ORIGINAL_EDGE, S_EDGE, SUBDIVISION, IdentityCheck, IdentityReport
 
@@ -376,18 +378,51 @@ def test_identities_by_rows_equal_a_pair_scan(inputs):
 
 @pytest.mark.parametrize("make", [
     *[lambda n=n: path_graph(n) for n in range(126, 131)],  # 2 diam + 2 = 252 ... 260
+    lambda: cycle_graph(254),  # S's diameter is 254, and d(e, f) is at most 126
     lambda: cycle_graph(255),
     lambda: cycle_graph(256),
     lambda: path_graph(300),  # tuple rows
-], ids=[*(f"P{n}" for n in range(126, 131)), "C255", "C256", "P300"])
+], ids=[*(f"P{n}" for n in range(126, 131)), "C254", "C255", "C256", "P300"])
 def test_identities_equal_a_pair_scan_on_both_sides_of_the_byte_bound(monkeypatch, make):
     g = make()
     sg, mg = subdivision(g), middle(g)
-    runs = []
-    bfs = transforms._bfs
+    runs, tables = [], []
+    bfs, all_pairs = transforms._bfs, transforms._all_pairs_bfs
     monkeypatch.setattr(transforms, "_bfs", lambda *args: runs.append(1) or bfs(*args))
+    monkeypatch.setattr(transforms, "_all_pairs_bfs",
+                        lambda n, adjacency: tables.append(adjacency) or all_pairs(n, adjacency))
     report = check_distance_identities(g, sg, mg)
     assert report == _scan_identities(g, sg, mg) and report.ok
-    assert len(runs) == sg.graph.n + g.n  # one BFS per vertex of S, one per original of M
+    # one BFS per original of M, and S's rows from one all-pairs table
+    assert len(runs) == g.n and tables == [sg.graph.adjacency]
     posing = check_distance_identities(g, mg, mg)  # M(G) posing as S(G)
     assert posing == _scan_identities(g, mg, mg) and not posing.ok
+
+
+def test_identities_of_a_disconnected_subdivision_keep_its_missed_vertices():
+    # S(P4) with its split half-edge (2, 5) moved to (0, 5): the ring
+    # 0-4-1-5 and the path 2-6-3, which BFS from 0 does not reach
+    g = path_graph(4)
+    sg = subdivision(g)
+    moved = replace(sg, graph=_graph_on(7, [(0, 5) if e == (2, 5) else e for e in sg.graph.edges]))
+    report = check_distance_identities(g, moved, middle(g))
+    assert report == _scan_identities(g, moved, middle(g))
+    assert {c.identity: c.counterexample for c in report.failed()} == {
+        "eq1": (0, 2, -1, 4),
+        "eq2": (0, 1, 1, 3),
+        "eq3": (0, 2, -1, 4),
+        "eq4": (0, 1, 0, (2, 3)),
+    }
+
+
+@pytest.mark.parametrize("g", [random_tree(60, 3), random_cactus(60, 10, 1)],
+                         ids=["tree60", "cactus60"])
+def test_identities_take_one_bfs_run_on_the_subdivision(monkeypatch, g):
+    # S of a tree is a tree and S of a cactus a cactus: one BFS run gives
+    # every row of S's table; M's BFS runs are transforms' own
+    sg, mg = subdivision(g), middle(g)
+    runs = []
+    bfs = graph._bfs
+    monkeypatch.setattr(graph, "_bfs", lambda *args: runs.append(1) or bfs(*args))
+    assert check_distance_identities(g, sg, mg).ok
+    assert len(runs) == 1
