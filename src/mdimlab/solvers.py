@@ -51,8 +51,34 @@ the forced vertices, so the union stays the lexicographically smallest.
 When the forced vertices resolve the graph on their own, no pair is left
 and no mask is built.
 
+A solve also prunes by symmetry, with the lex-leader rule (Crawford,
+Ginsberg, Luks and Roy, KR 1996; Margot, *Pruning by isomorphism in
+branch-and-cut*, Math. Programming 2002).  An automorphism of the graph
+maps the separator masks onto themselves, so an involution sigma that
+maps a group's vertices onto themselves maps its minimum hitting sets
+onto its minimum hitting sets, and the group's lexicographically least
+one S* satisfies S* <= sigma(S*).  Sets of one size compare by the least
+vertex of their symmetric difference, and the symmetric difference of S
+and sigma(S) is the moved pairs (a, sigma(a)) that S holds one end of.
+Before visiting a child with picks P, the walk skips it when, for some
+involution, the first such pair of P, a < sigma(a), has sigma(a) in P
+and a not in P: the least vertex of P xor sigma(P) lies outside P.  Both
+ends are then decided, at most the newest pick.  An earlier pair splits
+only in a completion S that adds its undecided sigma(a), with a decided
+and left out, which again puts the least vertex outside S.  So
+sigma(S) < S for every completion S, and no prefix of S* is ever cut.
+The walk is the same walk with some children skipped, so it finds the
+same set first.  ``_involutions`` reads the involutions off the graph's
+distance rows and keeps only those that map every edge onto an edge.
+Finding them costs about as much as a walk of |V(group)|^2 nodes, so a
+group's walk looks for them only once it has visited that many
+(``_symmetry_gate``), and most small solves never do.  phi lists every
+minimum set, the ones that are no lex-leader included, so its walks
+never prune.
+
 The budget counts search nodes: every partial set the search visits,
-the empty set of each cardinality included.
+the empty set of each cardinality included.  A child skipped by symmetry
+is no node; ``SolveStats.symmetry_pruned`` counts them.
 """
 
 from __future__ import annotations
@@ -86,13 +112,15 @@ DEFAULT_PHI_CAP = 10**7
 @dataclass(frozen=True)
 class SolveStats:
     """How a minimum was found: search nodes visited, separator masks kept
-    after dropping non-minimal ones, and the cardinality the search started
-    from.  For mdim the masks are those the forced vertices leave open, and
-    the starting cardinality counts the forced vertices."""
+    after dropping non-minimal ones, the cardinality the search started
+    from, and the children skipped by symmetry.  For mdim the masks are
+    those the forced vertices leave open, and the starting cardinality
+    counts the forced vertices."""
 
     search_nodes: int
     masks_kept: int
     lower_bound: int
+    symmetry_pruned: int
 
 
 @dataclass(frozen=True)
@@ -308,15 +336,87 @@ def _index(masks: list[int]) -> tuple[list[int], list[int], list[int]]:
     return verts, [int(digits[n - 1 - v::n], 2) for v in verts], ends
 
 
+def _swapping(g: Graph, u: int, v: int) -> list[int] | None:
+    """The automorphism of g that swaps u and v, fixes every vertex at equal
+    distances from the two, and keeps each other vertex's distances to the
+    fixed ones, or None.  Each moved vertex w goes to the w' whose
+    distances to (u, v) are w's swapped; w' must be unique, and the map must
+    take every edge at a moved vertex onto an edge (an edge between fixed
+    vertices stays put)."""
+    rows = g.distances
+    same = list(map(int.__eq__, rows[u], rows[v]))
+    fixed = list(compress(range(g.n), same))
+    moved = [w for w, stays in enumerate(same) if not stays]
+    # the rows are symmetric, so row w read at (u, v, fixed...) is w's key;
+    # a fixed vertex stays put, and a moved one's key differs from a fixed
+    # one's in its first two places, so only moved vertices are keyed
+    ahead = [rows[w] for w in moved]
+    at = dict(zip(map(itemgetter(u, v, *fixed), ahead), moved))
+    if len(at) < len(moved):
+        return None  # two vertices alike: an image would not be unique
+    sigma = list(range(g.n))
+    for w, image in zip(moved, map(at.get, map(itemgetter(v, u, *fixed), ahead))):
+        if image is None:
+            return None
+        sigma[w] = image
+    near = g.adjacency
+    if all(sigma[b] in near[sigma[a]] for a in moved for b in near[a]):
+        return sigma
+    return None
+
+
+def _involutions(g: Graph) -> list[list[int]]:
+    """Involutive automorphisms of g, each a permutation of its vertices.
+    Vertices with equal sorted distance rows are candidates for a swap;
+    each consecutive pair of such a class that the swaps found so far do
+    not already join (a union-find over their moved pairs) is tried with
+    ``_swapping``.  A class of pairwise twins, such as the middle vertices
+    of G_n, gives one transposition per consecutive pair, and these
+    generate every permutation of the class; twins that are not
+    consecutive in their class are missed."""
+    classes: dict[tuple, list[int]] = {}
+    for v, row in enumerate(g.distances):
+        classes.setdefault(tuple(sorted(row)), []).append(v)
+    root = list(range(g.n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    found = []
+    for members in classes.values():
+        for u, v in zip(members, members[1:]):
+            if find(u) == find(v):
+                continue
+            sigma = _swapping(g, u, v)
+            if sigma is not None:
+                found.append(sigma)
+                for a, b in enumerate(sigma):
+                    if a < b:
+                        root[find(a)] = find(b)
+    return found
+
+
+def _symmetry_gate(size: int) -> int:
+    """Search nodes a group of ``size`` vertices walks before it looks for
+    symmetries: about what ``_involutions`` costs on such a group."""
+    return size * size
+
+
 class _Search:
     """Depth-first hitting-set search of one group of masks; every visited
     partial set costs one node of the shared budget.  Open masks are one
     int of ids in the group's order, and ``_packing`` reads them in that
-    order."""
+    order.  Given the graph, a walk that passes its group's gate skips the
+    children that an involution of the graph maps to a smaller set."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, graph: Graph | None = None):
         self.budget = budget
         self.nodes = 0
+        self.symmetry_pruned = 0
+        self.graph = graph
+        self._found: list[list[int]] | None = None  # the graph's involutions
 
     def _visit(self) -> None:
         self.nodes += 1
@@ -327,7 +427,11 @@ class _Search:
         """Every minimum set meeting all masks, in lexicographic order.  The
         walk tries k = L, L + 1, ... and ends after the first k that has a
         set; one vertex from each mask meets every mask, so that k comes."""
-        group = (masks, *_index(masks))
+        verts, hits, ends = _index(masks)
+        # the last two are the node count at which to look for symmetries
+        # and, once looked for, the guards that ``_leaders`` reads
+        gate = math.inf if self.graph is None else self.nodes + _symmetry_gate(len(verts))
+        group = [masks, verts, hits, ends, gate, None]
         for k in count(max(1, _packing(masks))):
             self._visit()
             found = ()
@@ -336,11 +440,12 @@ class _Search:
             if found:
                 return
 
-    def _extend(self, group: tuple, open_ids: int, start: int, left: int,
+    def _extend(self, group: list, open_ids: int, start: int, left: int,
                 picked: tuple) -> Iterator[tuple]:
         """The sets of ``left`` more picks, from position ``start`` on, that
-        meet every open mask; ``group`` is the masks and their ``_index``."""
-        masks, verts, hits, ends = group
+        meet every open mask; ``group`` is the masks, their ``_index``, the
+        gate and the guards."""
+        masks, verts, hits, ends, gate, _ = group
         # the next pick is the vertex at position start or later, and no
         # later than the last vertex of any open mask, since later picks
         # only grow; each open mask ends at or after start, since the
@@ -358,7 +463,10 @@ class _Search:
         flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
         if _packing(compress(masks, flags), -1 << verts[start]) > left:
             return
-        for j in range(start, end + 1):
+        children = range(start, end + 1)
+        if self.nodes >= gate:
+            children = self._leaders(group, children, open_ids, picked)
+        for j in children:
             if hits[j] & open_ids:
                 self._visit()
                 rest = open_ids & ~hits[j]
@@ -376,6 +484,44 @@ class _Search:
                             self._visit()
                             yield picked + (verts[j], verts[i])
 
+    def _leaders(self, group: list, children: range, open_ids: int,
+                 picked: tuple) -> Iterable[int]:
+        """The positions of ``children`` whose pick leaves a set that no
+        involution maps to a smaller one.  With P the picks and the child's
+        pick, sigma(P) < P when the least vertex of P xor sigma(P) lies
+        outside P.  The group's guards are built at the first call: for each
+        involution that maps the group's vertices onto themselves and moves
+        one, the bit of every vertex's image.  A group no involution moves
+        gets its gate back at infinity."""
+        verts, hits, guards = group[1], group[2], group[5]
+        if guards is None:
+            if self._found is None:
+                self._found = _involutions(self.graph)
+            inside = set(verts)
+            guards = group[5] = [[1 << w for w in sigma] for sigma in self._found
+                                 if all(sigma[v] in inside for v in verts)
+                                 and any(sigma[v] != v for v in verts)]
+            if not guards:
+                group[4] = math.inf
+                return children
+        picks = 0
+        for v in picked:
+            picks |= 1 << v
+        images = [sum(map(bits.__getitem__, picked)) for bits in guards]
+        kept = []
+        for j in children:
+            if hits[j] & open_ids:
+                v = verts[j]
+                now = picks | 1 << v
+                for bits, image in zip(guards, images):
+                    d = now ^ (image | bits[v])
+                    if d & -d & ~now:
+                        self.symmetry_pruned += 1
+                        break
+                else:
+                    kept.append(j)
+        return kept
+
 
 def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Minimum resolving set of the given kind, lexicographically smallest.
@@ -388,12 +534,13 @@ def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certif
     forced = forced_vertices_mdim(g) if kind == MDIM else ()
     masks = _separator_masks(g, kind, forced)
     parts = _components(masks)
-    search = _Search(budget)
+    search = _Search(budget, g)
     picks = (next(search.minimum_sets(part)) for part in parts)
     # with no forced vertex and no pair to separate, any single vertex resolves
     witness = tuple(sorted(chain(forced, *picks))) or (0,)
     stats = SolveStats(search_nodes=search.nodes, masks_kept=len(masks),
-                       lower_bound=max(1, len(forced) + sum(map(_packing, parts))))
+                       lower_bound=max(1, len(forced) + sum(map(_packing, parts))),
+                       symmetry_pruned=search.symmetry_pruned)
     return Certificate(kind=kind, vertices=witness, value=len(witness), forced=forced, stats=stats)
 
 

@@ -1,5 +1,7 @@
 import gc
-from itertools import product
+from functools import cache
+from itertools import chain, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,8 @@ from mdimlab import (
     total,
 )
 
-from mdimlab.solvers import _components, _Search, _separator_masks
+from mdimlab import solvers
+from mdimlab.solvers import _components, _involutions, _Search, _separator_masks
 
 from conftest import (
     connected_graphs,
@@ -292,10 +295,13 @@ def test_phi_budget_boundary_walks_each_minimum_cardinality_once():
 
 def test_phi_checks_the_cap_before_listing_any_basis():
     sg8 = subdivision(gn_graph(8)[0])
-    # enough nodes to find dim(S(G_8)), too few to list its metric bases
-    nodes = solve_dimension(sg8.graph, "dim").stats.search_nodes
+    # enough nodes to find dim(S(G_8)) by phi's walks, which never prune by
+    # symmetry, too few to list its metric bases
+    search = _Search(10**8)
+    for part in _components(_separator_masks(sg8.graph, "dim")):
+        next(search.minimum_sets(part))
     with pytest.raises(EnumerationOverflowError):
-        phi_of_graph(sg8, cap=1, budget=nodes)
+        phi_of_graph(sg8, cap=1, budget=search.nodes)
 
 
 @settings(max_examples=25, deadline=None)
@@ -528,3 +534,105 @@ def test_mdim_certificates_pinned_across_seeding(make, value, witness, forced, l
     # seeding drops the forced vertices' one-vertex masks and their two nodes each
     assert cert.stats.masks_kept == all_masks - len(forced)
     assert cert.stats.search_nodes == all_nodes - 2 * len(forced)
+
+
+def _unpruned_certificate(g, kind):
+    """(value, vertices, forced) from the forced vertices and the first set
+    of each group's walk, with no symmetry pruning."""
+    forced = forced_vertices_mdim(g) if kind == "mdim" else ()
+    search = _Search(10**8)
+    picks = [next(search.minimum_sets(part)) for part in _components(_separator_masks(g, kind, forced))]
+    witness = tuple(sorted(chain(forced, *picks))) or (0,)
+    return len(witness), witness, forced
+
+
+# the shipped gate, and pruning from the first node of every walk
+GATES = {"shipped": solvers._symmetry_gate, "from-first-node": lambda size: 0}
+
+
+def _assert_pruned_solves_match_unpruned(g, gate, unpruned=_unpruned_certificate):
+    with patch.object(solvers, "_symmetry_gate", GATES[gate]):
+        for kind in KINDS:
+            cert = solve_dimension(g, kind)
+            assert (cert.value, cert.vertices, cert.forced) == unpruned(g, kind), (kind, g.edges)
+
+
+@st.composite
+def graphs_with_planted_twins(draw):
+    """A connected graph and one to three planted twins: each new vertex
+    copies the neighbours of an earlier one, and is joined to it or not."""
+    g = draw(connected_graphs(max_n=6))
+    n, edges = g.n, list(g.edges)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        edges += [(n, b if a == v else a) for a, b in edges if v in (a, b)]
+        if draw(st.booleans()):
+            edges.append((v, n))
+        n += 1
+    return build_graph(n, edges)
+
+
+def _gn_derived_cases():
+    return [pytest.param(name, n, id=f"{name}(G_{n})") for n in range(2, 9) for name in "SMT"]
+
+
+@cache
+def _gn_derived(name, n):
+    return DERIVED[name](gn_graph(n)[0])
+
+
+@cache
+def _gn_derived_unpruned(name, n, kind):
+    return _unpruned_certificate(_gn_derived(name, n), kind)
+
+
+@pytest.mark.parametrize("gate", GATES)
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(connected_graphs(max_n=8), graphs_with_planted_twins()))
+def test_pruned_solves_match_unpruned_walks(gate, g):
+    for derive in DERIVED.values():
+        _assert_pruned_solves_match_unpruned(derive(g), gate)
+
+
+@pytest.mark.parametrize("gate", GATES)
+@pytest.mark.parametrize("name, n", _gn_derived_cases())
+def test_pruned_solves_match_unpruned_walks_on_gn(name, n, gate):
+    _assert_pruned_solves_match_unpruned(
+        _gn_derived(name, n), gate, lambda g, kind: _gn_derived_unpruned(name, n, kind))
+
+
+def _assert_involutive_automorphisms(g):
+    edges = set(g.edges)
+    found = _involutions(g)
+    for sigma in found:
+        assert sorted(sigma) == list(range(g.n)), g.edges
+        assert all(sigma[sigma[v]] == v for v in range(g.n)), (sigma, g.edges)
+        assert any(sigma[v] != v for v in range(g.n)), g.edges
+        assert {(min(sigma[a], sigma[b]), max(sigma[a], sigma[b])) for a, b in g.edges} == edges
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(connected_graphs(max_n=8), graphs_with_planted_twins()))
+def test_involutions_are_automorphisms(g):
+    for derive in DERIVED.values():
+        _assert_involutive_automorphisms(derive(g))
+
+
+@pytest.mark.parametrize("name, n", _gn_derived_cases())
+def test_involutions_are_automorphisms_on_gn(name, n):
+    # the two hubs and the pairwise-twin middle vertices lift to S, M and T
+    assert _assert_involutive_automorphisms(_gn_derived(name, n))
+
+
+def test_involutions_of_a_path_with_tuple_rows():
+    g = path_graph(300)
+    assert {type(row) for row in g.distances} == {tuple}
+    assert _assert_involutive_automorphisms(g) == [[299 - v for v in range(300)]]
+
+
+def test_symmetry_pruning_solves_dim_of_total_g10_within_a_small_budget():
+    # the unpruned walk takes 1,637,015 nodes; pruning keeps its witness
+    cert = solve_dimension(total(gn_graph(10)[0]).graph, "dim", budget=10_000)
+    assert (cert.value, cert.vertices) == (9, (2, 3, 4, 5, 6, 18, 19, 30, 31))
+    assert cert.stats.symmetry_pruned > 0
