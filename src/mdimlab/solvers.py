@@ -38,7 +38,15 @@ each group and no cardinality is walked twice.
 
 A partial set's open masks, those it does not meet yet, are one int of
 mask ids, so a pick is one AND with the ids of the masks the picked vertex
-misses.
+misses.  The last pick is read off bits, with no scan of positions
+(``_completions``): it must lie in every open mask, so its candidates are
+the vertices above the previous pick in the AND of the two open masks of
+least id, which are the two smallest since a group's masks are in (size,
+value) order, and a candidate is kept when the ids of the masks that hold
+it cover the open ones.  No candidate is lost: a vertex in every open mask
+lies in those two, and at or below the last vertex of each open mask, as
+any pick must.  The packing bound stops counting once it passes the picks
+left, which is all the branch test reads.
 
 For mdim, the forced vertices (Kelenc, Kuziak, Taranenko and Yero, *Mixed
 metric dimension of graphs*, 2017) lie in every mixed resolving set, and
@@ -288,15 +296,18 @@ def _separator_masks(g: Graph, kind: str, forced: Sequence[int] = ()) -> list[in
     return [int(f.translate(_TO_DIGITS)[::-1], 2) for f in flags]
 
 
-def _packing(masks: Iterable[int], above: int = -1) -> int:
+def _packing(masks: Iterable[int], above: int = -1, stop: float = math.inf) -> int:
     """Greedy count of masks pairwise disjoint on the vertices in ``above``;
-    each of them needs its own pick."""
+    each of them needs its own pick.  The count stops once it passes
+    ``stop``."""
     used = count = 0
     for m in masks:
         m &= above
         if not m & used:
             used |= m
             count += 1
+            if count > stop:
+                break
     return count
 
 
@@ -318,10 +329,11 @@ def _components(masks: list[int]) -> list[list[int]]:
     return [sorted(members, key=_mask_order) for _, members in groups]
 
 
-def _index(masks: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """The masks' vertices, ascending, and for the j-th of them the ids
+def _index(masks: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The masks' vertices, ascending; for the j-th of them the ids
     (positions in ``masks``) of the masks that hold it, ``hits[j]``, and of
-    those it is the last vertex of, ``ends[j]``."""
+    those it is the last vertex of, ``ends[j]``; and ``hits`` by vertex,
+    ``byv[v]``, 0 for a vertex no mask holds."""
     union = 0
     for m in masks:
         union |= m
@@ -330,10 +342,31 @@ def _index(masks: list[int]) -> tuple[list[int], list[int], list[int]]:
     # row i from the end is mask i in binary, so column n - 1 - v, read
     # down, is the ids of the masks that hold v in binary
     digits = "".join([format(m, f"0{n}b") for m in reversed(masks)])
+    hits = [int(digits[n - 1 - v::n], 2) for v in verts]
     ends = [0] * len(verts)
     for i, m in enumerate(masks):
         ends[bisect_left(verts, m.bit_length() - 1)] |= 1 << i
-    return verts, [int(digits[n - 1 - v::n], 2) for v in verts], ends
+    byv = [0] * n
+    for v, h in zip(verts, hits):
+        byv[v] = h
+    return verts, hits, ends, byv
+
+
+def _completions(masks: list[int], byv: list[int], open_ids: int, v: int) -> list[int]:
+    """The vertices above v that lie in every open mask, ascending: the last
+    picks after v.  Each lies in the two open masks of least id, the two
+    smallest, so only the bits of their AND are read."""
+    low = open_ids & -open_ids
+    other = open_ids ^ low
+    both = masks[low.bit_length() - 1] & masks[(other & -other or low).bit_length() - 1]
+    both &= -1 << (v + 1)
+    found = []
+    while both:
+        u = (both & -both).bit_length() - 1
+        both &= both - 1
+        if byv[u] & open_ids == open_ids:
+            found.append(u)
+    return found
 
 
 def _swapping(g: Graph, u: int, v: int) -> list[int] | None:
@@ -427,11 +460,11 @@ class _Search:
         """Every minimum set meeting all masks, in lexicographic order.  The
         walk tries k = L, L + 1, ... and ends after the first k that has a
         set; one vertex from each mask meets every mask, so that k comes."""
-        verts, hits, ends = _index(masks)
+        verts, hits, ends, byv = _index(masks)
         # the last two are the node count at which to look for symmetries
         # and, once looked for, the guards that ``_leaders`` reads
         gate = math.inf if self.graph is None else self.nodes + _symmetry_gate(len(verts))
-        group = [masks, verts, hits, ends, gate, None]
+        group = [masks, verts, hits, ends, byv, gate, None]
         for k in count(max(1, _packing(masks))):
             self._visit()
             found = ()
@@ -445,7 +478,12 @@ class _Search:
         """The sets of ``left`` more picks, from position ``start`` on, that
         meet every open mask; ``group`` is the masks, their ``_index``, the
         gate and the guards."""
-        masks, verts, hits, ends, gate, _ = group
+        masks, verts, hits, ends, byv, gate, _ = group
+        if left == 1:  # k = 1: the first pick is the last
+            for u in _completions(masks, byv, open_ids, -1):
+                self._visit()
+                yield picked + (u,)
+            return
         # the next pick is the vertex at position start or later, and no
         # later than the last vertex of any open mask, since later picks
         # only grow; each open mask ends at or after start, since the
@@ -453,15 +491,9 @@ class _Search:
         end = start
         while not open_ids & ends[end]:
             end += 1
-        if left == 1:
-            for j in range(start, end + 1):
-                if hits[j] & open_ids == open_ids:
-                    self._visit()
-                    yield picked + (verts[j],)
-            return
         # no mask holds a vertex between the last pick and verts[start]
         flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
-        if _packing(compress(masks, flags), -1 << verts[start]) > left:
+        if _packing(compress(masks, flags), -1 << verts[start], left) > left:
             return
         children = range(start, end + 1)
         if self.nodes >= gate:
@@ -473,16 +505,12 @@ class _Search:
                 if rest and left > 2:
                     yield from self._extend(group, rest, j + 1, left - 1, picked + (verts[j],))
                 elif rest:
-                    # the last pick, as at left == 1 but made in this
-                    # loop: the walk's most numerous level then starts
-                    # no generator of its own
-                    last = j + 1
-                    while not rest & ends[last]:
-                        last += 1
-                    for i in range(j + 1, last + 1):
-                        if hits[i] & rest == rest:
-                            self._visit()
-                            yield picked + (verts[j], verts[i])
+                    # the last pick, made in this loop: the walk's most
+                    # numerous level then starts no generator of its own
+                    v = verts[j]
+                    for u in _completions(masks, byv, rest, v):
+                        self._visit()
+                        yield picked + (v, u)
 
     def _leaders(self, group: list, children: range, open_ids: int,
                  picked: tuple) -> Iterable[int]:
@@ -493,16 +521,16 @@ class _Search:
         involution that maps the group's vertices onto themselves and moves
         one, the bit of every vertex's image.  A group no involution moves
         gets its gate back at infinity."""
-        verts, hits, guards = group[1], group[2], group[5]
+        verts, hits, guards = group[1], group[2], group[6]
         if guards is None:
             if self._found is None:
                 self._found = _involutions(self.graph)
             inside = set(verts)
-            guards = group[5] = [[1 << w for w in sigma] for sigma in self._found
+            guards = group[6] = [[1 << w for w in sigma] for sigma in self._found
                                  if all(sigma[v] in inside for v in verts)
                                  and any(sigma[v] != v for v in verts)]
             if not guards:
-                group[4] = math.inf
+                group[5] = math.inf
                 return children
         picks = 0
         for v in picked:

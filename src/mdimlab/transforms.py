@@ -23,9 +23,10 @@ and T(G) map the d(x, e) and d(e, f) blocks alike, so their split rows
 are the same objects, built by whichever comes first and kept by the
 base graph; so are their ledges and split adjacency lists.  The derived graph itself
 is built in canonical form straight from the base's incidence lists (the
-edges at each base vertex), not passed through ``build_graph``: its
-edges and adjacency come out sorted by construction, and an edge's class
-follows from which of its ends are original vertices.
+edges at each base vertex, kept by the base for all three), not passed
+through ``build_graph``: its edges and adjacency come out sorted by
+construction, and an edge's class follows from which of its ends are
+original vertices.
 ``check_distance_identities`` checks the S and M identities against BFS
 over the derived graphs' adjacency, not against their stored tables, and
 compares each BFS row whole with the row ``graph._table_from_base`` reads
@@ -120,10 +121,14 @@ def _derive(base: Graph, distances: tuple[int, tuple[int, int, int]],
     ledges (s, t), s < t, follow by s and then t.  Split s of edge ab is
     adjacent to a, b and the splits of the other edges at a or b, which in
     a simple graph share no edge but ab.  Those ledges and split adjacency
-    lists are built once per base for M(G) and T(G) alike (``_ledges``);
+    lists are built once per base for M(G) and T(G) alike (``_ledges``),
+    and the incidence lists once for all three;
     in S(G), split s is adjacent to a and b only, base's edge tuple."""
     n, N = base.n, base.n + base.m
-    at = _incidence(base, n)  # at[v]: the splits adjacent to base vertex v
+    # at[v]: the splits adjacent to base vertex v, kept for S, M and T alike
+    at = base._shared.get("incidence")
+    if at is None:
+        at = base._shared["incidence"] = _incidence(base, n)
     edges: list[tuple[int, int]] = []
     adjacency: list[tuple[int, ...]] = []
     for u, splits in enumerate(at):

@@ -330,7 +330,8 @@ def test_the_shared_pieces_live_and_die_with_their_graph():
         before, _ = tracemalloc.get_traced_memory()
         derived = [derive(base) for derive in (subdivision, middle, total)]
         assert {"_vertex_major", "_shared"} <= vars(base).keys()
-        assert len(base._shared) == 2  # M's and T's split rows, and their ledges
+        # M's and T's split rows and ledges, and the incidence lists of all three
+        assert len(base._shared) == 3 and {"incidence", "ledges"} <= base._shared.keys()
         ref = weakref.ref(base)
         del base, derived
         gc.collect()
@@ -342,10 +343,11 @@ def test_the_shared_pieces_live_and_die_with_their_graph():
 
 
 def test_s_leaves_no_split_rows_in_its_base():
-    # no other derived graph maps G's blocks as S does, so G keeps none of its rows
+    # no other derived graph maps G's blocks as S does, so G keeps none of
+    # its rows, only the incidence lists that M and T read too
     base = random_tree(60, 3)
     subdivision(base)
-    assert base._shared == {}
+    assert base._shared.keys() == {"incidence"}
 
 
 def _counting_bfs(monkeypatch):

@@ -1,10 +1,10 @@
 import gc
 from functools import cache
-from itertools import chain, product
+from itertools import chain, combinations, count, product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdimlab import (
@@ -36,7 +36,7 @@ from mdimlab import (
 )
 
 from mdimlab import solvers
-from mdimlab.solvers import _components, _involutions, _Search, _separator_masks
+from mdimlab.solvers import _components, _involutions, _mask_order, _Search, _separator_masks
 
 from conftest import (
     connected_graphs,
@@ -422,6 +422,71 @@ def test_budget_boundary_is_one_node_per_visited_set(g, kind):
     assert (exact, exact.stats) == (cert, cert.stats)
     with pytest.raises(SearchBudgetExceededError):
         solve_dimension(g, kind, budget=nodes - 1)
+
+
+# parent-pinned (search_nodes, masks_kept, lower_bound, symmetry_pruned),
+# with the witness: the walk's node count and its budget point stay put
+_PINNED_STATS = [
+    pytest.param(lambda: total(gn_graph(6)[0]).graph, "dim", (0, 2, 10, 11, 18, 19),
+                 (625, 142, 3, 387), id="dim T(G_6)"),
+    pytest.param(lambda: middle(gn_graph(6)[0]).graph, "dim", (2, 3, 11, 12, 19, 20),
+                 (490, 86, 4, 77), id="dim M(G_6)"),
+    pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "dim", (8, 9, 15, 16),
+                 (363, 41, 2, 105), id="dim S(G_5)"),
+    pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "edim", (8, 9, 15, 16),
+                 (362, 21, 2, 105), id="edim S(G_5)"),
+    pytest.param(lambda: middle(gn_graph(10)[0]).graph, "dim", (2, 3, 4, 5, 6, 7, 19, 20, 31, 32),
+                 (1381, 200, 6, 972), id="dim M(G_10)"),
+    pytest.param(lambda: subdivision(gn_graph(8)[0]).graph, "dim", (2, 3, 4, 14, 15, 24, 25),
+                 (1176, 101, 4, 1243), id="dim S(G_8)"),
+    pytest.param(lambda: total(random_tree(40, 1)).graph, "dim", (0, 3, 7, 10, 42, 47),
+                 (2889, 99, 5, 0), id="dim T(random_tree(40, 1))"),
+    pytest.param(lambda: total(random_cactus(14, 3, 2)).graph, "dim", (0, 2, 11, 25),
+                 (263, 50, 2, 0), id="dim T(random_cactus(14, 3, 2))"),
+]
+
+
+@pytest.mark.parametrize("make, kind, witness, stats", _PINNED_STATS)
+def test_solve_stats_pinned(make, kind, witness, stats):
+    cert = solve_dimension(make(), kind)
+    assert cert.vertices == witness
+    s = cert.stats
+    assert (s.search_nodes, s.masks_kept, s.lower_bound, s.symmetry_pruned) == stats
+
+
+def _brute_minimum_sets(masks):
+    """Every least-size subset of the masks' vertices that meets each mask,
+    in lexicographic order."""
+    union = 0
+    for m in masks:
+        union |= m
+    verts = [v for v in range(union.bit_length()) if union >> v & 1]
+    for k in count(1):
+        found = [c for c in combinations(verts, k)
+                 if all(any(m >> v & 1 for v in c) for m in masks)]
+        if found:
+            return found
+
+
+@st.composite
+def minimal_mask_families(draw):
+    """Inclusion-minimal masks on up to 14 vertices, by (size, value)."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    drawn = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1),
+                          min_size=1, max_size=12))
+    masks = sorted({sum(1 << v for v in vs) for vs in drawn}, key=_mask_order)
+    return [m for i, m in enumerate(masks) if not any(o & m == o for o in masks[:i])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(minimal_mask_families())
+@example([0b1])  # one one-vertex mask
+@example([0b10, 0b101])  # a one-vertex group and a two-vertex one
+@example([0b011, 0b110, 0b1010])  # k = 1: every mask holds vertex 1
+@example([0b0011, 0b1100, 0b0101, 0b1010])  # k = 2, two sets
+def test_walk_lists_every_minimum_set_as_brute_force(masks):
+    for part in _components(masks):
+        assert list(_Search(10**7).minimum_sets(part)) == _brute_minimum_sets(part), part
 
 
 def _oracle_minimal_masks(n, edges, kind):

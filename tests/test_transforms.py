@@ -426,3 +426,15 @@ def test_identities_take_one_bfs_run_on_the_subdivision(monkeypatch, g):
     monkeypatch.setattr(graph, "_bfs", lambda *args: runs.append(1) or bfs(*args))
     assert check_distance_identities(g, sg, mg).ok
     assert len(runs) == 1
+
+
+def test_s_m_and_t_of_one_graph_build_its_incidence_lists_once(monkeypatch):
+    g = random_tree(60, 3)
+    calls = []
+    incidence = transforms._incidence
+    monkeypatch.setattr(transforms, "_incidence",
+                        lambda *args: calls.append(args) or incidence(*args))
+    fresh = [derive(build_graph(g.n, g.edges)).graph for derive in (subdivision, middle, total)]
+    calls.clear()
+    assert [derive(g).graph for derive in (subdivision, middle, total)] == fresh
+    assert calls == [(g, g.n)]
