@@ -22,8 +22,8 @@ groups: a minimum hitting set is one minimum hitting set per group, and
 the lexicographically smallest one is the union of the groups' smallest.
 Each group is searched alone.
 
-The search of a group picks vertices in increasing order, depth first,
-for k = L, L + 1, ... where L counts pairwise disjoint masks.  Its
+The lex walk of a group picks vertices in increasing order, depth
+first, for k = L, L + 1, ... where L counts pairwise disjoint masks.  Its
 pruning loses no solution: a pick must lie at or below the last vertex
 of every open mask (the last chance to hit it), must hit an open mask (at
 the minimum k a pick hitting none would leave a smaller resolving set),
@@ -35,6 +35,33 @@ byte-identical.  The walk yields them lazily and ends with the first
 cardinality that has one: a solve takes the first set of each group, and
 phi drains the same walks, so every metric basis of S(G) is one set from
 each group and no cardinality is walked twice.
+
+To refute a cardinality the walk must visit every increasing prefix its
+bounds let through, and most of its nodes go to the cardinalities below
+the value.  An existence search therefore runs first, in every search
+(Weihe's set-cover branching, *Covering trains by stations or the power
+of data reduction*, ALENEX 1998, without his reductions).  For k = L,
+L + 1, ... it asks whether at most k vertices meet every mask.  It
+branches on the open mask of least id: the branch of that mask's i-th
+allowed vertex u picks u and drops the vertices before it from the
+allowed ones.  This loses no set: a set S that meets every open mask
+holds a vertex of that mask, and the branch of the least such vertex
+leaves out only vertices that S does not hold, so S stays in reach.
+As it may pick in any order, it need not pass every set that sorts
+before a hitting set, as the walk must.  It prunes with the packing
+bound on the allowed vertices: every later pick of a branch is an
+allowed vertex, so masks pairwise disjoint on those need a pick each.
+Its last pick is read like the walk's, off the AND of the two open
+masks of least id, restricted to the allowed vertices.  A group's
+existence search hands over to the walk as soon as it finds a set, or
+once it has spent 4 |V(group)| nodes (``_refute_cap``), and the walk
+starts at the cardinality it reached.
+Every cardinality below that one has no set, and the walk at one
+cardinality does not depend on the ones before it, so the walk lists the
+same sets in the same order as a walk from L, and its first set is still
+the group's lexicographically least.  The cap keeps the search's cost
+small where it cannot win: on graphs with many twins the walk's
+symmetry pruning (below) cuts far more than it does.
 
 A partial set's open masks, those it does not meet yet, are one int of
 mask ids, so a pick is one AND with the ids of the masks the picked vertex
@@ -76,17 +103,18 @@ only in a completion S that adds its undecided sigma(a), with a decided
 and left out, which again puts the least vertex outside S.  So
 sigma(S) < S for every completion S, and no prefix of S* is ever cut.
 The walk is the same walk with some children skipped, so it finds the
-same set first.  ``_involutions`` reads the involutions off the graph's
-distance rows and keeps only those that map every edge onto an edge.
-Finding them costs about as much as a walk of |V(group)|^2 nodes, so a
-group's walk looks for them only once it has visited that many
-(``_symmetry_gate``), and most small solves never do.  phi lists every
-minimum set, the ones that are no lex-leader included, so its walks
-never prune.
+same set first.  ``_involutions`` takes the swaps of twins, and reads
+further involutions off the graph's distance rows, keeping only those
+that map every edge onto an edge.  Finding them costs about as much as a
+walk of |V(group)|^2 nodes, so a group's walk looks for them only once
+it has visited that many (``_symmetry_gate``), counted from where the
+walk starts, and most small solves never do.  phi lists every minimum
+set, the ones that are no lex-leader included, so its walks never prune.
 
-The budget counts search nodes: every partial set the search visits,
-the empty set of each cardinality included.  A child skipped by symmetry
-is no node; ``SolveStats.symmetry_pruned`` counts them.
+The budget counts search nodes: every partial set either search visits,
+the empty set of each cardinality included.  ``SolveStats.refute_nodes``
+counts the existence search's share.  A child skipped by symmetry is no
+node; ``SolveStats.symmetry_pruned`` counts them.
 """
 
 from __future__ import annotations
@@ -121,14 +149,16 @@ DEFAULT_PHI_CAP = 10**7
 class SolveStats:
     """How a minimum was found: search nodes visited, separator masks kept
     after dropping non-minimal ones, the cardinality the search started
-    from, and the children skipped by symmetry.  For mdim the masks are
-    those the forced vertices leave open, and the starting cardinality
-    counts the forced vertices."""
+    from, the children skipped by symmetry, and the share of the search
+    nodes that the existence search spent.  For mdim the masks are those
+    the forced vertices leave open, and the starting cardinality counts
+    the forced vertices."""
 
     search_nodes: int
     masks_kept: int
     lower_bound: int
     symmetry_pruned: int
+    refute_nodes: int
 
 
 @dataclass(frozen=True)
@@ -352,14 +382,14 @@ def _index(masks: list[int]) -> tuple[list[int], list[int], list[int], list[int]
     return verts, hits, ends, byv
 
 
-def _completions(masks: list[int], byv: list[int], open_ids: int, v: int) -> list[int]:
-    """The vertices above v that lie in every open mask, ascending: the last
-    picks after v.  Each lies in the two open masks of least id, the two
-    smallest, so only the bits of their AND are read."""
+def _completions(masks: list[int], byv: list[int], open_ids: int, allowed: int) -> list[int]:
+    """The vertices of ``allowed`` that lie in every open mask, ascending:
+    the possible last picks.  Each lies in the two open masks of least id,
+    the two smallest, so only the bits of their AND are read."""
     low = open_ids & -open_ids
     other = open_ids ^ low
     both = masks[low.bit_length() - 1] & masks[(other & -other or low).bit_length() - 1]
-    both &= -1 << (v + 1)
+    both &= allowed
     found = []
     while both:
         u = (both & -both).bit_length() - 1
@@ -400,16 +430,19 @@ def _swapping(g: Graph, u: int, v: int) -> list[int] | None:
 
 def _involutions(g: Graph) -> list[list[int]]:
     """Involutive automorphisms of g, each a permutation of its vertices.
-    Vertices with equal sorted distance rows are candidates for a swap;
-    each consecutive pair of such a class that the swaps found so far do
-    not already join (a union-find over their moved pairs) is tried with
-    ``_swapping``.  A class of pairwise twins, such as the middle vertices
-    of G_n, gives one transposition per consecutive pair, and these
-    generate every permutation of the class; twins that are not
-    consecutive in their class are missed."""
-    classes: dict[tuple, list[int]] = {}
-    for v, row in enumerate(g.distances):
-        classes.setdefault(tuple(sorted(row)), []).append(v)
+    Twins come first: swapping two vertices with equal open or equal
+    closed neighbourhoods is always an automorphism, and each class of
+    them gives one transposition per consecutive pair, which generate
+    every permutation of the class.  Then vertices with equal sorted
+    distance rows are candidates for a swap; each consecutive pair of such
+    a class that the swaps found so far do not already join (a union-find
+    over their moved pairs) is tried with ``_swapping``."""
+    twins: dict[tuple, list[int]] = {}  # keyed by (closed?, neighbourhood)
+    rows: dict[tuple, list[int]] = {}
+    for v, (near, row) in enumerate(zip(g.adjacency, g.distances)):
+        twins.setdefault((False, frozenset(near)), []).append(v)
+        twins.setdefault((True, frozenset((v, *near))), []).append(v)
+        rows.setdefault(tuple(sorted(row)), []).append(v)
     root = list(range(g.n))
 
     def find(x: int) -> int:
@@ -418,7 +451,13 @@ def _involutions(g: Graph) -> list[list[int]]:
         return x
 
     found = []
-    for members in classes.values():
+    for members in twins.values():
+        for u, v in zip(members, members[1:]):
+            sigma = list(range(g.n))
+            sigma[u], sigma[v] = v, u
+            found.append(sigma)
+            root[find(u)] = find(v)
+    for members in rows.values():
         for u, v in zip(members, members[1:]):
             if find(u) == find(v):
                 continue
@@ -437,41 +476,127 @@ def _symmetry_gate(size: int) -> int:
     return size * size
 
 
+def _refute_cap(size: int) -> int:
+    """Search nodes the existence search of a group of ``size`` vertices
+    spends before the lex walk takes over: enough to refute the levels
+    below the value on trees and cacti, and little next to the walk on
+    graphs with many twins, where the walk prunes by symmetry and the
+    existence search does not."""
+    return 4 * size
+
+
+class _Capped(Exception):
+    """The existence search of a group has spent its cap."""
+
+
 class _Search:
     """Depth-first hitting-set search of one group of masks; every visited
     partial set costs one node of the shared budget.  Open masks are one
     int of ids in the group's order, and ``_packing`` reads them in that
-    order.  Given the graph, a walk that passes its group's gate skips the
-    children that an involution of the graph maps to a smaller set."""
+    order.  An existence search refutes the cardinalities below the value
+    first, up to its cap.  Given the graph, a lex walk that passes its
+    group's gate skips the children that an involution of the graph maps
+    to a smaller set."""
 
     def __init__(self, budget: int, graph: Graph | None = None):
         self.budget = budget
         self.nodes = 0
         self.symmetry_pruned = 0
+        self.refute_nodes = 0
         self.graph = graph
         self._found: list[list[int]] | None = None  # the graph's involutions
+        self._stop = math.inf  # the node count at which the existence search hands over
 
     def _visit(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceededError(self.nodes, self.budget)
 
+    def _step(self) -> None:
+        """One node of the existence search, or ``_Capped`` once its cap is
+        spent."""
+        if self.nodes >= self._stop:
+            raise _Capped
+        self._visit()
+
     def minimum_sets(self, masks: list[int]) -> Iterator[tuple[int, ...]]:
-        """Every minimum set meeting all masks, in lexicographic order.  The
-        walk tries k = L, L + 1, ... and ends after the first k that has a
-        set; one vertex from each mask meets every mask, so that k comes."""
+        """Every minimum set meeting all masks, in lexicographic order.
+
+        From k = L on, the existence search (``_refute``) refutes one
+        cardinality after another until it finds a set or spends its cap;
+        the lex walk then tries k, k + 1, ... from the k it reached and
+        ends after the first k that has a set.  One vertex from each mask
+        meets every mask, so that k comes.  The existence search loses no
+        set: every set meeting the masks holds a vertex of the open mask
+        of least id, and the branch of the least such vertex excludes
+        only vertices the set does not hold.  Its packing bound counts
+        masks pairwise disjoint on the vertices its branch may still
+        pick, each of which needs a pick of its own.  So every
+        cardinality below the walk's first has no set, and the walk's
+        first set is the one it would find from L: it lists the same
+        sets in the same order.
+        """
         verts, hits, ends, byv = _index(masks)
+        start = self._refute(masks, byv, max(1, _packing(masks)), _refute_cap(len(verts)))
         # the last two are the node count at which to look for symmetries
         # and, once looked for, the guards that ``_leaders`` reads
         gate = math.inf if self.graph is None else self.nodes + _symmetry_gate(len(verts))
         group = [masks, verts, hits, ends, byv, gate, None]
-        for k in count(max(1, _packing(masks))):
+        for k in count(start):
             self._visit()
             found = ()
             for found in self._extend(group, (1 << len(masks)) - 1, 0, k, ()):
                 yield found
             if found:
                 return
+
+    def _refute(self, masks: list[int], byv: list[int], k: int, cap: float) -> int:
+        """The first cardinality from k on that the existence search does
+        not refute within ``cap`` nodes: the least one with a set, or the
+        one it was refuting when the cap ran out.  Each cardinality's empty
+        set is one node.  One vertex from each mask meets every mask, so
+        the search never asks about as many vertices as there are masks."""
+        self._stop = self.nodes + cap
+        before = self.nodes
+        everything = (1 << len(masks)) - 1
+        try:
+            while k < len(masks):
+                self._step()
+                if self._exists(masks, byv, everything, -1, k):
+                    break
+                k += 1
+        except _Capped:
+            pass
+        self.refute_nodes += self.nodes - before
+        return k
+
+    def _exists(self, masks: list[int], byv: list[int], open_ids: int, allowed: int,
+                left: int) -> bool:
+        """True iff at most ``left`` vertices of ``allowed`` meet every open
+        mask.  Every such set meets the open mask of least id, so the
+        search branches on that mask's allowed vertices in increasing
+        order, each branch taking its vertex and the later ones leaving out
+        the vertices tried before."""
+        if left == 1:
+            if _completions(masks, byv, open_ids, allowed):
+                self._step()
+                return True
+            return False
+        flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
+        if _packing(compress(masks, flags), allowed, left) > left:
+            return False
+        low = open_ids & -open_ids
+        first = masks[low.bit_length() - 1] & allowed
+        while first:
+            bit = first & -first
+            first ^= bit
+            self._step()
+            u = bit.bit_length() - 1
+            rest = open_ids & ~byv[u]
+            if not rest or self._exists(masks, byv, rest, allowed, left - 1):
+                return True
+            allowed ^= bit
+        return False
 
     def _extend(self, group: list, open_ids: int, start: int, left: int,
                 picked: tuple) -> Iterator[tuple]:
@@ -508,7 +633,7 @@ class _Search:
                     # the last pick, made in this loop: the walk's most
                     # numerous level then starts no generator of its own
                     v = verts[j]
-                    for u in _completions(masks, byv, rest, v):
+                    for u in _completions(masks, byv, rest, -2 << v):
                         self._visit()
                         yield picked + (v, u)
 
@@ -568,7 +693,8 @@ def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certif
     witness = tuple(sorted(chain(forced, *picks))) or (0,)
     stats = SolveStats(search_nodes=search.nodes, masks_kept=len(masks),
                        lower_bound=max(1, len(forced) + sum(map(_packing, parts))),
-                       symmetry_pruned=search.symmetry_pruned)
+                       symmetry_pruned=search.symmetry_pruned,
+                       refute_nodes=search.refute_nodes)
     return Certificate(kind=kind, vertices=witness, value=len(witness), forced=forced, stats=stats)
 
 

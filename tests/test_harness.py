@@ -515,7 +515,8 @@ def test_cli_solve_stats_is_opt_in(capsys):
     assert "stats" not in plain
     stats = with_stats.pop("stats")
     assert with_stats == plain
-    assert set(stats) == {"search_nodes", "masks_kept", "lower_bound", "symmetry_pruned"}
+    assert set(stats) == {"search_nodes", "masks_kept", "lower_bound", "symmetry_pruned",
+                          "refute_nodes"}
     assert 1 <= stats["lower_bound"] <= plain["certificate"]["value"]
     assert stats["search_nodes"] > 0 and stats["masks_kept"] > 0
 

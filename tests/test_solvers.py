@@ -1,4 +1,5 @@
 import gc
+import math
 from functools import cache
 from itertools import chain, combinations, count, product
 from unittest.mock import patch
@@ -288,9 +289,9 @@ def test_phi_propagates_inner_search_budget():
 
 def test_phi_budget_boundary_walks_each_minimum_cardinality_once():
     sg5 = subdivision(gn_graph(5)[0])
-    assert phi_of_graph(sg5, budget=738) == phi_of_graph(sg5)
+    assert phi_of_graph(sg5, budget=683) == phi_of_graph(sg5)
     with pytest.raises(SearchBudgetExceededError):
-        phi_of_graph(sg5, budget=737)
+        phi_of_graph(sg5, budget=682)
 
 
 def test_phi_checks_the_cap_before_listing_any_basis():
@@ -424,25 +425,26 @@ def test_budget_boundary_is_one_node_per_visited_set(g, kind):
         solve_dimension(g, kind, budget=nodes - 1)
 
 
-# parent-pinned (search_nodes, masks_kept, lower_bound, symmetry_pruned),
-# with the witness: the walk's node count and its budget point stay put
+# pinned (search_nodes, masks_kept, lower_bound, symmetry_pruned,
+# refute_nodes), with the witness: the search's node count and its budget
+# point stay put
 _PINNED_STATS = [
     pytest.param(lambda: total(gn_graph(6)[0]).graph, "dim", (0, 2, 10, 11, 18, 19),
-                 (625, 142, 3, 387), id="dim T(G_6)"),
+                 (701, 142, 3, 363, 84), id="dim T(G_6)"),
     pytest.param(lambda: middle(gn_graph(6)[0]).graph, "dim", (2, 3, 11, 12, 19, 20),
-                 (490, 86, 4, 77), id="dim M(G_6)"),
+                 (552, 86, 4, 48, 84), id="dim M(G_6)"),
     pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "dim", (8, 9, 15, 16),
-                 (363, 41, 2, 105), id="dim S(G_5)"),
+                 (415, 41, 2, 55, 72), id="dim S(G_5)"),
     pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "edim", (8, 9, 15, 16),
-                 (362, 21, 2, 105), id="edim S(G_5)"),
+                 (414, 21, 2, 55, 72), id="edim S(G_5)"),
     pytest.param(lambda: middle(gn_graph(10)[0]).graph, "dim", (2, 3, 4, 5, 6, 7, 19, 20, 31, 32),
-                 (1381, 200, 6, 972), id="dim M(G_10)"),
+                 (1505, 200, 6, 909, 132), id="dim M(G_10)"),
     pytest.param(lambda: subdivision(gn_graph(8)[0]).graph, "dim", (2, 3, 4, 14, 15, 24, 25),
-                 (1176, 101, 4, 1243), id="dim S(G_8)"),
+                 (1279, 101, 4, 1221, 108), id="dim S(G_8)"),
     pytest.param(lambda: total(random_tree(40, 1)).graph, "dim", (0, 3, 7, 10, 42, 47),
-                 (2889, 99, 5, 0), id="dim T(random_tree(40, 1))"),
+                 (70, 99, 5, 0, 40), id="dim T(random_tree(40, 1))"),
     pytest.param(lambda: total(random_cactus(14, 3, 2)).graph, "dim", (0, 2, 11, 25),
-                 (263, 50, 2, 0), id="dim T(random_cactus(14, 3, 2))"),
+                 (102, 50, 2, 0, 70), id="dim T(random_cactus(14, 3, 2))"),
 ]
 
 
@@ -451,7 +453,8 @@ def test_solve_stats_pinned(make, kind, witness, stats):
     cert = solve_dimension(make(), kind)
     assert cert.vertices == witness
     s = cert.stats
-    assert (s.search_nodes, s.masks_kept, s.lower_bound, s.symmetry_pruned) == stats
+    got = (s.search_nodes, s.masks_kept, s.lower_bound, s.symmetry_pruned, s.refute_nodes)
+    assert got == stats
 
 
 def _brute_minimum_sets(masks):
@@ -487,6 +490,31 @@ def minimal_mask_families(draw):
 def test_walk_lists_every_minimum_set_as_brute_force(masks):
     for part in _components(masks):
         assert list(_Search(10**7).minimum_sets(part)) == _brute_minimum_sets(part), part
+
+
+def _least_hitting_size(masks, allowed):
+    """The size of a least set of vertices of ``allowed`` that meets every
+    mask, or None when some mask holds none of them."""
+    verts = [v for v in range(allowed.bit_length()) if allowed >> v & 1]
+    for k in range(len(masks) + 1):
+        if any(all(any(m >> v & 1 for v in c) for m in masks) for c in combinations(verts, k)):
+            return k
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(minimal_mask_families(), st.integers(min_value=0, max_value=(1 << 14) - 1))
+@example([0b0011, 0b1100, 0b0101, 0b1010], (1 << 14) - 1)  # least size 2
+@example([0b011, 0b110], 0b101)  # vertex 1, in both masks, left out: two picks
+@example([0b01, 0b10], 0b01)  # mask 0b10 holds no allowed vertex
+# the branch of 0 fails; leaving out 0, and no other vertex, keeps {1, 3}
+@example([0b1001, 0b10010, 0b100110, 0b111100], (1 << 14) - 1)
+def test_existence_search_answers_as_brute_force(masks, allowed):
+    _, _, _, byv = solvers._index(masks)
+    least = _least_hitting_size(masks, allowed)
+    for k in range(1, len(masks) + 2):
+        found = _Search(10**7)._exists(masks, byv, (1 << len(masks)) - 1, allowed, k)
+        assert found == (least is not None and least <= k), (masks, bin(allowed), k)
 
 
 def _oracle_minimal_masks(n, edges, kind):
@@ -596,9 +624,12 @@ def test_mdim_certificates_pinned_across_seeding(make, value, witness, forced, l
     cert = solve_dimension(make(), "mdim")
     assert (cert.value, cert.vertices, cert.forced) == (value, witness, forced)
     assert cert.stats.lower_bound == lower
-    # seeding drops the forced vertices' one-vertex masks and their two nodes each
+    # seeding drops the forced vertices' one-vertex masks and the two walk
+    # nodes of each; with the existence search off, the walk is the search
     assert cert.stats.masks_kept == all_masks - len(forced)
-    assert cert.stats.search_nodes == all_nodes - 2 * len(forced)
+    with patch.object(solvers, "_refute_cap", lambda size: 0):
+        walk = solve_dimension(make(), "mdim")
+    assert walk.stats.search_nodes == all_nodes - 2 * len(forced)
 
 
 def _unpruned_certificate(g, kind):
@@ -696,8 +727,51 @@ def test_involutions_of_a_path_with_tuple_rows():
     assert _assert_involutive_automorphisms(g) == [[299 - v for v in range(300)]]
 
 
+def test_involutions_swap_twins_that_are_not_consecutive_in_their_row_class():
+    # 0 and 2 have equal open neighbourhoods, 1 and 4 equal closed ones; the
+    # class of equal sorted distance rows is [0, 1, 2, 4], and none of its
+    # consecutive pairs swaps to an automorphism
+    g = build_graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)])
+    found = _assert_involutive_automorphisms(g)
+    assert [2, 1, 0, 3, 4] in found and [0, 4, 2, 3, 1] in found
+
+
 def test_symmetry_pruning_solves_dim_of_total_g10_within_a_small_budget():
     # the unpruned walk takes 1,637,015 nodes; pruning keeps its witness
     cert = solve_dimension(total(gn_graph(10)[0]).graph, "dim", budget=10_000)
     assert (cert.value, cert.vertices) == (9, (2, 3, 4, 5, 6, 18, 19, 30, 31))
     assert cert.stats.symmetry_pruned > 0
+
+
+# the existence search off, as shipped, and with no cap
+CAPS = {"walk-only": lambda size: 0, "shipped": solvers._refute_cap,
+        "uncapped": lambda size: math.inf}
+
+
+def _assert_caps_agree(g):
+    by_cap = {}
+    for name, cap in CAPS.items():
+        with patch.object(solvers, "_refute_cap", cap):
+            by_cap[name] = [solve_dimension(g, kind) for kind in KINDS]
+    walk = [(c.value, c.vertices, c.forced) for c in by_cap["walk-only"]]
+    for name, certs in by_cap.items():
+        assert [(c.value, c.vertices, c.forced) for c in certs] == walk, (name, g.edges)
+    assert all(c.stats.refute_nodes == 0 for c in by_cap["walk-only"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_certificates_do_not_depend_on_the_existence_search_cap(g):
+    _assert_caps_agree(g)
+
+
+@pytest.mark.parametrize("name, n", _gn_derived_cases())
+def test_certificates_do_not_depend_on_the_existence_search_cap_on_gn(name, n):
+    _assert_caps_agree(_gn_derived(name, n))
+
+
+def test_existence_search_solves_dim_of_total_tree40_within_a_small_budget():
+    # the lex walk alone refutes k = 5 in 2,889 nodes
+    cert = solve_dimension(total(random_tree(40, 1)).graph, "dim", budget=500)
+    assert (cert.value, cert.vertices) == (6, (0, 3, 7, 10, 42, 47))
+    assert 0 < cert.stats.refute_nodes < cert.stats.search_nodes
