@@ -18,9 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     ClassMismatchError,
@@ -76,8 +78,66 @@ def derive(g: Graph, letter: str) -> DerivedGraph:
 
 
 def dumps(payload: dict) -> str:
-    """Deterministic JSON text of ``payload``, stamped with the tool version."""
-    return json.dumps({**payload, "version": TOOL_VERSION}, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text of ``payload``, stamped with the tool version:
+    the text of ``json.dumps(..., sort_keys=True, indent=2)``, whose
+    pure-Python indent encoder this writer replaces."""
+    return _text({**payload, "version": TOOL_VERSION}, "\n") + "\n"
+
+
+def _text(value, newline: str) -> str:
+    """``value``'s JSON text, as ``_encode`` writes it."""
+    out: list[str] = []
+    _encode(value, newline, out)
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``value``'s JSON text to ``out``, as ``json``
+    writes them at ``indent=2`` with sorted string keys; ``newline`` is the
+    line break and indent of the value's own line."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{" + inner)
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.append("," + inner)
+            out.append(_quote(key) + ": ")
+            _encode(value[key], inner, out)
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append("," + inner)
+            _encode(item, inner, out)
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is float:
+        if value != value:
+            out.append("NaN")
+        elif value in (math.inf, -math.inf):
+            out.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    else:  # a subclass of a JSON type, or no JSON type: json decides
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 # a record's "edges" value in ``dumps`` text: a raw newline and indent occur
@@ -136,17 +196,21 @@ class Report:
         payload = {"source": self.source, "summary": self.summary, "records": records}
         if self.extra is not None:
             payload["findings"] = self.extra
-        encoded = [json.dumps(edges, indent=2).replace("\n", "\n      ") for edges in lists.values()]
+        encoded = [_text(edges, "\n      ") for edges in lists.values()]
         return _EDGES_NUMBER.sub(lambda found: encoded[int(found[0])], dumps(payload))
 
     def to_csv(self) -> str:
+        """One row per record.  The records of one instance share one edge
+        list, so each list is joined once."""
+        lists = {id(r.edges): r.edges for r in self.records}
+        joined = {key: " ".join(f"{u}-{v}" for u, v in edges) for key, edges in lists.items()}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["instance", "theorem", "status", "reason", "values", "n", "edges"])
         for r in self.records:
             values = ";".join(f"{k}={r.values[k]}" for k in sorted(r.values))
-            edges = " ".join(f"{u}-{v}" for u, v in r.edges)
-            writer.writerow([r.instance, r.theorem, r.status, r.reason or "", values, r.n, edges])
+            writer.writerow([r.instance, r.theorem, r.status, r.reason or "", values, r.n,
+                             joined[id(r.edges)]])
         return buf.getvalue()
 
     def exit_code(self, strict: bool = False) -> int:

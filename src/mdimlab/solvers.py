@@ -31,10 +31,8 @@ and the final pick must hit every open mask; a branch ends when more
 open masks are pairwise disjoint above the next pick than picks are
 left.  A group's hitting sets therefore come out in lexicographic order,
 the first one found is its smallest, and repeated runs are
-byte-identical.  The walk yields them lazily and ends with the first
-cardinality that has one: a solve takes the first set of each group, and
-phi drains the same walks, so every metric basis of S(G) is one set from
-each group and no cardinality is walked twice.
+byte-identical.  The walk stops at that first set (``minimum_set``), the
+one set of each group a solve takes.
 
 To refute a cardinality the walk must visit every increasing prefix its
 bounds let through, and most of its nodes go to the cardinalities below
@@ -62,6 +60,21 @@ same sets in the same order as a walk from L, and its first set is still
 the group's lexicographically least.  The cap keeps the search's cost
 small where it cannot win: on graphs with many twins the walk's
 symmetry pruning (below) cuts far more than it does.
+
+phi needs every minimum set of every group, since every metric basis of
+S(G) is one set from each group, and it lists them with the same
+branching (``every_set``).  Per group, the existence search runs uncapped
+from L and stops at the first set, which gives the group's value k; once
+the cap on candidate bases passes, it runs again at k and appends every
+set instead of stopping.  Each hitting set S is reached by one path.  At
+a node that S's path reaches, the branch of the least vertex u of S in
+the branching mask keeps S in reach, as above.  The branch of another
+vertex of S comes after u's and leaves u out, and the branch of a vertex
+outside S picks a vertex S lacks, so neither reaches S.  The listing
+therefore misses no set and holds none twice, at about one node per set,
+where the walk passes every increasing prefix of every set.  phi's
+result is a minimum over the tied bases, so the listing's order does not
+matter.
 
 A partial set's open masks, those it does not meet yet, are one int of
 mask ids, so a pick is one AND with the ids of the masks the picked vertex
@@ -109,7 +122,8 @@ that map every edge onto an edge.  Finding them costs about as much as a
 walk of |V(group)|^2 nodes, so a group's walk looks for them only once
 it has visited that many (``_symmetry_gate``), counted from where the
 walk starts, and most small solves never do.  phi lists every minimum
-set, the ones that are no lex-leader included, so its walks never prune.
+set, the ones that are no lex-leader included, and never walks, so it
+never prunes.
 
 The budget counts search nodes: every partial set either search visits,
 the empty set of each cardinality included.  ``SolveStats.refute_nodes``
@@ -125,7 +139,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, product
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EnumerationOverflowError,
@@ -494,9 +508,10 @@ class _Search:
     partial set costs one node of the shared budget.  Open masks are one
     int of ids in the group's order, and ``_packing`` reads them in that
     order.  An existence search refutes the cardinalities below the value
-    first, up to its cap.  Given the graph, a lex walk that passes its
-    group's gate skips the children that an involution of the graph maps
-    to a smaller set."""
+    first, up to its cap, and the lex walk finds the least set; phi lists
+    every minimum set with the existence search alone.  Given the graph, a
+    lex walk that passes its group's gate skips the children that an
+    involution of the graph maps to a smaller set."""
 
     def __init__(self, budget: int, graph: Graph | None = None):
         self.budget = budget
@@ -519,22 +534,18 @@ class _Search:
             raise _Capped
         self._visit()
 
-    def minimum_sets(self, masks: list[int]) -> Iterator[tuple[int, ...]]:
-        """Every minimum set meeting all masks, in lexicographic order.
+    def minimum_set(self, masks: list[int]) -> tuple[int, ...]:
+        """The lexicographically least minimum set meeting all masks.
 
         From k = L on, the existence search (``_refute``) refutes one
         cardinality after another until it finds a set or spends its cap;
         the lex walk then tries k, k + 1, ... from the k it reached and
-        ends after the first k that has a set.  One vertex from each mask
-        meets every mask, so that k comes.  The existence search loses no
-        set: every set meeting the masks holds a vertex of the open mask
-        of least id, and the branch of the least such vertex excludes
-        only vertices the set does not hold.  Its packing bound counts
-        masks pairwise disjoint on the vertices its branch may still
-        pick, each of which needs a pick of its own.  So every
-        cardinality below the walk's first has no set, and the walk's
-        first set is the one it would find from L: it lists the same
-        sets in the same order.
+        stops at the first set it finds.  One vertex from each mask meets
+        every mask, so such a k comes.  The existence search loses no set,
+        and its packing bound counts masks pairwise disjoint on the
+        vertices its branch may still pick, each of which needs a pick of
+        its own.  So every cardinality below the walk's first has no set,
+        and the walk's first set is the one it would find from L.
         """
         verts, hits, ends, byv = _index(masks)
         start = self._refute(masks, byv, max(1, _packing(masks)), _refute_cap(len(verts)))
@@ -544,11 +555,19 @@ class _Search:
         group = [masks, verts, hits, ends, byv, gate, None]
         for k in count(start):
             self._visit()
-            found = ()
-            for found in self._extend(group, (1 << len(masks)) - 1, 0, k, ()):
-                yield found
+            found = self._extend(group, (1 << len(masks)) - 1, 0, k, ())
             if found:
-                return
+                return found
+
+    def every_set(self, masks: list[int], byv: list[int], k: int) -> list[tuple[int, ...]]:
+        """Every set of ``k`` vertices meeting all masks, where no fewer
+        meet them, each as the tuple of its vertices in the order the
+        existence search picked them; ``byv`` is ``_index(masks)[3]``.  Each
+        set is reached by one path of the search, so the list holds no set
+        twice."""
+        found: list = []
+        self._exists(masks, byv, (1 << len(masks)) - 1, -1, k, (), found)
+        return found
 
     def _refute(self, masks: list[int], byv: list[int], k: int, cap: float) -> int:
         """The first cardinality from k on that the existence search does
@@ -571,16 +590,24 @@ class _Search:
         return k
 
     def _exists(self, masks: list[int], byv: list[int], open_ids: int, allowed: int,
-                left: int) -> bool:
+                left: int, picked: tuple = (), found: list[tuple] | None = None) -> bool:
         """True iff at most ``left`` vertices of ``allowed`` meet every open
         mask.  Every such set meets the open mask of least id, so the
         search branches on that mask's allowed vertices in increasing
         order, each branch taking its vertex and the later ones leaving out
-        the vertices tried before."""
+        the vertices tried before.  Given ``found``, it appends every such
+        set instead, ``picked`` followed by its own picks, and returns
+        False."""
         if left == 1:
-            if _completions(masks, byv, open_ids, allowed):
+            last = _completions(masks, byv, open_ids, allowed)
+            if found is None:
+                if last:
+                    self._step()
+                    return True
+                return False
+            for u in last:
                 self._step()
-                return True
+                found.append(picked + (u,))
             return False
         flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
         if _packing(compress(masks, flags), allowed, left) > left:
@@ -593,22 +620,28 @@ class _Search:
             self._step()
             u = bit.bit_length() - 1
             rest = open_ids & ~byv[u]
-            if not rest or self._exists(masks, byv, rest, allowed, left - 1):
+            if rest:
+                if self._exists(masks, byv, rest, allowed, left - 1, picked + (u,), found):
+                    return True
+            elif found is None:
                 return True
+            else:
+                found.append(picked + (u,))
             allowed ^= bit
         return False
 
     def _extend(self, group: list, open_ids: int, start: int, left: int,
-                picked: tuple) -> Iterator[tuple]:
-        """The sets of ``left`` more picks, from position ``start`` on, that
-        meet every open mask; ``group`` is the masks, their ``_index``, the
-        gate and the guards."""
+                picked: tuple) -> tuple | None:
+        """The first set of ``left`` more picks, from position ``start`` on,
+        that meets every open mask, or None; ``group`` is the masks, their
+        ``_index``, the gate and the guards."""
         masks, verts, hits, ends, byv, gate, _ = group
         if left == 1:  # k = 1: the first pick is the last
-            for u in _completions(masks, byv, open_ids, -1):
+            last = _completions(masks, byv, open_ids, -1)
+            if last:
                 self._visit()
-                yield picked + (u,)
-            return
+                return picked + (last[0],)
+            return None
         # the next pick is the vertex at position start or later, and no
         # later than the last vertex of any open mask, since later picks
         # only grow; each open mask ends at or after start, since the
@@ -619,7 +652,7 @@ class _Search:
         # no mask holds a vertex between the last pick and verts[start]
         flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
         if _packing(compress(masks, flags), -1 << verts[start], left) > left:
-            return
+            return None
         children = range(start, end + 1)
         if self.nodes >= gate:
             children = self._leaders(group, children, open_ids, picked)
@@ -628,14 +661,18 @@ class _Search:
                 self._visit()
                 rest = open_ids & ~hits[j]
                 if rest and left > 2:
-                    yield from self._extend(group, rest, j + 1, left - 1, picked + (verts[j],))
+                    found = self._extend(group, rest, j + 1, left - 1, picked + (verts[j],))
+                    if found:
+                        return found
                 elif rest:
                     # the last pick, made in this loop: the walk's most
-                    # numerous level then starts no generator of its own
+                    # numerous level then makes no call of its own
                     v = verts[j]
-                    for u in _completions(masks, byv, rest, -2 << v):
+                    last = _completions(masks, byv, rest, -2 << v)
+                    if last:
                         self._visit()
-                        yield picked + (v, u)
+                        return picked + (v, last[0])
+        return None
 
     def _leaders(self, group: list, children: range, open_ids: int,
                  picked: tuple) -> Iterable[int]:
@@ -688,7 +725,7 @@ def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certif
     masks = _separator_masks(g, kind, forced)
     parts = _components(masks)
     search = _Search(budget, g)
-    picks = (next(search.minimum_sets(part)) for part in parts)
+    picks = (search.minimum_set(part) for part in parts)
     # with no forced vertex and no pair to separate, any single vertex resolves
     witness = tuple(sorted(chain(forced, *picks))) or (0,)
     stats = SolveStats(search_nodes=search.nodes, masks_kept=len(masks),
@@ -739,12 +776,13 @@ def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
     neighbour that is not an original vertex (``sg`` is not a subdivision
     graph), and EnumerationOverflowError when the count of candidate
     k-subsets of V(S(G)) exceeds the cap, with k = dim(S(G)), before any
-    basis past each mask group's first is listed.  Search nodes of the
-    minimum search and of the enumeration both count against the budget.
+    basis is listed: each group's existence search first stops at the
+    group's first set, which gives its share of k.  Search nodes of those
+    searches and of the listing both count against the budget.
 
-    A basis is one minimum set per mask group, and its footprint the union
-    of theirs.  Each group's sets become bitmasks over V(G) once
-    (``_footprints``), every basis is scored by an OR and
+    A basis is one minimum set per mask group (``_Search.every_set``), and
+    its footprint the union of theirs.  Each group's sets become bitmasks
+    over V(G) once (``_footprints``), every basis is scored by an OR and
     ``int.bit_count``, one size per basis held, and only the bases tied at
     the least size are sorted, so the witness is the lexicographically
     least of them.
@@ -757,14 +795,14 @@ def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
     footprint = [1 << v for v in range(n)] + [sum(1 << v for v in ends) for ends in near[n:]]
     parts = _components(_separator_masks(sg.graph, DIM))
     search = _Search(budget)
-    walks = [search.minimum_sets(part) for part in parts]
-    firsts = [next(walk) for walk in walks]
-    total = math.comb(sg.graph.n, sum(map(len, firsts)))
+    indexed = [(part, _index(part)[3]) for part in parts]
+    ks = [search._refute(part, byv, max(1, _packing(part)), math.inf) for part, byv in indexed]
+    total = math.comb(sg.graph.n, sum(ks))
     if total > cap:
         raise EnumerationOverflowError(total, cap)
 
     # every metric basis is one minimum hitting set per mask group
-    choices = [[first, *walk] for first, walk in zip(firsts, walks)]
+    choices = [search.every_set(part, byv, k) for (part, byv), k in zip(indexed, ks)]
     feet = [_footprints(group, footprint) for group in choices]
     # the bases' footprint sizes in product order: the groups but the last
     # folded into one list of footprints, then the last one ORed onto it

@@ -1,11 +1,13 @@
 import dataclasses
+import enum
 import hashlib
 import json
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mdimlab import (BadSpecError, Certificate, build_graph, complete_graph, cycle_graph, emit_graph6,
                      enumerate_small_trees, gn_graph, path_graph)
@@ -204,6 +206,25 @@ def test_violated_and_full_instance_travel_in_json():
     assert payload["summary"]["violated"] == 1
 
 
+_JSON_VALUES = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats()),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+@given(st.dictionaries(st.text(), _JSON_VALUES))
+@example({"a\n\"\u00e9\u2603": ["\x00", -0.0, float("nan"), float("inf"), -float("inf"), 1e300]})
+@example({"sub": OrderedDict(b=[_Level.HIGH], a={}), "empty": [[], {}, ()]})
+def test_dumps_writes_the_text_of_json_dumps(payload):
+    expected = json.dumps({**payload, "version": harness.TOOL_VERSION}, sort_keys=True, indent=2)
+    assert harness.dumps(payload) == expected + "\n"
+
+
 @pytest.mark.parametrize("timings", [False, True])
 def test_report_json_equals_dumps_of_every_record(timings):
     # ids that spell the text an edge list's number is found by, and an explore
@@ -367,12 +388,75 @@ def _phi_off_by_one(monkeypatch):
     monkeypatch.setattr(harness._Lab, "phi", off)
 
 
-@pytest.mark.parametrize("theorem, plant, instance, values", [
+def _cert_off_by_one(kind, on, delta):
+    """A plant that moves the value of ``_Lab.cert(kind, on)`` by ``delta``."""
+    def plant(monkeypatch):
+        real = harness._Lab.cert
+
+        def off(lab, k, o=None):
+            cert = real(lab, k, o)
+            return dataclasses.replace(cert, value=cert.value + delta) if (k, o) == (kind, on) else cert
+
+        monkeypatch.setattr(harness._Lab, "cert", off)
+
+    plant.__name__ = f"{kind}_{on or 'g'}_{delta:+d}"
+    return plant
+
+
+def _closed_form_off_by_one(claim, delta):
+    """A plant that moves ``closed_form``'s value for ``claim`` by ``delta``."""
+    def plant(monkeypatch):
+        real = harness.closed_form
+        monkeypatch.setattr(harness, "closed_form",
+                            lambda g, c: real(g, c) + (delta if c == claim else 0))
+
+    plant.__name__ = f"{claim}_{delta:+d}"
+    return plant
+
+
+def _wrong_subdivision(monkeypatch):
+    real = harness.check_distance_identities
+    monkeypatch.setattr(harness, "check_distance_identities",
+                        lambda base, sg, mg: real(base, middle(base), mg))
+
+
+def _wrong_forced_set(monkeypatch):
+    monkeypatch.setattr(solvers, "forced_vertices_mdim", lambda g: (0, 1, 3))
+
+
+# one row per check: a fault planted in what the check reads, and the values
+# it then records
+_PLANTED = [
+    # phi(C4) = 2 = max(dim, edim), so a phi one too small breaks both bounds
     ("T3.1ii", _phi_off_by_one, "cycle:n=4", {"phi": 1, "dim": 2, "edim": 2, "bases": 24}),
     ("C3.2", _phi_off_by_one, "cycle:n=4", {"dim": 2, "edim": 2, "phi": 1, "mdim_s": 3, "mdim": 3}),
-])
+    ("C3.5-cactus", _cert_off_by_one("mdim", "s", 1), "cycle:n=4", {"mdim": 3, "mdim_s": 4}),
+    ("E1-E6-identities", _wrong_subdivision, "path:n=4",
+     {"eq1": 16, "eq2": 12, "eq3": 6, "eq4": 32, "eq5": 12, "eq6": 12,
+      "counterexample": "eq1:(0, 2, 3, 4)"}),
+    ("L2.1-forced", _wrong_forced_set, "path:n=4",
+     {"forced": [0, 1, 3], "mdim": 3, "witness": [0, 1, 3], "removable_forced_vertex": 1}),
+    ("P3.4", _cert_off_by_one("mdim", None, 1), "gn:n=5",
+     {"formula": 7, "mdim": 8, "mdim_s": 5, "gap": 3, "forced_count": 7, "sn_verifies": True}),
+    ("P4.5", _closed_form_off_by_one("mdim_tree", -1), "path:n=4",
+     {"dim": 1, "dim_total": 2, "n1": 1}),
+    ("T2.2-formula", _cert_off_by_one("mdim", None, 1), "cycle:n=4",
+     {"formula": 3, "brute": 4, "n1": 0, "epsilon": 0, "cycles": 1}),
+    ("T3.1i", _cert_off_by_one("mdim", None, -1), "cycle:n=4", {"mdim_s": 3, "mdim": 2}),
+    ("T4.1", _cert_off_by_one("mdim", None, -1), "path:n=4", {"dim_middle": 2, "mdim": 1}),
+    ("T4.2", _closed_form_off_by_one("dim_middle_tree", 1), "path:n=4",
+     {"n1": 3, "mdim": 2, "dim_middle": 2}),
+    ("T4.3", _closed_form_off_by_one("mdim_total_tree", 1), "path:n=4",
+     {"n1": 2, "mdim_total": 4, "expected": 5}),
+]
+
+
+def test_every_check_has_a_planted_fault():
+    assert sorted(row[0] for row in _PLANTED) == sorted(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorem, plant, instance, values", _PLANTED)
 def test_planted_fault_is_reported_as_violated(monkeypatch, capsys, theorem, plant, instance, values):
-    # phi(C4) = 2 = max(dim, edim), so a phi one too small breaks both bounds
     plant(monkeypatch)
     report = run_checks(families.generate(instance), theorems=[theorem])
     (record,) = report.records

@@ -37,7 +37,15 @@ from mdimlab import (
 )
 
 from mdimlab import solvers
-from mdimlab.solvers import _components, _involutions, _mask_order, _Search, _separator_masks
+from mdimlab.solvers import (
+    _components,
+    _index,
+    _involutions,
+    _mask_order,
+    _packing,
+    _Search,
+    _separator_masks,
+)
 
 from conftest import (
     connected_graphs,
@@ -147,20 +155,25 @@ def test_distances_beyond_one_byte():
     assert solve_dimension(g, "mdim").vertices == (0, 299)
 
 
+def _phi_listing(search, part):
+    """phi's route through one mask group: the existence search, uncapped,
+    finds the group's least cardinality k, then lists every set of size k."""
+    byv = _index(part)[3]
+    k = search._refute(part, byv, max(1, _packing(part)), math.inf)
+    return search.every_set(part, byv, k)
+
+
 def test_walks_leave_no_cyclic_garbage():
-    # a walk recurses through generators of a method, which no object they
-    # reach refers back to; a recursive closure would refer to itself, and
-    # every walk would then leave its mask index to the cycle collector
+    # both searches recurse through a method, which no object they reach
+    # refers back to; a recursive closure would refer to itself, and every
+    # search would then leave its mask index to the cycle collector
     masks = _separator_masks(total(gn_graph(3)[0]).graph, "mdim")
     gc.collect()
     gc.disable()
     try:
-        walk = _Search(10**6).minimum_sets(masks)
-        next(walk)
-        del walk  # partly consumed
+        assert _Search(10**6).minimum_set(masks)
         assert gc.collect() == 0
-        for _ in _Search(10**6).minimum_sets(masks):  # drained
-            pass
+        assert _phi_listing(_Search(10**6), masks)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -287,20 +300,30 @@ def test_phi_propagates_inner_search_budget():
         phi_of_graph(subdivision(cycle_graph(8)), budget=2)
 
 
-def test_phi_budget_boundary_walks_each_minimum_cardinality_once():
+def test_phi_budget_boundary_refutes_and_lists_each_group_once():
     sg5 = subdivision(gn_graph(5)[0])
-    assert phi_of_graph(sg5, budget=683) == phi_of_graph(sg5)
+    assert phi_of_graph(sg5, budget=284) == phi_of_graph(sg5)
     with pytest.raises(SearchBudgetExceededError):
-        phi_of_graph(sg5, budget=682)
+        phi_of_graph(sg5, budget=283)
+
+
+def test_phi_of_s_g8_lists_its_bases_by_the_existence_search():
+    # the lex walk passed every prefix of every basis in order, 132,665
+    # nodes; the existence search reaches each basis by one path
+    sg8 = subdivision(gn_graph(8)[0])
+    result = phi_of_graph(sg8, budget=17_610)
+    assert (result.phi_value, result.bases_enumerated) == (9, 8736)
+    with pytest.raises(SearchBudgetExceededError):
+        phi_of_graph(sg8, budget=17_609)
 
 
 def test_phi_checks_the_cap_before_listing_any_basis():
     sg8 = subdivision(gn_graph(8)[0])
-    # enough nodes to find dim(S(G_8)) by phi's walks, which never prune by
-    # symmetry, too few to list its metric bases
+    # enough nodes to find dim(S(G_8)) by phi's existence searches, which
+    # stop at each group's first set, too few to list its metric bases
     search = _Search(10**8)
     for part in _components(_separator_masks(sg8.graph, "dim")):
-        next(search.minimum_sets(part))
+        search._refute(part, _index(part)[3], max(1, _packing(part)), math.inf)
     with pytest.raises(EnumerationOverflowError):
         phi_of_graph(sg8, cap=1, budget=search.nodes)
 
@@ -323,7 +346,7 @@ def test_walks_list_every_minimum_set_of_each_kind(g):
         if not masks:
             continue
         search = _Search(budget=10**8)
-        walks = [list(search.minimum_sets(part)) for part in _components(masks)]
+        walks = [_phi_listing(search, part) for part in _components(masks)]
         found = sorted(tuple(sorted(v for s in combo for v in s)) for combo in product(*walks))
         assert found == oracle_min_witnesses(g.n, g.edges, kind)[1], (kind, g.edges)
 
@@ -489,7 +512,11 @@ def minimal_mask_families(draw):
 @example([0b0011, 0b1100, 0b0101, 0b1010])  # k = 2, two sets
 def test_walk_lists_every_minimum_set_as_brute_force(masks):
     for part in _components(masks):
-        assert list(_Search(10**7).minimum_sets(part)) == _brute_minimum_sets(part), part
+        brute = _brute_minimum_sets(part)
+        assert _Search(10**7).minimum_set(part) == brute[0], part
+        # phi's listing holds each set once, its vertices in pick order
+        listed = [tuple(sorted(found)) for found in _phi_listing(_Search(10**7), part)]
+        assert sorted(listed) == brute and len(set(listed)) == len(listed), part
 
 
 def _least_hitting_size(masks, allowed):
@@ -637,7 +664,7 @@ def _unpruned_certificate(g, kind):
     of each group's walk, with no symmetry pruning."""
     forced = forced_vertices_mdim(g) if kind == "mdim" else ()
     search = _Search(10**8)
-    picks = [next(search.minimum_sets(part)) for part in _components(_separator_masks(g, kind, forced))]
+    picks = [search.minimum_set(part) for part in _components(_separator_masks(g, kind, forced))]
     witness = tuple(sorted(chain(forced, *picks))) or (0,)
     return len(witness), witness, forced
 
