@@ -226,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="cap on search nodes (default %(default)s)")
     p.add_argument("--stats", action="store_true",
-                   help="add search nodes, separator masks kept and the starting "
-                        "lower bound to the output")
+                   help="add the search counters to the output: search_nodes, "
+                        "masks_kept, lower_bound, symmetry_pruned and refute_nodes")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_solve)
 

@@ -22,48 +22,61 @@ groups: a minimum hitting set is one minimum hitting set per group, and
 the lexicographically smallest one is the union of the groups' smallest.
 Each group is searched alone.
 
-The lex walk of a group picks vertices in increasing order, depth
-first, for k = L, L + 1, ... where L counts pairwise disjoint masks.  Its
-pruning loses no solution: a pick must lie at or below the last vertex
-of every open mask (the last chance to hit it), must hit an open mask (at
-the minimum k a pick hitting none would leave a smaller resolving set),
-and the final pick must hit every open mask; a branch ends when more
-open masks are pairwise disjoint above the next pick than picks are
-left.  A group's hitting sets therefore come out in lexicographic order,
-the first one found is its smallest, and repeated runs are
-byte-identical.  The walk stops at that first set (``minimum_set``), the
-one set of each group a solve takes.
+Every search of a group is one depth-first recursion over partial sets
+(``_Search._branch``), for k = L, L + 1, ... where L counts pairwise
+disjoint masks.  A partial set's open masks, those it does not meet yet,
+are one int of mask ids, so a pick is one AND with the ids of the masks
+the picked vertex misses; its allowed vertices are those its branch may
+still pick.  A branching rule names the candidates for the next pick.  A
+candidate that meets no open mask is skipped, and every candidate, tried,
+skipped or cut by symmetry (below), leaves the allowed vertices as the
+loop passes it.  A branch ends when more open masks are pairwise disjoint
+on the allowed vertices than picks are left, as each needs a pick of its
+own; the count stops once it passes the picks left.  The last pick is
+read off bits (``_completions``): it lies in every open mask, so its
+candidates are the allowed vertices in the AND of the two open masks of
+least id, the two smallest since a group's masks are in (size, value)
+order, and one is kept when the ids of the masks that hold it cover the
+open ones.
+
+The walk rule picks vertices in increasing order.  Its candidates are the
+window: the allowed vertices up to the least last vertex of any open
+mask, read off the bitset of the vertices some mask ends at.  The walk
+starts from the union of the group's masks, so on each open mask the
+allowed vertices are exactly those above the last pick.  Its pruning
+loses no solution: a pick must lie at or below the last vertex of every
+open mask (the last chance to hit it), must hit an open mask (at the
+minimum k a pick hitting none would leave a smaller resolving set), and
+the final pick must hit every open mask.  A group's hitting sets
+therefore come out in lexicographic order, the first one found is its
+smallest, and repeated runs are byte-identical.  The walk stops at that
+first set (``minimum_set``), the one set of each group a solve takes.
 
 To refute a cardinality the walk must visit every increasing prefix its
 bounds let through, and most of its nodes go to the cardinalities below
-the value.  An existence search therefore runs first, in every search
+the value.  The existence rule therefore runs first, in every search
 (Weihe's set-cover branching, *Covering trains by stations or the power
-of data reduction*, ALENEX 1998, without his reductions).  For k = L,
-L + 1, ... it asks whether at most k vertices meet every mask.  It
-branches on the open mask of least id: the branch of that mask's i-th
-allowed vertex u picks u and drops the vertices before it from the
-allowed ones.  This loses no set: a set S that meets every open mask
-holds a vertex of that mask, and the branch of the least such vertex
-leaves out only vertices that S does not hold, so S stays in reach.
-As it may pick in any order, it need not pass every set that sorts
-before a hitting set, as the walk must.  It prunes with the packing
-bound on the allowed vertices: every later pick of a branch is an
-allowed vertex, so masks pairwise disjoint on those need a pick each.
-Its last pick is read like the walk's, off the AND of the two open
-masks of least id, restricted to the allowed vertices.  A group's
-existence search hands over to the walk as soon as it finds a set, or
-once it has spent 4 |V(group)| nodes (``_refute_cap``), and the walk
-starts at the cardinality it reached.
+of data reduction*, ALENEX 1998, without his reductions): for k = L,
+L + 1, ... it asks whether at most k vertices meet every mask.  Its
+candidates are the allowed vertices of the open mask of least id: the
+branch of the i-th picks it and drops those before it from the allowed
+vertices.  This loses no set: a set S that meets every open mask holds a
+vertex of that mask, and the branch of the least such vertex leaves out
+only vertices that S does not hold, so S stays in reach.  As it may pick
+in any order, it need not pass every set that sorts before a hitting
+set, as the walk must.  A group's existence search hands over to the
+walk as soon as it finds a set, or once it has spent 4 |V(group)| nodes
+(``_refute_cap``), and the walk starts at the cardinality it reached.
 Every cardinality below that one has no set, and the walk at one
 cardinality does not depend on the ones before it, so the walk lists the
 same sets in the same order as a walk from L, and its first set is still
 the group's lexicographically least.  The cap keeps the search's cost
-small where it cannot win: on graphs with many twins the walk's
-symmetry pruning (below) cuts far more than it does.
+small where it cannot win: on graphs with many twins the walk's symmetry
+pruning (below) cuts far more than it does.
 
 phi needs every minimum set of every group, since every metric basis of
-S(G) is one set from each group, and it lists them with the same
-branching (``every_set``).  Per group, the existence search runs uncapped
+S(G) is one set from each group, and it lists them with the existence
+rule (``every_set``).  Per group, the existence search runs uncapped
 from L and stops at the first set, which gives the group's value k; once
 the cap on candidate bases passes, it runs again at k and appends every
 set instead of stopping.  Each hitting set S is reached by one path.  At
@@ -75,18 +88,6 @@ therefore misses no set and holds none twice, at about one node per set,
 where the walk passes every increasing prefix of every set.  phi's
 result is a minimum over the tied bases, so the listing's order does not
 matter.
-
-A partial set's open masks, those it does not meet yet, are one int of
-mask ids, so a pick is one AND with the ids of the masks the picked vertex
-misses.  The last pick is read off bits, with no scan of positions
-(``_completions``): it must lie in every open mask, so its candidates are
-the vertices above the previous pick in the AND of the two open masks of
-least id, which are the two smallest since a group's masks are in (size,
-value) order, and a candidate is kept when the ids of the masks that hold
-it cover the open ones.  No candidate is lost: a vertex in every open mask
-lies in those two, and at or below the last vertex of each open mask, as
-any pick must.  The packing bound stops counting once it passes the picks
-left, which is all the branch test reads.
 
 For mdim, the forced vertices (Kelenc, Kuziak, Taranenko and Yero, *Mixed
 metric dimension of graphs*, 2017) lie in every mixed resolving set, and
@@ -108,15 +109,16 @@ onto its minimum hitting sets, and the group's lexicographically least
 one S* satisfies S* <= sigma(S*).  Sets of one size compare by the least
 vertex of their symmetric difference, and the symmetric difference of S
 and sigma(S) is the moved pairs (a, sigma(a)) that S holds one end of.
-Before visiting a child with picks P, the walk skips it when, for some
+Before visiting a child with picks P, the walk cuts it when, for some
 involution, the first such pair of P, a < sigma(a), has sigma(a) in P
 and a not in P: the least vertex of P xor sigma(P) lies outside P.  Both
 ends are then decided, at most the newest pick.  An earlier pair splits
 only in a completion S that adds its undecided sigma(a), with a decided
 and left out, which again puts the least vertex outside S.  So
 sigma(S) < S for every completion S, and no prefix of S* is ever cut.
-The walk is the same walk with some children skipped, so it finds the
-same set first.  ``_involutions`` takes the swaps of twins, and reads
+The walk is the same walk with some children cut, so it finds the same
+set first.  ``_leaders`` finds a node's cut children, as a bitmask,
+before its loop.  ``_involutions`` takes the swaps of twins, and reads
 further involutions off the graph's distance rows, keeping only those
 that map every edge onto an edge.  Finding them costs about as much as a
 walk of |V(group)|^2 nodes, so a group's walk looks for them only once
@@ -125,10 +127,13 @@ walk starts, and most small solves never do.  phi lists every minimum
 set, the ones that are no lex-leader included, and never walks, so it
 never prunes.
 
-The budget counts search nodes: every partial set either search visits,
+The budget counts search nodes: every partial set either rule visits,
 the empty set of each cardinality included.  ``SolveStats.refute_nodes``
-counts the existence search's share.  A child skipped by symmetry is no
-node; ``SolveStats.symmetry_pruned`` counts them.
+counts the existence search's share.  A node past the existence search's
+cap is not counted: the cap wins over the budget when both run out at
+that node, and the walk's first node then counts against the budget.  A
+child cut by symmetry is no node; ``SolveStats.symmetry_pruned`` counts
+them.
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, compress, count, product
 from operator import itemgetter, or_
 from typing import Iterable, Sequence
@@ -373,27 +379,23 @@ def _components(masks: list[int]) -> list[list[int]]:
     return [sorted(members, key=_mask_order) for _, members in groups]
 
 
-def _index(masks: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The masks' vertices, ascending; for the j-th of them the ids
-    (positions in ``masks``) of the masks that hold it, ``hits[j]``, and of
-    those it is the last vertex of, ``ends[j]``; and ``hits`` by vertex,
-    ``byv[v]``, 0 for a vertex no mask holds."""
-    union = 0
-    for m in masks:
-        union |= m
-    n = union.bit_length()
-    verts = [v for v in range(n) if union >> v & 1]
+def _index(masks: list[int]) -> tuple[list[int], list[int], int]:
+    """For each vertex v, the ids (positions in ``masks``) of the masks that
+    hold it, ``byv[v]``, and of those it is the last vertex of,
+    ``ends[v]``, both 0 for a vertex no mask holds; and ``lasts``, the
+    bitset of the vertices some mask ends at."""
+    n = reduce(or_, masks, 0).bit_length()
     # row i from the end is mask i in binary, so column n - 1 - v, read
     # down, is the ids of the masks that hold v in binary
     digits = "".join([format(m, f"0{n}b") for m in reversed(masks)])
-    hits = [int(digits[n - 1 - v::n], 2) for v in verts]
-    ends = [0] * len(verts)
+    byv = [int(digits[n - 1 - v::n], 2) for v in range(n)]
+    ends = [0] * n
+    lasts = 0
     for i, m in enumerate(masks):
-        ends[bisect_left(verts, m.bit_length() - 1)] |= 1 << i
-    byv = [0] * n
-    for v, h in zip(verts, hits):
-        byv[v] = h
-    return verts, hits, ends, byv
+        last = m.bit_length() - 1
+        ends[last] |= 1 << i
+        lasts |= 1 << last
+    return byv, ends, lasts
 
 
 def _completions(masks: list[int], byv: list[int], open_ids: int, allowed: int) -> list[int]:
@@ -504,14 +506,15 @@ class _Capped(Exception):
 
 
 class _Search:
-    """Depth-first hitting-set search of one group of masks; every visited
-    partial set costs one node of the shared budget.  Open masks are one
-    int of ids in the group's order, and ``_packing`` reads them in that
-    order.  An existence search refutes the cardinalities below the value
-    first, up to its cap, and the lex walk finds the least set; phi lists
-    every minimum set with the existence search alone.  Given the graph, a
-    lex walk that passes its group's gate skips the children that an
-    involution of the graph maps to a smaller set."""
+    """Depth-first hitting-set search of one group of masks at a time;
+    every visited partial set costs one node of the shared budget.  One
+    recursion, ``_branch``, serves every search by one of two branching
+    rules: the existence rule refutes the cardinalities below the value,
+    up to its cap, and lists phi's minimum sets; the walk rule finds the
+    least set.  Given the graph, a walk that passes its group's gate cuts
+    the children that an involution of the graph maps to a smaller set.
+    Open masks are one int of ids in the group's order, which ``_packing``
+    reads."""
 
     def __init__(self, budget: int, graph: Graph | None = None):
         self.budget = budget
@@ -521,196 +524,192 @@ class _Search:
         self.graph = graph
         self._found: list[list[int]] | None = None  # the graph's involutions
         self._stop = math.inf  # the node count at which the existence search hands over
+        self._limit = budget  # the lesser of the budget and the stop
 
     def _visit(self) -> None:
+        """One node, or ``_Capped`` once the existence search has spent its
+        cap, which wins when both run out at once."""
         self.nodes += 1
-        if self.nodes > self.budget:
+        if self.nodes > self._limit:
+            if self.nodes > self._stop:
+                self.nodes -= 1
+                raise _Capped
             raise SearchBudgetExceededError(self.nodes, self.budget)
 
-    def _step(self) -> None:
-        """One node of the existence search, or ``_Capped`` once its cap is
-        spent."""
-        if self.nodes >= self._stop:
-            raise _Capped
-        self._visit()
+    def _load(self, masks: list[int], index: tuple, walk: bool, gate: float = math.inf) -> None:
+        """Search ``masks``, whose ``_index`` is ``index``, by the walk rule
+        or the existence rule.  A walk looks for symmetries at node
+        ``gate``, and ``_leaders`` then builds the group's guards."""
+        self._masks = masks
+        self._byv, self._ends, self._lasts = index
+        self._walk, self._gate, self._guards = walk, gate, None
 
     def minimum_set(self, masks: list[int]) -> tuple[int, ...]:
         """The lexicographically least minimum set meeting all masks.
 
         From k = L on, the existence search (``_refute``) refutes one
         cardinality after another until it finds a set or spends its cap;
-        the lex walk then tries k, k + 1, ... from the k it reached and
-        stops at the first set it finds.  One vertex from each mask meets
-        every mask, so such a k comes.  The existence search loses no set,
-        and its packing bound counts masks pairwise disjoint on the
-        vertices its branch may still pick, each of which needs a pick of
-        its own.  So every cardinality below the walk's first has no set,
-        and the walk's first set is the one it would find from L.
+        the walk then tries k, k + 1, ... from the k it reached and stops
+        at the first set it finds.  One vertex from each mask meets every
+        mask, so such a k comes.  The existence search loses no set, and
+        its packing bound counts masks pairwise disjoint on the vertices
+        its branch may still pick, each of which needs a pick of its own.
+        So every cardinality below the walk's first has no set, and the
+        walk's first set is the one it would find from L.
         """
-        verts, hits, ends, byv = _index(masks)
-        start = self._refute(masks, byv, max(1, _packing(masks)), _refute_cap(len(verts)))
-        # the last two are the node count at which to look for symmetries
-        # and, once looked for, the guards that ``_leaders`` reads
-        gate = math.inf if self.graph is None else self.nodes + _symmetry_gate(len(verts))
-        group = [masks, verts, hits, ends, byv, gate, None]
+        index = _index(masks)
+        union = reduce(or_, masks)
+        size = union.bit_count()
+        start = self._refute(masks, index, max(1, _packing(masks)), _refute_cap(size))
+        gate = math.inf if self.graph is None else self.nodes + _symmetry_gate(size)
+        self._load(masks, index, True, gate)
+        everything = (1 << len(masks)) - 1
         for k in count(start):
             self._visit()
-            found = self._extend(group, (1 << len(masks)) - 1, 0, k, ())
+            found = self._branch(everything, union, k)
             if found:
                 return found
 
-    def every_set(self, masks: list[int], byv: list[int], k: int) -> list[tuple[int, ...]]:
+    def every_set(self, masks: list[int], index: tuple, k: int) -> list[tuple[int, ...]]:
         """Every set of ``k`` vertices meeting all masks, where no fewer
         meet them, each as the tuple of its vertices in the order the
-        existence search picked them; ``byv`` is ``_index(masks)[3]``.  Each
+        existence search picked them; ``index`` is ``_index(masks)``.  Each
         set is reached by one path of the search, so the list holds no set
         twice."""
+        self._load(masks, index, False)
         found: list = []
-        self._exists(masks, byv, (1 << len(masks)) - 1, -1, k, (), found)
+        self._branch((1 << len(masks)) - 1, -1, k, (), found)
         return found
 
-    def _refute(self, masks: list[int], byv: list[int], k: int, cap: float) -> int:
+    def _refute(self, masks: list[int], index: tuple, k: int, cap: float) -> int:
         """The first cardinality from k on that the existence search does
         not refute within ``cap`` nodes: the least one with a set, or the
         one it was refuting when the cap ran out.  Each cardinality's empty
         set is one node.  One vertex from each mask meets every mask, so
         the search never asks about as many vertices as there are masks."""
+        self._load(masks, index, False)
         self._stop = self.nodes + cap
+        self._limit = min(self.budget, self._stop)
         before = self.nodes
         everything = (1 << len(masks)) - 1
         try:
             while k < len(masks):
-                self._step()
-                if self._exists(masks, byv, everything, -1, k):
+                self._visit()
+                if self._branch(everything, -1, k):
                     break
                 k += 1
         except _Capped:
             pass
+        self._stop, self._limit = math.inf, self.budget
         self.refute_nodes += self.nodes - before
         return k
 
-    def _exists(self, masks: list[int], byv: list[int], open_ids: int, allowed: int,
-                left: int, picked: tuple = (), found: list[tuple] | None = None) -> bool:
-        """True iff at most ``left`` vertices of ``allowed`` meet every open
-        mask.  Every such set meets the open mask of least id, so the
-        search branches on that mask's allowed vertices in increasing
-        order, each branch taking its vertex and the later ones leaving out
-        the vertices tried before.  Given ``found``, it appends every such
-        set instead, ``picked`` followed by its own picks, and returns
-        False."""
-        if left == 1:
-            last = _completions(masks, byv, open_ids, allowed)
-            if found is None:
-                if last:
-                    self._step()
-                    return True
-                return False
-            for u in last:
-                self._step()
+    def _branch(self, open_ids: int, allowed: int, left: int, picked: tuple = (),
+                found: list[tuple] | None = None) -> tuple | None:
+        """The first set of at most ``left`` vertices of ``allowed`` that
+        meets every open mask, ``picked`` followed by its own picks, or
+        None: under the existence rule whenever one exists, under the walk
+        rule the lexicographically least when ``left`` is the least size.
+        Given ``found``, it appends every such set of ``left`` picks
+        instead and returns None.  The candidates for the next pick are
+        the window of the walk rule or the branching mask of the existence
+        rule; a candidate that meets no open mask is skipped, and each
+        candidate leaves ``allowed`` as the loop passes it."""
+        masks, byv = self._masks, self._byv
+        if left == 1:  # k = 1: the first pick is the last
+            for u in _completions(masks, byv, open_ids, allowed):
+                self._visit()
+                if found is None:
+                    return picked + (u,)
                 found.append(picked + (u,))
-            return False
+            return None
         flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
         if _packing(compress(masks, flags), allowed, left) > left:
-            return False
-        low = open_ids & -open_ids
-        first = masks[low.bit_length() - 1] & allowed
-        while first:
-            bit = first & -first
-            first ^= bit
-            self._step()
+            return None
+        cut = 0
+        if self._walk:
+            # the window: the next pick is an allowed vertex no later than
+            # the last vertex of any open mask, since later picks only grow
+            ends = self._ends
+            above = self._lasts & -(allowed & -allowed)
+            while above:
+                end = above & -above
+                if ends[end.bit_length() - 1] & open_ids:
+                    break
+                above ^= end
+            else:
+                return None  # every open mask ends below every allowed vertex
+            candidates = allowed & ((end << 1) - 1)
+            if self.nodes >= self._gate:
+                cut = self._leaders(candidates, open_ids, picked)
+        else:
+            # every set that meets the open masks meets the one of least id
+            low = open_ids & -open_ids
+            candidates = masks[low.bit_length() - 1] & allowed
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            allowed ^= bit
             u = bit.bit_length() - 1
             rest = open_ids & ~byv[u]
-            if rest:
-                if self._exists(masks, byv, rest, allowed, left - 1, picked + (u,), found):
-                    return True
-            elif found is None:
-                return True
-            else:
+            if rest == open_ids or bit & cut:
+                continue
+            self._visit()
+            if not rest:
+                if found is None:
+                    return picked + (u,)
                 found.append(picked + (u,))
-            allowed ^= bit
-        return False
-
-    def _extend(self, group: list, open_ids: int, start: int, left: int,
-                picked: tuple) -> tuple | None:
-        """The first set of ``left`` more picks, from position ``start`` on,
-        that meets every open mask, or None; ``group`` is the masks, their
-        ``_index``, the gate and the guards."""
-        masks, verts, hits, ends, byv, gate, _ = group
-        if left == 1:  # k = 1: the first pick is the last
-            last = _completions(masks, byv, open_ids, -1)
-            if last:
-                self._visit()
-                return picked + (last[0],)
-            return None
-        # the next pick is the vertex at position start or later, and no
-        # later than the last vertex of any open mask, since later picks
-        # only grow; each open mask ends at or after start, since the
-        # last pick, at start - 1, came no later and missed it
-        end = start
-        while not open_ids & ends[end]:
-            end += 1
-        # no mask holds a vertex between the last pick and verts[start]
-        flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
-        if _packing(compress(masks, flags), -1 << verts[start], left) > left:
-            return None
-        children = range(start, end + 1)
-        if self.nodes >= gate:
-            children = self._leaders(group, children, open_ids, picked)
-        for j in children:
-            if hits[j] & open_ids:
-                self._visit()
-                rest = open_ids & ~hits[j]
-                if rest and left > 2:
-                    found = self._extend(group, rest, j + 1, left - 1, picked + (verts[j],))
-                    if found:
-                        return found
-                elif rest:
-                    # the last pick, made in this loop: the walk's most
-                    # numerous level then makes no call of its own
-                    v = verts[j]
-                    last = _completions(masks, byv, rest, -2 << v)
-                    if last:
-                        self._visit()
-                        return picked + (v, last[0])
+            elif left > 2:
+                got = self._branch(rest, allowed, left - 1, picked + (u,), found)
+                if got:
+                    return got
+            else:
+                # the last pick, made in this loop: the search's most
+                # numerous level then makes no call of its own
+                for w in _completions(masks, byv, rest, allowed):
+                    self._visit()
+                    if found is None:
+                        return picked + (u, w)
+                    found.append(picked + (u, w))
         return None
 
-    def _leaders(self, group: list, children: range, open_ids: int,
-                 picked: tuple) -> Iterable[int]:
-        """The positions of ``children`` whose pick leaves a set that no
-        involution maps to a smaller one.  With P the picks and the child's
-        pick, sigma(P) < P when the least vertex of P xor sigma(P) lies
-        outside P.  The group's guards are built at the first call: for each
+    def _leaders(self, candidates: int, open_ids: int, picked: tuple) -> int:
+        """The bits of ``candidates`` that meet an open mask and whose pick
+        leaves a set that some involution maps to a smaller one, counted in
+        ``symmetry_pruned``.  With P the picks and the candidate's pick,
+        sigma(P) < P when the least vertex of P xor sigma(P) lies outside
+        P.  The group's guards are built at the first call: for each
         involution that maps the group's vertices onto themselves and moves
         one, the bit of every vertex's image.  A group no involution moves
         gets its gate back at infinity."""
-        verts, hits, guards = group[1], group[2], group[6]
+        byv, guards = self._byv, self._guards
         if guards is None:
             if self._found is None:
                 self._found = _involutions(self.graph)
+            verts = [v for v, ids in enumerate(byv) if ids]
             inside = set(verts)
-            guards = group[6] = [[1 << w for w in sigma] for sigma in self._found
-                                 if all(sigma[v] in inside for v in verts)
-                                 and any(sigma[v] != v for v in verts)]
+            guards = self._guards = [[1 << w for w in sigma] for sigma in self._found
+                                     if all(sigma[v] in inside for v in verts)
+                                     and any(sigma[v] != v for v in verts)]
             if not guards:
-                group[5] = math.inf
-                return children
-        picks = 0
-        for v in picked:
-            picks |= 1 << v
+                self._gate = math.inf
+                return 0
+        picks = sum(1 << v for v in picked)
         images = [sum(map(bits.__getitem__, picked)) for bits in guards]
-        kept = []
-        for j in children:
-            if hits[j] & open_ids:
-                v = verts[j]
-                now = picks | 1 << v
+        cut = 0
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            v = bit.bit_length() - 1
+            if byv[v] & open_ids:
+                now = picks | bit
                 for bits, image in zip(guards, images):
                     d = now ^ (image | bits[v])
                     if d & -d & ~now:
                         self.symmetry_pruned += 1
+                        cut |= bit
                         break
-                else:
-                    kept.append(j)
-        return kept
+        return cut
 
 
 def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -795,14 +794,14 @@ def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
     footprint = [1 << v for v in range(n)] + [sum(1 << v for v in ends) for ends in near[n:]]
     parts = _components(_separator_masks(sg.graph, DIM))
     search = _Search(budget)
-    indexed = [(part, _index(part)[3]) for part in parts]
-    ks = [search._refute(part, byv, max(1, _packing(part)), math.inf) for part, byv in indexed]
+    indexed = [(part, _index(part)) for part in parts]
+    ks = [search._refute(part, index, max(1, _packing(part)), math.inf) for part, index in indexed]
     total = math.comb(sg.graph.n, sum(ks))
     if total > cap:
         raise EnumerationOverflowError(total, cap)
 
     # every metric basis is one minimum hitting set per mask group
-    choices = [search.every_set(part, byv, k) for (part, byv), k in zip(indexed, ks)]
+    choices = [search.every_set(part, index, k) for (part, index), k in zip(indexed, ks)]
     feet = [_footprints(group, footprint) for group in choices]
     # the bases' footprint sizes in product order: the groups but the last
     # folded into one list of footprints, then the last one ORed onto it

@@ -4,7 +4,7 @@ import weakref
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdimlab import graph
 from mdimlab import (
@@ -543,6 +543,7 @@ _RINGS_AND_CHORDS = st.one_of(_cacti(), _cacti(chord=True),
                               st.integers(3, 60).map(cycle_graph))
 
 
+@settings(deadline=None)  # the 300-vertex cactus alone takes about half the default deadline
 @given(st.one_of(_with_pendant_paths(), _RINGS_AND_CHORDS))
 @example(random_cactus(300, 75, 3))  # a cactus: one run
 @example(_ladder(100))  # one block of 99 rings: every vertex runs BFS

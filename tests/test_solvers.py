@@ -158,9 +158,9 @@ def test_distances_beyond_one_byte():
 def _phi_listing(search, part):
     """phi's route through one mask group: the existence search, uncapped,
     finds the group's least cardinality k, then lists every set of size k."""
-    byv = _index(part)[3]
-    k = search._refute(part, byv, max(1, _packing(part)), math.inf)
-    return search.every_set(part, byv, k)
+    index = _index(part)
+    k = search._refute(part, index, max(1, _packing(part)), math.inf)
+    return search.every_set(part, index, k)
 
 
 def test_walks_leave_no_cyclic_garbage():
@@ -323,7 +323,7 @@ def test_phi_checks_the_cap_before_listing_any_basis():
     # stop at each group's first set, too few to list its metric bases
     search = _Search(10**8)
     for part in _components(_separator_masks(sg8.graph, "dim")):
-        search._refute(part, _index(part)[3], max(1, _packing(part)), math.inf)
+        search._refute(part, _index(part), max(1, _packing(part)), math.inf)
     with pytest.raises(EnumerationOverflowError):
         phi_of_graph(sg8, cap=1, budget=search.nodes)
 
@@ -446,6 +446,12 @@ def test_budget_boundary_is_one_node_per_visited_set(g, kind):
     assert (exact, exact.stats) == (cert, cert.stats)
     with pytest.raises(SearchBudgetExceededError):
         solve_dimension(g, kind, budget=nodes - 1)
+    # around the existence search's share, where its cap and the budget
+    # meet, the budget still runs out at its own next node
+    for budget in range(cert.stats.refute_nodes - 1, cert.stats.refute_nodes + 2):
+        with pytest.raises(SearchBudgetExceededError) as caught:
+            solve_dimension(g, kind, budget=budget)
+        assert caught.value.checked == budget + 1, budget
 
 
 # pinned (search_nodes, masks_kept, lower_bound, symmetry_pruned,
@@ -529,6 +535,14 @@ def _least_hitting_size(masks, allowed):
     return None
 
 
+def _least_hitting_set(masks, allowed, k):
+    """The lexicographically least set of ``k`` vertices of ``allowed``
+    that meets every mask."""
+    verts = [v for v in range(allowed.bit_length()) if allowed >> v & 1]
+    return next(c for c in combinations(verts, k)
+                if all(any(m >> v & 1 for v in c) for m in masks))
+
+
 @settings(max_examples=300, deadline=None)
 @given(minimal_mask_families(), st.integers(min_value=0, max_value=(1 << 14) - 1))
 @example([0b0011, 0b1100, 0b0101, 0b1010], (1 << 14) - 1)  # least size 2
@@ -537,10 +551,24 @@ def _least_hitting_size(masks, allowed):
 # the branch of 0 fails; leaving out 0, and no other vertex, keeps {1, 3}
 @example([0b1001, 0b10010, 0b100110, 0b111100], (1 << 14) - 1)
 def test_existence_search_answers_as_brute_force(masks, allowed):
-    _, _, _, byv = solvers._index(masks)
+    index = _index(masks)
     least = _least_hitting_size(masks, allowed)
-    for k in range(1, len(masks) + 2):
-        found = _Search(10**7)._exists(masks, byv, (1 << len(masks)) - 1, allowed, k)
+    for walk, k in product((False, True), range(1, len(masks) + 2)):
+        search = _Search(10**7)
+        search._load(masks, index, walk)
+        picks = search._branch((1 << len(masks)) - 1, allowed, k)
+        if picks is not None:  # either rule returns only sets that meet every mask
+            assert len(picks) <= k and all(allowed >> v & 1 for v in picks), (masks, picks)
+            assert all(any(m >> v & 1 for v in picks) for m in masks), (masks, picks)
+        if walk:
+            # the walk may miss a set above the least size, never at it, and
+            # there its first set is the lexicographically least
+            if least is None or k < least:
+                assert picks is None, (masks, bin(allowed), k)
+            elif k == least:
+                assert picks == _least_hitting_set(masks, allowed, k), (masks, bin(allowed), k)
+            continue
+        found = picks is not None
         assert found == (least is not None and least <= k), (masks, bin(allowed), k)
 
 
