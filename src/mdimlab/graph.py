@@ -5,10 +5,13 @@ sorted tuple of pairs (u, v) with u < v; the position of a pair in that
 tuple is the edge's index, which is stable across runs and used by every
 downstream provenance map.  All-pairs hop distances are computed eagerly
 at construction and shared read-only, so distance queries are table
-lookups.  One BFS gives a BFS tree; a vertex on one of its bridges or
-cycle blocks, found by one walk of the rings that its other edges close,
-takes its row from the block's top vertex's row by a few big-int sums,
-and every other vertex runs BFS, so a tree or a cactus takes one BFS.
+lookups.  One BFS, from vertex 0, gives a BFS tree; a vertex on one of
+its bridges or cycle blocks, found by one walk of the rings that its
+other edges close, takes its row from the block's top vertex's row by a
+few big-int sums, and every other vertex runs BFS, so a tree or a cactus
+of any size takes one BFS.  Rows are read with one lane per vertex, of
+one byte, or two, four or eight where twice vertex 0's eccentricity
+needs them.
 Input graphs go through ``build_graph``, which normalises and checks an
 edge list.  The subdivision, middle and total graphs of ``transforms``
 are built as ``Graph`` directly, valid by construction, and take no BFS:
@@ -32,6 +35,7 @@ BFS row must reach every vertex.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -185,43 +189,25 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
     p, c.  A vertex whose tree edge lies in a larger block runs BFS, and
     rows below it are read from its row, so a tree or a cactus takes one BFS.
 
-    Rows are read only while twice the root's eccentricity fits a byte; if
-    it does not at vertex 0, the root is the middle of a longest path from
-    the vertex farthest from 0, when it fits there (three BFS).  Otherwise
-    BFS runs from every vertex, one list row alive at a time, and rows are
-    ``bytes`` until a distance reaches 256; that row and every later one
-    are tuples, and the rows built so far become tuples too."""
+    Every distance is at most twice vertex 0's eccentricity, so the rows
+    are read in the narrowest struct lane that holds that: one byte while
+    it is below 256, and two, four or eight bytes past it (``_read_rows``)."""
     first = _bfs(n, adjacency, 0)
     if -1 in first:
         raise DisconnectedError("graph is not connected")
-    ran, root, reach = {0: first}, 0, max(first)
-    if 127 < reach < 256:  # a centre of a long path may halve the eccentricity
-        end = first.index(reach)
-        far = ran[end] = _bfs(n, adjacency, end)
-        root = far.index(max(far))
-        for _ in range(max(far) // 2):
-            root = next(w for w in adjacency[root] if far[w] < far[root])
-        if root not in ran:
-            ran[root] = _bfs(n, adjacency, root)
-        reach = max(ran[root])
-    if 2 * reach < 256:
-        return _read_rows(n, adjacency, ran[root])
-    rows: list[Row] = [b""] * n
-    convert = bytes
-    for v in range(n):
-        dist = ran.pop(v, None) or _bfs(n, adjacency, v)
-        try:
-            rows[v] = convert(dist)
-        except ValueError:  # a distance of 256 or more: no row fits a byte
-            convert = tuple
-            rows = list(map(tuple, rows))
-            rows[v] = tuple(dist)
-    return tuple(rows)
+    width = next(w for w in (1, 2, 4, 8) if 2 * max(first) < 1 << 8 * w)
+    return _read_rows(n, adjacency, first, width)
 
 
-def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int]) -> tuple[bytes, ...]:
-    """The byte rows of ``_all_pairs_bfs`` read around the bridges and rings
-    of the BFS tree that the row ``dist`` of its root gives."""
+def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int],
+               width: int) -> tuple[Row, ...]:
+    """The rows of ``_all_pairs_bfs`` read around the bridges and rings of
+    the BFS tree that the row ``dist`` of its root gives, each a
+    little-endian int of n lanes of ``width`` bytes while it is read.  At
+    one byte the rows are ``bytes`` as they stand.  Wider rows become
+    ``bytes`` of their lowest lane bytes when no distance in the table
+    reaches 256, and tuples of ints otherwise, so the diameter alone sets
+    the row type."""
     order = sorted(range(n), key=dist.__getitem__)
     parent, owner, rings, block = _rings(adjacency, dist, settle=True)
     subtree = [1 << v for v in range(n)]
@@ -231,26 +217,32 @@ def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int]) 
     def parts(arm: list[int]) -> list[int]:
         # a ring vertex's part is its subtree less its ring child's, the one before it
         below = [0, *map(subtree.__getitem__, arm)]
-        return [_lanes(subtree[x] - b) for x, b in zip(arm, below)]
+        return [_lanes(subtree[x] - b, width) for x, b in zip(arm, below)]
 
+    shape = struct.Struct(f"<{n}{'BHIQ'[width.bit_length() - 1]}")  # n lanes of width bytes
+    pack = bytes if width == 1 else lambda row: shape.pack(*row)
     rows = [b""] * n
-    rows[order[0]] = bytes(dist)
-    ones = int.from_bytes(b"\x01" * n, "little")
+    rows[order[0]] = pack(dist)
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little")
     for v in order[1:]:
         if rows[v]:
             continue
         i = owner[v]
         if i < 0:  # the ring of the bridge (p, v) has length 2: take two off v's part
-            row = int.from_bytes(rows[parent[v]], "little") + ones - (_lanes(subtree[v]) << 1)
-            rows[v], subtree[v] = row.to_bytes(n, "little"), 0  # one mask fewer alive
+            row = int.from_bytes(rows[parent[v]], "little") + ones - (_lanes(subtree[v], width) << 1)
+            rows[v], subtree[v] = row.to_bytes(width * n, "little"), 0  # one mask fewer alive
         elif block[i] >= 0:
-            rows[v] = bytes(_bfs(n, adjacency, v))
+            rows[v] = pack(_bfs(n, adjacency, v))
         else:
             u, w, p = rings[i]
             down, up = _climb(parent, u, p), _climb(parent, w, p)
             walk = _around(int.from_bytes(rows[p], "little"), parts(down)[::-1] + parts(up), ones)
             for x, row in zip(down[::-1] + up, walk):
-                rows[x], subtree[x] = row.to_bytes(n, "little"), 0
+                rows[x], subtree[x] = row.to_bytes(width * n, "little"), 0
+    if width > 1:  # every byte of a lane but its lowest is high
+        high = int.from_bytes(b"\xff".rjust(width, b"\0") * n, "little")
+        wide = any(int.from_bytes(row, "little") & high for row in rows)
+        rows = [shape.unpack(row) if wide else row[::width] for row in rows]
     return tuple(rows)
 
 
@@ -281,9 +273,15 @@ def _around(row: int, parts: list[int], ones: int) -> Iterator[int]:
 _TO_ONES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _lanes(mask: int) -> int:
-    """An n-bit mask as a little-endian int with a byte lane of 1 per set bit."""
-    return int.from_bytes(bin(mask)[:1:-1].encode().translate(_TO_ONES), "little")
+def _lanes(mask: int, width: int) -> int:
+    """An n-bit mask as a little-endian int with a lane of ``width`` bytes
+    per bit, holding 1 where the bit is set."""
+    ones = bin(mask)[:1:-1].encode().translate(_TO_ONES)
+    if width > 1:
+        wide = bytearray(width * len(ones))
+        wide[::width] = ones
+        ones = wide
+    return int.from_bytes(ones, "little")
 
 
 def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: bool = False

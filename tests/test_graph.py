@@ -189,11 +189,10 @@ def _c4_with_tail(diameter):
     """The 4-cycle 0-1-2-3 with a path of diameter - 2 edges hung on vertex 0.
 
     Its far ends are vertex 2 and the path's leaf, and vertex 0's BFS row
-    reaches diameter - 2.  Up to diameter 129 every other row is read from
-    that row, around the 4-cycle and across the tail's bridges; up to 254,
-    from the row of the middle of the tail and cycle; beyond that every
-    vertex runs BFS.  At diameter 256, rows 0 and 1 fit a byte and vertex
-    2's row is the first that does not."""
+    reaches diameter - 2.  Every other row is read from that row, around
+    the 4-cycle and across the tail's bridges, in byte lanes up to
+    diameter 129 and in two-byte lanes past it.  At diameter 256, rows 0
+    and 1 fit a byte and vertex 2's row is the first that does not."""
     tail = [(0, 4)] + [(v, v + 1) for v in range(4, diameter + 1)]
     return build_graph(diameter + 2, [(0, 1), (1, 2), (2, 3), (0, 3), *tail])
 
@@ -496,7 +495,6 @@ def _block_bfs_runs(g):
     its parent in vertex 0's BFS tree (its first neighbour one step nearer
     0) lies in a block that is neither one edge nor a cycle."""
     depth = oracle_distances(g.n, g.edges)[0]
-    assert 2 * max(depth.values()) <= 255  # so vertex 0 stays the root
     adjacency = {v: [w for e in g.edges if v in e for w in e if w != v] for v in range(g.n)}
     blocks = _blocks(g)
     vertices, edges = {}, {}
@@ -560,46 +558,69 @@ def test_rows_match_the_oracle_on_cacti_cycles_and_chorded_cacti(g):
     _assert_oracle_rows(g, g.distances)
 
 
+@given(_RINGS_AND_CHORDS)
+def test_rows_read_in_every_lane_width_equal_the_byte_rows(g):
+    # no graph small enough to test reaches four- or eight-byte lanes, so
+    # the reading is run at each width on rows that fit a byte
+    for width in (2, 4, 8):
+        assert graph._read_rows(g.n, g.adjacency, list(g.distances[0]), width) == g.distances
+
+
 @pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(100), cycle_graph(255),
-                               random_cactus(600, 150, 3)],
-                         ids=["C3", "C100", "C255", "cactus600-150"])
+                               cycle_graph(300), cycle_graph(400), random_cactus(600, 150, 3)],
+                         ids=["C3", "C100", "C255", "C300", "C400", "cactus600-150"])
 def test_a_cycle_and_a_cactus_take_one_bfs_run(g):
-    # C255 sits at the byte bound: its rows reach 127, and 2 * 127 fits a byte
+    # C255's rows reach 127, and 2 * 127 fits a byte lane; C300's and C400's
+    # reach 150 and 200, so they are read in two-byte lanes and narrowed
     runs, rows = _bfs_runs(g)
     assert runs == 1
     assert {type(row) for row in rows} == {bytes}
     _assert_oracle_rows(g, rows)
 
 
-# K6 and K80 are one block of many rings; C300's rows reach 150, and twice
-# that does not fit a byte from any root
-@pytest.mark.parametrize("g", [cycle_graph(300), complete_graph(6), complete_graph(80)],
-                         ids=["C300", "K6", "K80"])
+# K6 and K80 are one block of many rings
+@pytest.mark.parametrize("g", [complete_graph(6), complete_graph(80)], ids=["K6", "K80"])
 def test_a_bridgeless_graph_takes_n_bfs_runs(g):
     runs, rows = _bfs_runs(g)
     assert runs == g.n
     _assert_oracle_rows(g, rows)
 
 
-# on a path the first BFS runs from vertex 0, an end, at n - 1 from the
-# other: 2 * 127 fits a byte, 2 * 128 does not.  Then BFS runs from that
-# other end and from the middle of the path, whose rows reach n // 2: up to
-# n = 255 twice that fits a byte, and the rows are read from the middle.
-# Past that BFS runs from every vertex.
-@pytest.mark.parametrize("n, runs, row_type", [
-    (128, 1, bytes),
-    (129, 3, bytes),
-    (130, 3, bytes),
-    (255, 3, bytes),
-    (256, 256, bytes),
-    (257, 257, tuple),
+# on a path the one BFS runs from vertex 0, an end, at n - 1 from the
+# other: 2 * 127 fits a byte lane, 2 * 128 takes two bytes.  The rows are
+# bytes while the diameter, n - 1, is below 256, and tuples from n = 257
+@pytest.mark.parametrize("n, row_type", [
+    (128, bytes),
+    (129, bytes),
+    (130, bytes),
+    (255, bytes),
+    (256, bytes),
+    (257, tuple),
 ])
-def test_rows_are_read_across_bridges_only_below_the_byte_bound(n, runs, row_type):
+def test_rows_are_read_across_bridges_on_both_sides_of_the_byte_bound(n, row_type):
     g = path_graph(n)
     bfs_runs, rows = _bfs_runs(g)
-    assert bfs_runs == runs
+    assert bfs_runs == 1
     assert {type(row) for row in rows} == {row_type}
     _assert_oracle_rows(g, rows)
+
+
+@settings(deadline=None, max_examples=25)  # oracle rows of up to 370 vertices
+@given(st.one_of(connected_graphs(max_extra=0), _cacti()), st.integers(130, 300))
+@example(path_graph(2), 254)  # diameter 255: two-byte lanes narrowed to bytes
+@example(path_graph(2), 255)  # diameter 256: tuples
+def test_a_tree_or_cactus_with_a_long_tail_on_vertex_0_takes_one_bfs_in_wide_lanes(g, length):
+    # the tail makes 2 ecc(0) at least 260, past a byte lane; the diameter,
+    # the tail's length plus vertex 0's eccentricity in the drawn graph,
+    # falls on either side of 256
+    tail = [(0, g.n), *((v, v + 1) for v in range(g.n, g.n + length - 1))]
+    g = build_graph(g.n + length, [*g.edges, *tail])
+    runs, rows = _bfs_runs(g)
+    assert runs == 1
+    oracle = oracle_distances(g.n, g.edges)
+    diameter = max(max(row.values()) for row in oracle.values())
+    assert {type(row) for row in rows} == {bytes if diameter < 256 else tuple}
+    _assert_oracle_rows(g, rows, oracle)
 
 
 def _two_trees_and_a_cycle():

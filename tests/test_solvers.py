@@ -452,6 +452,7 @@ def test_budget_boundary_is_one_node_per_visited_set(g, kind):
         with pytest.raises(SearchBudgetExceededError) as caught:
             solve_dimension(g, kind, budget=budget)
         assert caught.value.checked == budget + 1, budget
+        assert caught.value.budget == budget, budget  # the caller's, never the cap
 
 
 # pinned (search_nodes, masks_kept, lower_bound, symmetry_pruned,
