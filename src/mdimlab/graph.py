@@ -207,7 +207,9 @@ def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int],
     one byte the rows are ``bytes`` as they stand.  Wider rows become
     ``bytes`` of their lowest lane bytes when no distance in the table
     reaches 256, and tuples of ints otherwise, so the diameter alone sets
-    the row type."""
+    the row type.  Each row is checked for such a distance as it is made:
+    a BFS row by its largest entry, a row read as an int by its lanes'
+    higher bytes."""
     order = sorted(range(n), key=dist.__getitem__)
     parent, owner, rings, block = _rings(adjacency, dist, settle=True)
     subtree = [1 << v for v in range(n)]
@@ -223,7 +225,9 @@ def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int],
     pack = bytes if width == 1 else lambda row: shape.pack(*row)
     rows = [b""] * n
     rows[order[0]] = pack(dist)
+    wide = max(dist) > 255
     ones = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little")
+    high = ones * ((1 << 8 * width) - 256)  # every byte of a lane but its lowest
     for v in order[1:]:
         if rows[v]:
             continue
@@ -231,17 +235,19 @@ def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int],
         if i < 0:  # the ring of the bridge (p, v) has length 2: take two off v's part
             row = int.from_bytes(rows[parent[v]], "little") + ones - (_lanes(subtree[v], width) << 1)
             rows[v], subtree[v] = row.to_bytes(width * n, "little"), 0  # one mask fewer alive
+            wide = wide or (row & high) > 0
         elif block[i] >= 0:
-            rows[v] = pack(_bfs(n, adjacency, v))
+            row = _bfs(n, adjacency, v)
+            rows[v] = pack(row)
+            wide = wide or max(row) > 255
         else:
             u, w, p = rings[i]
             down, up = _climb(parent, u, p), _climb(parent, w, p)
             walk = _around(int.from_bytes(rows[p], "little"), parts(down)[::-1] + parts(up), ones)
             for x, row in zip(down[::-1] + up, walk):
                 rows[x], subtree[x] = row.to_bytes(width * n, "little"), 0
-    if width > 1:  # every byte of a lane but its lowest is high
-        high = int.from_bytes(b"\xff".rjust(width, b"\0") * n, "little")
-        wide = any(int.from_bytes(row, "little") & high for row in rows)
+                wide = wide or (row & high) > 0
+    if width > 1:
         rows = [shape.unpack(row) if wide else row[::width] for row in rows]
     return tuple(rows)
 

@@ -32,7 +32,10 @@ candidate that meets no open mask is skipped, and every candidate, tried,
 skipped or cut by symmetry (below), leaves the allowed vertices as the
 loop passes it.  A branch ends when more open masks are pairwise disjoint
 on the allowed vertices than picks are left, as each needs a pick of its
-own; the count stops once it passes the picks left.  The last pick is
+own.  The greedy count (``_packing``) reads mask ids alone: it counts the
+open mask of least id, drops from the open ids that mask and every mask
+that holds one of its allowed vertices (the OR of their ids), and repeats
+until no id is left or the count passes the picks left.  The last pick is
 read off bits (``_completions``): it lies in every open mask, so its
 candidates are the allowed vertices in the AND of the two open masks of
 least id, the two smallest since a group's masks are in (size, value)
@@ -118,12 +121,17 @@ and left out, which again puts the least vertex outside S.  So
 sigma(S) < S for every completion S, and no prefix of S* is ever cut.
 The walk is the same walk with some children cut, so it finds the same
 set first.  ``_leaders`` finds a node's cut children, as a bitmask,
-before its loop.  ``_involutions`` takes the swaps of twins, and reads
-further involutions off the graph's distance rows, keeping only those
-that map every edge onto an edge.  Finding them costs about as much as a
-walk of |V(group)|^2 nodes, so a group's walk looks for them only once
-it has visited that many (``_symmetry_gate``), counted from where the
-walk starts, and most small solves never do.  phi lists every minimum
+before its loop, with a few ANDs per involution: every candidate lies
+above the picks, so whether its pick is cut depends only on the least
+vertex of P xor sigma(P), on whether P holds it, and on where sigma
+takes the candidate, which precomputed bitmasks answer for the whole
+window at once; only the candidates in sigma(P) are tested one by one.
+``_involutions`` takes the swaps of twins, and reads further
+involutions off the graph's distance rows, keeping only those that map
+every edge onto an edge.  A cut is cheap next to a node, so a group's
+walk looks for them once it has visited 4 |V(group)| nodes
+(``_symmetry_gate``), counted from where the walk starts, which spares
+the smallest walks the cost of finding them.  phi lists every minimum
 set, the ones that are no lex-leader included, and never walks, so it
 never prunes.
 
@@ -133,7 +141,8 @@ counts the existence search's share.  A node past the existence search's
 cap is not counted: the cap wins over the budget when both run out at
 that node, and the walk's first node then counts against the budget.  A
 child cut by symmetry is no node; ``SolveStats.symmetry_pruned`` counts
-them.
+each cut child that meets an open mask when its node's loop reaches it,
+and a loop that returns a set reaches no later child.
 """
 
 from __future__ import annotations
@@ -291,8 +300,7 @@ def _mask_order(m: int) -> tuple[int, int]:
     return m.bit_count(), m
 
 
-# binary digits to one 0/1 byte per bit, and back
-_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+# one 0/1 byte per bit to binary digits
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -346,18 +354,26 @@ def _separator_masks(g: Graph, kind: str, forced: Sequence[int] = ()) -> list[in
     return [int(f.translate(_TO_DIGITS)[::-1], 2) for f in flags]
 
 
-def _packing(masks: Iterable[int], above: int = -1, stop: float = math.inf) -> int:
-    """Greedy count of masks pairwise disjoint on the vertices in ``above``;
-    each of them needs its own pick.  The count stops once it passes
-    ``stop``."""
-    used = count = 0
-    for m in masks:
-        m &= above
-        if not m & used:
-            used |= m
-            count += 1
-            if count > stop:
-                break
+def _packing(masks: list[int], byv: list[int], open_ids: int, allowed: int = -1,
+             stop: float = math.inf) -> int:
+    """Greedy count of open masks pairwise disjoint on the vertices in
+    ``allowed``, each of which needs its own pick; ``byv`` is the masks'
+    ``_index``.  The open mask of least id is counted, and it and every
+    mask that holds one of its allowed vertices leave the open ids, until
+    none is left or the count passes ``stop``.  A mask with no allowed
+    vertex counts, and leaves alone."""
+    count = 0
+    while open_ids:
+        count += 1
+        if count > stop:
+            break
+        low = open_ids & -open_ids
+        open_ids ^= low
+        m = masks[low.bit_length() - 1] & allowed
+        while m:
+            bit = m & -m
+            m ^= bit
+            open_ids &= ~byv[bit.bit_length() - 1]
     return count
 
 
@@ -486,10 +502,29 @@ def _involutions(g: Graph) -> list[list[int]]:
     return found
 
 
+def _guard(sigma: list[int]) -> tuple[list[int], int, int, list[int]]:
+    """For an involution ``sigma``: the bit of each vertex's image, the
+    bitmasks of the vertices it moves and of those it moves down, and for
+    each t, the bitmask of the vertices it maps below t."""
+    bits = [1 << w for w in sigma]
+    moved = down = below_t = 0
+    below = []
+    for v, w in enumerate(sigma):
+        below.append(below_t)
+        below_t |= bits[v]  # sigma(v) maps to v, below v + 1
+        if w != v:
+            moved |= 1 << v
+            if w < v:
+                down |= 1 << v
+    return bits, moved, down, below
+
+
 def _symmetry_gate(size: int) -> int:
     """Search nodes a group of ``size`` vertices walks before it looks for
-    symmetries: about what ``_involutions`` costs on such a group."""
-    return size * size
+    symmetries.  A cut costs a few ANDs per involution, so pruning pays
+    from early on; the gate only spares small walks the cost of
+    ``_involutions`` and of the guards."""
+    return 4 * size
 
 
 def _refute_cap(size: int) -> int:
@@ -514,13 +549,14 @@ class _Search:
     least set.  Given the graph, a walk that passes its group's gate cuts
     the children that an involution of the graph maps to a smaller set.
     Open masks are one int of ids in the group's order, which ``_packing``
-    reads."""
+    reads with the index's ``byv``."""
 
     def __init__(self, budget: int, graph: Graph | None = None):
         self.budget = budget
         self.nodes = 0
         self.symmetry_pruned = 0
         self.refute_nodes = 0
+        self.packed = 0  # the sum of the packing bounds the existence searches started from
         self.graph = graph
         self._found: list[list[int]] | None = None  # the graph's involutions
         self._stop = math.inf  # the node count at which the existence search hands over
@@ -560,7 +596,7 @@ class _Search:
         index = _index(masks)
         union = reduce(or_, masks)
         size = union.bit_count()
-        start = self._refute(masks, index, max(1, _packing(masks)), _refute_cap(size))
+        start = self._refute(masks, index, _refute_cap(size))
         gate = math.inf if self.graph is None else self.nodes + _symmetry_gate(size)
         self._load(masks, index, True, gate)
         everything = (1 << len(masks)) - 1
@@ -581,17 +617,21 @@ class _Search:
         self._branch((1 << len(masks)) - 1, -1, k, (), found)
         return found
 
-    def _refute(self, masks: list[int], index: tuple, k: int, cap: float) -> int:
-        """The first cardinality from k on that the existence search does
-        not refute within ``cap`` nodes: the least one with a set, or the
-        one it was refuting when the cap ran out.  Each cardinality's empty
-        set is one node.  One vertex from each mask meets every mask, so
-        the search never asks about as many vertices as there are masks."""
+    def _refute(self, masks: list[int], index: tuple, cap: float) -> int:
+        """The first cardinality from the packing bound of the (nonempty)
+        ``masks`` on that the existence search does not refute within
+        ``cap`` nodes: the least one with a set, or the one it was refuting
+        when the cap ran out.  The bound is added to ``packed``.  Each
+        cardinality's empty set is one node.  One vertex from each mask
+        meets every mask, so the search never asks about as many vertices
+        as there are masks."""
         self._load(masks, index, False)
         self._stop = self.nodes + cap
         self._limit = min(self.budget, self._stop)
         before = self.nodes
         everything = (1 << len(masks)) - 1
+        k = _packing(masks, index[0], everything)
+        self.packed += k
         try:
             while k < len(masks):
                 self._visit()
@@ -623,8 +663,7 @@ class _Search:
                     return picked + (u,)
                 found.append(picked + (u,))
             return None
-        flags = bin(open_ids)[:1:-1].encode().translate(_TO_FLAGS)
-        if _packing(compress(masks, flags), allowed, left) > left:
+        if _packing(masks, byv, open_ids, allowed, left) > left:
             return None
         cut = 0
         if self._walk:
@@ -641,7 +680,7 @@ class _Search:
                 return None  # every open mask ends below every allowed vertex
             candidates = allowed & ((end << 1) - 1)
             if self.nodes >= self._gate:
-                cut = self._leaders(candidates, open_ids, picked)
+                cut = self._leaders(candidates, picked)
         else:
             # every set that meets the open masks meets the one of least id
             low = open_ids & -open_ids
@@ -652,7 +691,10 @@ class _Search:
             allowed ^= bit
             u = bit.bit_length() - 1
             rest = open_ids & ~byv[u]
-            if rest == open_ids or bit & cut:
+            if rest == open_ids:
+                continue
+            if bit & cut:
+                self.symmetry_pruned += 1
                 continue
             self._visit()
             if not rest:
@@ -673,42 +715,56 @@ class _Search:
                     found.append(picked + (u, w))
         return None
 
-    def _leaders(self, candidates: int, open_ids: int, picked: tuple) -> int:
-        """The bits of ``candidates`` that meet an open mask and whose pick
-        leaves a set that some involution maps to a smaller one, counted in
-        ``symmetry_pruned``.  With P the picks and the candidate's pick,
-        sigma(P) < P when the least vertex of P xor sigma(P) lies outside
-        P.  The group's guards are built at the first call: for each
-        involution that maps the group's vertices onto themselves and moves
-        one, the bit of every vertex's image.  A group no involution moves
-        gets its gate back at infinity."""
-        byv, guards = self._byv, self._guards
+    def _leaders(self, candidates: int, picked: tuple) -> int:
+        """The bits of ``candidates``, all above the picks P, whose pick v
+        leaves a set that some involution sigma maps to a smaller one: the
+        least vertex of Q xor sigma(Q), Q = P + v, lies outside Q.  As v is
+        not in P, nor sigma(v) in sigma(P), Q xor sigma(Q) is D xor {v,
+        sigma(v)}, D = P xor sigma(P).  When sigma(v) is not in P, neither
+        v nor sigma(v) lies in D, so with l the least vertex of D the cut
+        reads off bitmasks: sigma(v) < v when D is empty; otherwise
+        sigma(v) < min(v, l), or l outside P and either sigma(v) = v or
+        both v and sigma(v) above l (sigma(v) = l would put v in P).  The
+        few candidates v with sigma(v) in P are tested one by one.
+
+        The group's guards are built at the first call, one ``_guard`` for
+        each involution that maps the group's vertices onto themselves and
+        moves one.  A group no involution moves gets its gate back at
+        infinity."""
+        guards = self._guards
         if guards is None:
             if self._found is None:
                 self._found = _involutions(self.graph)
-            verts = [v for v, ids in enumerate(byv) if ids]
+            verts = [v for v, ids in enumerate(self._byv) if ids]
             inside = set(verts)
-            guards = self._guards = [[1 << w for w in sigma] for sigma in self._found
+            guards = self._guards = [_guard(sigma) for sigma in self._found
                                      if all(sigma[v] in inside for v in verts)
                                      and any(sigma[v] != v for v in verts)]
             if not guards:
                 self._gate = math.inf
                 return 0
         picks = sum(1 << v for v in picked)
-        images = [sum(map(bits.__getitem__, picked)) for bits in guards]
         cut = 0
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
-            v = bit.bit_length() - 1
-            if byv[v] & open_ids:
+        for bits, moved, down, below in guards:
+            image = sum(map(bits.__getitem__, picked))
+            d = picks ^ image
+            if not d:
+                cut |= candidates & down
+                continue
+            low = d & -d
+            under = below[low.bit_length() - 1]
+            rule = down & under
+            if not low & picks:
+                rule |= ~moved | (-(low << 1) & ~under)
+            cut |= candidates & ~image & rule
+            back = candidates & image  # sigma(v) in P
+            while back:
+                bit = back & -back
+                back ^= bit
                 now = picks | bit
-                for bits, image in zip(guards, images):
-                    d = now ^ (image | bits[v])
-                    if d & -d & ~now:
-                        self.symmetry_pruned += 1
-                        cut |= bit
-                        break
+                d = now ^ (image | bits[bit.bit_length() - 1])
+                if d & -d & ~now:
+                    cut |= bit
         return cut
 
 
@@ -728,7 +784,7 @@ def solve_dimension(g: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Certif
     # with no forced vertex and no pair to separate, any single vertex resolves
     witness = tuple(sorted(chain(forced, *picks))) or (0,)
     stats = SolveStats(search_nodes=search.nodes, masks_kept=len(masks),
-                       lower_bound=max(1, len(forced) + sum(map(_packing, parts))),
+                       lower_bound=max(1, len(forced) + search.packed),
                        symmetry_pruned=search.symmetry_pruned,
                        refute_nodes=search.refute_nodes)
     return Certificate(kind=kind, vertices=witness, value=len(witness), forced=forced, stats=stats)
@@ -795,7 +851,7 @@ def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
     parts = _components(_separator_masks(sg.graph, DIM))
     search = _Search(budget)
     indexed = [(part, _index(part)) for part in parts]
-    ks = [search._refute(part, index, max(1, _packing(part)), math.inf) for part, index in indexed]
+    ks = [search._refute(part, index, math.inf) for part, index in indexed]
     total = math.comb(sg.graph.n, sum(ks))
     if total > cap:
         raise EnumerationOverflowError(total, cap)

@@ -1,7 +1,7 @@
 import gc
 import math
 from functools import cache
-from itertools import chain, combinations, count, product
+from itertools import chain, combinations, compress, count, product
 from unittest.mock import patch
 
 import pytest
@@ -159,7 +159,7 @@ def _phi_listing(search, part):
     """phi's route through one mask group: the existence search, uncapped,
     finds the group's least cardinality k, then lists every set of size k."""
     index = _index(part)
-    k = search._refute(part, index, max(1, _packing(part)), math.inf)
+    k = search._refute(part, index, math.inf)
     return search.every_set(part, index, k)
 
 
@@ -323,7 +323,7 @@ def test_phi_checks_the_cap_before_listing_any_basis():
     # stop at each group's first set, too few to list its metric bases
     search = _Search(10**8)
     for part in _components(_separator_masks(sg8.graph, "dim")):
-        search._refute(part, _index(part), max(1, _packing(part)), math.inf)
+        search._refute(part, _index(part), math.inf)
     with pytest.raises(EnumerationOverflowError):
         phi_of_graph(sg8, cap=1, budget=search.nodes)
 
@@ -460,17 +460,17 @@ def test_budget_boundary_is_one_node_per_visited_set(g, kind):
 # point stay put
 _PINNED_STATS = [
     pytest.param(lambda: total(gn_graph(6)[0]).graph, "dim", (0, 2, 10, 11, 18, 19),
-                 (701, 142, 3, 363, 84), id="dim T(G_6)"),
+                 (375, 142, 3, 426, 84), id="dim T(G_6)"),
     pytest.param(lambda: middle(gn_graph(6)[0]).graph, "dim", (2, 3, 11, 12, 19, 20),
-                 (552, 86, 4, 48, 84), id="dim M(G_6)"),
+                 (236, 86, 4, 132, 84), id="dim M(G_6)"),
     pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "dim", (8, 9, 15, 16),
-                 (415, 41, 2, 55, 72), id="dim S(G_5)"),
+                 (190, 41, 2, 108, 72), id="dim S(G_5)"),
     pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "edim", (8, 9, 15, 16),
-                 (414, 21, 2, 55, 72), id="edim S(G_5)"),
+                 (189, 21, 2, 108, 72), id="edim S(G_5)"),
     pytest.param(lambda: middle(gn_graph(10)[0]).graph, "dim", (2, 3, 4, 5, 6, 7, 19, 20, 31, 32),
-                 (1505, 200, 6, 909, 132), id="dim M(G_10)"),
+                 (565, 200, 6, 973, 132), id="dim M(G_10)"),
     pytest.param(lambda: subdivision(gn_graph(8)[0]).graph, "dim", (2, 3, 4, 14, 15, 24, 25),
-                 (1279, 101, 4, 1221, 108), id="dim S(G_8)"),
+                 (670, 101, 4, 1188, 108), id="dim S(G_8)"),
     pytest.param(lambda: total(random_tree(40, 1)).graph, "dim", (0, 3, 7, 10, 42, 47),
                  (70, 99, 5, 0, 40), id="dim T(random_tree(40, 1))"),
     pytest.param(lambda: total(random_cactus(14, 3, 2)).graph, "dim", (0, 2, 11, 25),
@@ -571,6 +571,33 @@ def test_existence_search_answers_as_brute_force(masks, allowed):
             continue
         found = picks is not None
         assert found == (least is not None and least <= k), (masks, bin(allowed), k)
+
+
+def _greedy_packing(masks, above=-1, stop=math.inf):
+    """Greedy count of masks pairwise disjoint on the vertices in
+    ``above``, over the masks in order; stops once it passes ``stop``."""
+    used = count = 0
+    for m in masks:
+        m &= above
+        if not m & used:
+            used |= m
+            count += 1
+            if count > stop:
+                break
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(minimal_mask_families(), st.integers(min_value=0, max_value=(1 << 12) - 1),
+       st.integers(min_value=0, max_value=(1 << 14) - 1),
+       st.one_of(st.integers(min_value=0, max_value=13), st.just(math.inf)))
+@example([0b011, 0b110, 0b1100], (1 << 12) - 1, -1, math.inf)  # every mask and vertex
+@example([0b011, 0b1100], 0b11, 0b1100, 1)  # mask 0b011 has no allowed vertex, and counts
+def test_packing_by_mask_ids_counts_as_the_greedy_scan(masks, open_ids, allowed, stop):
+    open_ids &= (1 << len(masks)) - 1
+    flags = [open_ids >> i & 1 for i in range(len(masks))]
+    want = _greedy_packing(compress(masks, flags), allowed, stop)
+    assert _packing(masks, _index(masks)[0], open_ids, allowed, stop) == want
 
 
 def _oracle_minimal_masks(n, edges, kind):
@@ -790,6 +817,56 @@ def test_involutions_swap_twins_that_are_not_consecutive_in_their_row_class():
     g = build_graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)])
     found = _assert_involutive_automorphisms(g)
     assert [2, 1, 0, 3, 4] in found and [0, 4, 2, 3, 1] in found
+
+
+def _reference_cut(involutions, picked, window):
+    """The candidates of ``window`` whose pick leaves a set Q that some
+    involution maps to a smaller one, one candidate and one involution at
+    a time: the least vertex of Q xor sigma(Q) lies outside Q."""
+    picks = sum(1 << v for v in picked)
+    cut = 0
+    for v in range(window.bit_length()):
+        if window >> v & 1:
+            now = picks | 1 << v
+            for sigma in involutions:
+                d = now ^ sum(1 << sigma[w] for w in range(len(sigma)) if now >> w & 1)
+                if d & -d & ~now:
+                    cut |= 1 << v
+                    break
+    return cut
+
+
+@st.composite
+def involutions_with_picks(draw):
+    """One to three involutions of up to 14 vertices, increasing picks,
+    and a window of candidates above the last pick."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    involutions = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        order = draw(st.permutations(range(n)))
+        sigma = list(range(n))
+        for i in range(draw(st.integers(min_value=0, max_value=n // 2))):
+            a, b = order[2 * i], order[2 * i + 1]
+            sigma[a], sigma[b] = b, a
+        involutions.append(sigma)
+    picked = tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1)))))
+    above = ~((2 << picked[-1]) - 1) if picked else -1
+    window = draw(st.integers(min_value=0, max_value=(1 << n) - 1)) & above
+    return n, involutions, picked, window
+
+
+@settings(max_examples=500, deadline=None)
+@given(involutions_with_picks())
+# sigma = (0 3)(1 2) maps P = {0, 2} to {1, 3}: candidate 3 lies in sigma(P),
+# and Q = {0, 2, 3} xor sigma(Q) = {1, 2}, so the pick of 3 is cut
+@example((4, [[3, 2, 1, 0]], (0, 2), 0b1000))
+def test_bitmask_cut_matches_the_per_candidate_rule(case):
+    n, involutions, picked, window = case
+    search = _Search(1)
+    everyone = (1 << n) - 1  # one mask holding every vertex: the group is all n
+    search._load([everyone], _index([everyone]), True, 0)
+    search._found = involutions
+    assert search._leaders(window, picked) == _reference_cut(involutions, picked, window)
 
 
 def test_symmetry_pruning_solves_dim_of_total_g10_within_a_small_budget():
