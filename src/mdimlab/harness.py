@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import re
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -123,6 +122,8 @@ def _encode(value, newline: str, out: list[str]) -> None:
                 out.append("," + inner)
             _encode(item, inner, out)
         out.append(newline + "]")
+    elif kind is _Encoded:
+        out.append(value)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -140,10 +141,8 @@ def _encode(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
-# a record's "edges" value in ``dumps`` text: a raw newline and indent occur
-# only between tokens, never inside a string, and records are the only
-# objects at this depth
-_EDGES_NUMBER = re.compile(r'(?<=\n      "edges": )\d+')
+class _Encoded(str):
+    """JSON text that ``_encode`` writes as it stands."""
 
 
 @dataclass
@@ -188,16 +187,15 @@ class Report:
 
     def to_json(self, timings: bool = False) -> str:
         """``dumps`` of the report.  The records of one instance share one
-        edge list, so each record carries the list's number instead, and
-        each list is encoded once, at the records' indent, into the text."""
+        edge list, so each list is encoded once, at the records' indent,
+        and each record carries that text."""
         lists = {id(r.edges): r.edges for r in self.records}
-        number = {key: i for i, key in enumerate(lists)}
-        records = [{**r.to_dict(timings), "edges": number[id(r.edges)]} for r in self.records]
+        encoded = {key: _Encoded(_text(edges, "\n      ")) for key, edges in lists.items()}
+        records = [{**r.to_dict(timings), "edges": encoded[id(r.edges)]} for r in self.records]
         payload = {"source": self.source, "summary": self.summary, "records": records}
         if self.extra is not None:
             payload["findings"] = self.extra
-        encoded = [_text(edges, "\n      ") for edges in lists.values()]
-        return _EDGES_NUMBER.sub(lambda found: encoded[int(found[0])], dumps(payload))
+        return dumps(payload)
 
     def to_csv(self) -> str:
         """One row per record.  The records of one instance share one edge

@@ -67,30 +67,33 @@ vertices.  This loses no set: a set S that meets every open mask holds a
 vertex of that mask, and the branch of the least such vertex leaves out
 only vertices that S does not hold, so S stays in reach.  As it may pick
 in any order, it need not pass every set that sorts before a hitting
-set, as the walk must.  A group's existence search hands over to the
-walk as soon as it finds a set, or once it has spent 4 |V(group)| nodes
-(``_refute_cap``), and the walk starts at the cardinality it reached.
-Every cardinality below that one has no set, and the walk at one
-cardinality does not depend on the ones before it, so the walk lists the
-same sets in the same order as a walk from L, and its first set is still
-the group's lexicographically least.  The cap keeps the search's cost
-small where it cannot win: on graphs with many twins the walk's symmetry
-pruning (below) cuts far more than it does.
+set, as the walk must.  One routine finds a group's size
+(``_Search.least_size``): the existence search stops at its first set,
+or once the group has spent 4 |V(group)| nodes (``_refute_cap``), and
+only in that case does the walk run, from the cardinality the existence
+search reached, to its first set.  Every cardinality below that one has
+no set, and the walk at one cardinality does not depend on the ones
+before it, so the walk lists the same sets in the same order as a walk
+from L, and its first set is still the group's lexicographically least.
+A solve walks at the size only when it has no set yet.  The cap keeps
+the existence search cheap where it cannot win: on graphs with many
+twins the walk's symmetry pruning (below) cuts far more.
 
 phi needs every minimum set of every group, since every metric basis of
 S(G) is one set from each group, and it lists them with the existence
-rule (``every_set``).  Per group, the existence search runs uncapped
-from L and stops at the first set, which gives the group's value k; once
-the cap on candidate bases passes, it runs again at k and appends every
-set instead of stopping.  Each hitting set S is reached by one path.  At
-a node that S's path reaches, the branch of the least vertex u of S in
-the branching mask keeps S in reach, as above.  The branch of another
-vertex of S comes after u's and leaves u out, and the branch of a vertex
-outside S picks a vertex S lacks, so neither reaches S.  The listing
-therefore misses no set and holds none twice, at about one node per set,
-where the walk passes every increasing prefix of every set.  phi's
-result is a minimum over the tied bases, so the listing's order does not
-matter.
+rule (``every_set``).  Per group, a solve's search gives the group's
+value k, and its walk may prune, as only the size is kept; once the cap
+on candidate bases passes, the existence search runs again at k and
+appends every set instead of stopping.  Each hitting set S is reached by
+one path.  At a node that S's path reaches, the branch of the least
+vertex u of S in the branching mask keeps S in reach, as above.  The
+branch of another vertex of S comes after u's and leaves u out, and the
+branch of a vertex outside S picks a vertex S lacks, so neither reaches
+S.  The listing therefore misses no set and holds none twice, at about
+one node per set, where the walk passes every increasing prefix of every
+set.  The listing never walks, so it never prunes, and the sets that are
+no lex-leader are listed too.  phi's result is a minimum over the tied
+bases, so the listing's order does not matter.
 
 For mdim, the forced vertices (Kelenc, Kuziak, Taranenko and Yero, *Mixed
 metric dimension of graphs*, 2017) lie in every mixed resolving set, and
@@ -128,12 +131,10 @@ takes the candidate, which precomputed bitmasks answer for the whole
 window at once; only the candidates in sigma(P) are tested one by one.
 ``_involutions`` takes the swaps of twins, and reads further
 involutions off the graph's distance rows, keeping only those that map
-every edge onto an edge.  A cut is cheap next to a node, so a group's
-walk looks for them once it has visited 4 |V(group)| nodes
-(``_symmetry_gate``), counted from where the walk starts, which spares
-the smallest walks the cost of finding them.  phi lists every minimum
-set, the ones that are no lex-leader included, and never walks, so it
-never prunes.
+every edge onto an edge.  A cut is cheap next to a node, so a walk
+looks for them from the node at which its group's existence search
+stops or would stop, the group's first node plus the cap, which spares
+the smallest searches the cost of finding them.
 
 The budget counts search nodes: every partial set either rule visits,
 the empty set of each cardinality included.  ``SolveStats.refute_nodes``
@@ -519,20 +520,14 @@ def _guard(sigma: list[int]) -> tuple[list[int], int, int, list[int]]:
     return bits, moved, down, below
 
 
-def _symmetry_gate(size: int) -> int:
-    """Search nodes a group of ``size`` vertices walks before it looks for
-    symmetries.  A cut costs a few ANDs per involution, so pruning pays
-    from early on; the gate only spares small walks the cost of
-    ``_involutions`` and of the guards."""
-    return 4 * size
-
-
 def _refute_cap(size: int) -> int:
     """Search nodes the existence search of a group of ``size`` vertices
-    spends before the lex walk takes over: enough to refute the levels
-    below the value on trees and cacti, and little next to the walk on
-    graphs with many twins, where the walk prunes by symmetry and the
-    existence search does not."""
+    spends before the lex walk takes over, and from which the walk prunes
+    by symmetry: enough to refute the levels below the value on trees and
+    cacti, and little next to the walk on graphs with many twins, where the
+    walk prunes and the existence search does not.  A cut costs a few ANDs
+    per involution; the allowance spares small searches the cost of
+    ``_involutions`` and of the guards."""
     return 4 * size
 
 
@@ -546,10 +541,11 @@ class _Search:
     recursion, ``_branch``, serves every search by one of two branching
     rules: the existence rule refutes the cardinalities below the value,
     up to its cap, and lists phi's minimum sets; the walk rule finds the
-    least set.  Given the graph, a walk that passes its group's gate cuts
-    the children that an involution of the graph maps to a smaller set.
-    Open masks are one int of ids in the group's order, which ``_packing``
-    reads with the index's ``byv``."""
+    least set.  Given the graph, a walk cuts the children that an
+    involution of the graph maps to a smaller set, from the node at which
+    its group's existence search stops or would stop.  Open masks are one
+    int of ids in the group's order, which ``_packing`` reads with the
+    index's ``byv``."""
 
     def __init__(self, budget: int, graph: Graph | None = None):
         self.budget = budget
@@ -561,6 +557,7 @@ class _Search:
         self._found: list[list[int]] | None = None  # the graph's involutions
         self._stop = math.inf  # the node count at which the existence search hands over
         self._limit = budget  # the lesser of the budget and the stop
+        self._gate = math.inf  # the node count from which the walk prunes
 
     def _visit(self) -> None:
         """One node, or ``_Capped`` once the existence search has spent its
@@ -572,35 +569,64 @@ class _Search:
                 raise _Capped
             raise SearchBudgetExceededError(self.nodes, self.budget)
 
-    def _load(self, masks: list[int], index: tuple, walk: bool, gate: float = math.inf) -> None:
+    def _load(self, masks: list[int], index: tuple, walk: bool) -> None:
         """Search ``masks``, whose ``_index`` is ``index``, by the walk rule
-        or the existence rule.  A walk looks for symmetries at node
-        ``gate``, and ``_leaders`` then builds the group's guards."""
+        or the existence rule; ``_leaders`` builds a walk's guards anew."""
         self._masks = masks
         self._byv, self._ends, self._lasts = index
-        self._walk, self._gate, self._guards = walk, gate, None
+        self._walk, self._guards = walk, None
+
+    def least_size(self, masks: list[int], index: tuple) -> tuple[int, tuple[int, ...] | None]:
+        """The least number of vertices that meet every one of the
+        (nonempty) ``masks``, whose ``_index`` is ``index``, and the walk's
+        first set of that size, or None when the existence search found it.
+
+        From the packing bound L on, added to ``packed``, the existence
+        search refutes one cardinality after another until it finds a set
+        or spends the group's ``_refute_cap``, the node from which the
+        group's walk prunes; only then does the walk try k, k + 1, ... and
+        stop at its first set, the one it would find from L, as no smaller
+        set exists.  One vertex from each mask meets every mask, so the
+        existence search never asks about as many vertices as there are
+        masks.
+        """
+        self._load(masks, index, False)
+        before = self.nodes
+        self._stop = before + _refute_cap(reduce(or_, masks).bit_count())
+        self._limit = min(self.budget, self._stop)
+        self._gate = math.inf if self.graph is None else self._stop
+        everything = (1 << len(masks)) - 1
+        k = _packing(masks, index[0], everything)
+        self.packed += k
+        settled = True
+        try:
+            while k < len(masks):
+                self._visit()
+                if self._branch(everything, -1, k):
+                    break
+                k += 1
+        except _Capped:
+            settled = False
+        self._stop, self._limit = math.inf, self.budget
+        self.refute_nodes += self.nodes - before
+        if settled:
+            return k, None
+        found = self._first(masks, index, k)
+        return len(found), found
 
     def minimum_set(self, masks: list[int]) -> tuple[int, ...]:
-        """The lexicographically least minimum set meeting all masks.
-
-        From k = L on, the existence search (``_refute``) refutes one
-        cardinality after another until it finds a set or spends its cap;
-        the walk then tries k, k + 1, ... from the k it reached and stops
-        at the first set it finds.  One vertex from each mask meets every
-        mask, so such a k comes.  The existence search loses no set, and
-        its packing bound counts masks pairwise disjoint on the vertices
-        its branch may still pick, each of which needs a pick of its own.
-        So every cardinality below the walk's first has no set, and the
-        walk's first set is the one it would find from L.
-        """
+        """The lexicographically least minimum set meeting all masks: the
+        walk runs at the least size only when ``least_size`` has no set."""
         index = _index(masks)
+        k, found = self.least_size(masks, index)
+        return found or self._first(masks, index, k)
+
+    def _first(self, masks: list[int], index: tuple, k: int) -> tuple[int, ...]:
+        """The walk's first set, trying k, k + 1, ... from ``k``."""
         union = reduce(or_, masks)
-        size = union.bit_count()
-        start = self._refute(masks, index, _refute_cap(size))
-        gate = math.inf if self.graph is None else self.nodes + _symmetry_gate(size)
-        self._load(masks, index, True, gate)
+        self._load(masks, index, True)
         everything = (1 << len(masks)) - 1
-        for k in count(start):
+        for k in count(k):
             self._visit()
             found = self._branch(everything, union, k)
             if found:
@@ -616,33 +642,6 @@ class _Search:
         found: list = []
         self._branch((1 << len(masks)) - 1, -1, k, (), found)
         return found
-
-    def _refute(self, masks: list[int], index: tuple, cap: float) -> int:
-        """The first cardinality from the packing bound of the (nonempty)
-        ``masks`` on that the existence search does not refute within
-        ``cap`` nodes: the least one with a set, or the one it was refuting
-        when the cap ran out.  The bound is added to ``packed``.  Each
-        cardinality's empty set is one node.  One vertex from each mask
-        meets every mask, so the search never asks about as many vertices
-        as there are masks."""
-        self._load(masks, index, False)
-        self._stop = self.nodes + cap
-        self._limit = min(self.budget, self._stop)
-        before = self.nodes
-        everything = (1 << len(masks)) - 1
-        k = _packing(masks, index[0], everything)
-        self.packed += k
-        try:
-            while k < len(masks):
-                self._visit()
-                if self._branch(everything, -1, k):
-                    break
-                k += 1
-        except _Capped:
-            pass
-        self._stop, self._limit = math.inf, self.budget
-        self.refute_nodes += self.nodes - before
-        return k
 
     def _branch(self, open_ids: int, allowed: int, left: int, picked: tuple = (),
                 found: list[tuple] | None = None) -> tuple | None:
@@ -831,9 +830,9 @@ def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
     neighbour that is not an original vertex (``sg`` is not a subdivision
     graph), and EnumerationOverflowError when the count of candidate
     k-subsets of V(S(G)) exceeds the cap, with k = dim(S(G)), before any
-    basis is listed: each group's existence search first stops at the
-    group's first set, which gives its share of k.  Search nodes of those
-    searches and of the listing both count against the budget.
+    basis is listed: each group's share of k comes from a solve's search
+    (``_Search.least_size``).  Search nodes of those searches and of the
+    listing both count against the budget.
 
     A basis is one minimum set per mask group (``_Search.every_set``), and
     its footprint the union of theirs.  Each group's sets become bitmasks
@@ -849,9 +848,9 @@ def phi_of_graph(sg: DerivedGraph, cap: int = DEFAULT_PHI_CAP,
     # each vertex of S(G) in G: an original vertex itself, a split its base edge's ends
     footprint = [1 << v for v in range(n)] + [sum(1 << v for v in ends) for ends in near[n:]]
     parts = _components(_separator_masks(sg.graph, DIM))
-    search = _Search(budget)
+    search = _Search(budget, sg.graph)
     indexed = [(part, _index(part)) for part in parts]
-    ks = [search._refute(part, index, math.inf) for part, index in indexed]
+    ks = [search.least_size(part, index)[0] for part, index in indexed]
     total = math.comb(sg.graph.n, sum(ks))
     if total > cap:
         raise EnumerationOverflowError(total, cap)

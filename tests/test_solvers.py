@@ -156,10 +156,11 @@ def test_distances_beyond_one_byte():
 
 
 def _phi_listing(search, part):
-    """phi's route through one mask group: the existence search, uncapped,
-    finds the group's least cardinality k, then lists every set of size k."""
+    """phi's route through one mask group: a solve's search finds the
+    group's least cardinality k, then the existence search lists every set
+    of size k."""
     index = _index(part)
-    k = search._refute(part, index, math.inf)
+    k, _ = search.least_size(part, index)
     return search.every_set(part, index, k)
 
 
@@ -302,30 +303,37 @@ def test_phi_propagates_inner_search_budget():
 
 def test_phi_budget_boundary_refutes_and_lists_each_group_once():
     sg5 = subdivision(gn_graph(5)[0])
-    assert phi_of_graph(sg5, budget=284) == phi_of_graph(sg5)
+    assert phi_of_graph(sg5, budget=290) == phi_of_graph(sg5)
     with pytest.raises(SearchBudgetExceededError):
-        phi_of_graph(sg5, budget=283)
+        phi_of_graph(sg5, budget=289)
 
 
 def test_phi_of_s_g8_lists_its_bases_by_the_existence_search():
     # the lex walk passed every prefix of every basis in order, 132,665
     # nodes; the existence search reaches each basis by one path
     sg8 = subdivision(gn_graph(8)[0])
-    result = phi_of_graph(sg8, budget=17_610)
+    result = phi_of_graph(sg8, budget=16_387)
     assert (result.phi_value, result.bases_enumerated) == (9, 8736)
     with pytest.raises(SearchBudgetExceededError):
-        phi_of_graph(sg8, budget=17_609)
+        phi_of_graph(sg8, budget=16_386)
 
 
 def test_phi_checks_the_cap_before_listing_any_basis():
     sg8 = subdivision(gn_graph(8)[0])
-    # enough nodes to find dim(S(G_8)) by phi's existence searches, which
-    # stop at each group's first set, too few to list its metric bases
-    search = _Search(10**8)
+    # enough nodes to find dim(S(G_8)) by phi's size searches, a solve's,
+    # too few to list its metric bases
+    search = _Search(10**8, sg8.graph)
     for part in _components(_separator_masks(sg8.graph, "dim")):
-        search._refute(part, _index(part), math.inf)
+        search.least_size(part, _index(part))
     with pytest.raises(EnumerationOverflowError):
         phi_of_graph(sg8, cap=1, budget=search.nodes)
+
+
+def test_phi_refuses_s_g16_by_the_cap_within_a_small_budget():
+    # a solve's search sizes S(G_16) in 10,182 nodes, so the cap refuses
+    # it long before the budget runs out
+    with pytest.raises(EnumerationOverflowError):
+        phi_of_graph(subdivision(gn_graph(16)[0]), budget=20_000)
 
 
 @settings(max_examples=25, deadline=None)
@@ -460,17 +468,17 @@ def test_budget_boundary_is_one_node_per_visited_set(g, kind):
 # point stay put
 _PINNED_STATS = [
     pytest.param(lambda: total(gn_graph(6)[0]).graph, "dim", (0, 2, 10, 11, 18, 19),
-                 (375, 142, 3, 426, 84), id="dim T(G_6)"),
+                 (286, 142, 3, 382, 84), id="dim T(G_6)"),
     pytest.param(lambda: middle(gn_graph(6)[0]).graph, "dim", (2, 3, 11, 12, 19, 20),
-                 (236, 86, 4, 132, 84), id="dim M(G_6)"),
+                 (125, 86, 4, 78, 84), id="dim M(G_6)"),
     pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "dim", (8, 9, 15, 16),
-                 (190, 41, 2, 108, 72), id="dim S(G_5)"),
+                 (119, 41, 2, 83, 72), id="dim S(G_5)"),
     pytest.param(lambda: subdivision(gn_graph(5)[0]).graph, "edim", (8, 9, 15, 16),
-                 (189, 21, 2, 108, 72), id="edim S(G_5)"),
+                 (118, 21, 2, 83, 72), id="edim S(G_5)"),
     pytest.param(lambda: middle(gn_graph(10)[0]).graph, "dim", (2, 3, 4, 5, 6, 7, 19, 20, 31, 32),
-                 (565, 200, 6, 973, 132), id="dim M(G_10)"),
+                 (361, 200, 6, 711, 132), id="dim M(G_10)"),
     pytest.param(lambda: subdivision(gn_graph(8)[0]).graph, "dim", (2, 3, 4, 14, 15, 24, 25),
-                 (670, 101, 4, 1188, 108), id="dim S(G_8)"),
+                 (544, 101, 4, 1041, 108), id="dim S(G_8)"),
     pytest.param(lambda: total(random_tree(40, 1)).graph, "dim", (0, 3, 7, 10, 42, 47),
                  (70, 99, 5, 0, 40), id="dim T(random_tree(40, 1))"),
     pytest.param(lambda: total(random_cactus(14, 3, 2)).graph, "dim", (0, 2, 11, 25),
@@ -725,12 +733,12 @@ def _unpruned_certificate(g, kind):
     return len(witness), witness, forced
 
 
-# the shipped gate, and pruning from the first node of every walk
-GATES = {"shipped": solvers._symmetry_gate, "from-first-node": lambda size: 0}
+# the shipped allowance, and none: every walk then prunes from its first node
+GATES = {"shipped": solvers._refute_cap, "from-first-node": lambda size: 0}
 
 
 def _assert_pruned_solves_match_unpruned(g, gate, unpruned=_unpruned_certificate):
-    with patch.object(solvers, "_symmetry_gate", GATES[gate]):
+    with patch.object(solvers, "_refute_cap", GATES[gate]):
         for kind in KINDS:
             cert = solve_dimension(g, kind)
             assert (cert.value, cert.vertices, cert.forced) == unpruned(g, kind), (kind, g.edges)
@@ -864,7 +872,7 @@ def test_bitmask_cut_matches_the_per_candidate_rule(case):
     n, involutions, picked, window = case
     search = _Search(1)
     everyone = (1 << n) - 1  # one mask holding every vertex: the group is all n
-    search._load([everyone], _index([everyone]), True, 0)
+    search._load([everyone], _index([everyone]), True)
     search._found = involutions
     assert search._leaders(window, picked) == _reference_cut(involutions, picked, window)
 
