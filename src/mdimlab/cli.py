@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the search counters to the output: search_nodes, "
                         "masks_kept, lower_bound, symmetry_pruned (the children "
                         "skipped by the lex-leader rule, which a mask group's walk "
-                        "applies once the group's search has spent 4*|V(group)| "
-                        "nodes) and refute_nodes")
+                        "applies only when the group's existence search ran out "
+                        "of its 4*|V(group)| nodes) and refute_nodes")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_solve)
 

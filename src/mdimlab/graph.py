@@ -304,7 +304,8 @@ def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: boo
     is walked twice.  Ring i is (u, v, the vertex its walk ended at, the
     common ancestor unless it met another), and ``block[i]`` its class, or
     -1 if it shares no edge.  With ``settle`` the walk stops once every tree
-    edge lies in a class of two or more rings, which no later ring undoes."""
+    edge but those at a vertex of degree 1, bridges, lies in a class of two
+    or more rings, which no later ring undoes."""
     n = len(adjacency)
     parent = list(range(n))
     for v, d in enumerate(depth):
@@ -314,7 +315,8 @@ def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: boo
                 break
     owner, root, rings = [-1] * n, [], []
     lone = {}  # the rings that met no other, to the tree edges each owns
-    loose = n - 1  # tree edges on no ring or on a lone one
+    # tree edges on no ring or on a lone one; an edge at a leaf is a bridge
+    loose = n - 1 - sum(len(near) == 1 for near in adjacency)
     closing = ((u, v) for u in range(n) for v in adjacency[u]
                if u < v and parent[v] != u and parent[u] != v)
     for u, v in closing:

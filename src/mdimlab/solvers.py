@@ -131,10 +131,11 @@ takes the candidate, which precomputed bitmasks answer for the whole
 window at once; only the candidates in sigma(P) are tested one by one.
 ``_involutions`` takes the swaps of twins, and reads further
 involutions off the graph's distance rows, keeping only those that map
-every edge onto an edge.  A cut is cheap next to a node, so a walk
-looks for them from the node at which its group's existence search
-stops or would stop, the group's first node plus the cap, which spares
-the smallest searches the cost of finding them.
+every edge onto an edge.  Finding them costs more than the few nodes
+they save a short walk, so a walk prunes, from its first node, only
+when its group's existence search ran out of its cap, as on graphs with
+many twins; a walk after an existence search that found the size never
+prunes, and a solve whose existence searches all settle never looks.
 
 The budget counts search nodes: every partial set either rule visits,
 the empty set of each cardinality included.  ``SolveStats.refute_nodes``
@@ -522,12 +523,10 @@ def _guard(sigma: list[int]) -> tuple[list[int], int, int, list[int]]:
 
 def _refute_cap(size: int) -> int:
     """Search nodes the existence search of a group of ``size`` vertices
-    spends before the lex walk takes over, and from which the walk prunes
-    by symmetry: enough to refute the levels below the value on trees and
-    cacti, and little next to the walk on graphs with many twins, where the
-    walk prunes and the existence search does not.  A cut costs a few ANDs
-    per involution; the allowance spares small searches the cost of
-    ``_involutions`` and of the guards."""
+    spends before the lex walk takes over: enough to refute the levels
+    below the value on trees and cacti, and little next to the walk on
+    graphs with many twins, where the walk prunes by symmetry and the
+    existence search does not."""
     return 4 * size
 
 
@@ -541,11 +540,10 @@ class _Search:
     recursion, ``_branch``, serves every search by one of two branching
     rules: the existence rule refutes the cardinalities below the value,
     up to its cap, and lists phi's minimum sets; the walk rule finds the
-    least set.  Given the graph, a walk cuts the children that an
-    involution of the graph maps to a smaller set, from the node at which
-    its group's existence search stops or would stop.  Open masks are one
-    int of ids in the group's order, which ``_packing`` reads with the
-    index's ``byv``."""
+    least set.  Given the graph, a walk after a capped existence search
+    cuts, from its first node, the children that an involution of the
+    graph maps to a smaller set.  Open masks are one int of ids in the
+    group's order, which ``_packing`` reads with the index's ``byv``."""
 
     def __init__(self, budget: int, graph: Graph | None = None):
         self.budget = budget
@@ -557,7 +555,7 @@ class _Search:
         self._found: list[list[int]] | None = None  # the graph's involutions
         self._stop = math.inf  # the node count at which the existence search hands over
         self._limit = budget  # the lesser of the budget and the stop
-        self._gate = math.inf  # the node count from which the walk prunes
+        self._prune = False  # whether the walk cuts by symmetry: its existence search ran out
 
     def _visit(self) -> None:
         """One node, or ``_Capped`` once the existence search has spent its
@@ -583,10 +581,10 @@ class _Search:
 
         From the packing bound L on, added to ``packed``, the existence
         search refutes one cardinality after another until it finds a set
-        or spends the group's ``_refute_cap``, the node from which the
-        group's walk prunes; only then does the walk try k, k + 1, ... and
-        stop at its first set, the one it would find from L, as no smaller
-        set exists.  One vertex from each mask meets every mask, so the
+        or spends the group's ``_refute_cap``; only then does the walk,
+        pruned by symmetry from its first node, try k, k + 1, ... and stop
+        at its first set, the one it would find from L, as no smaller set
+        exists.  One vertex from each mask meets every mask, so the
         existence search never asks about as many vertices as there are
         masks.
         """
@@ -594,7 +592,6 @@ class _Search:
         before = self.nodes
         self._stop = before + _refute_cap(reduce(or_, masks).bit_count())
         self._limit = min(self.budget, self._stop)
-        self._gate = math.inf if self.graph is None else self._stop
         everything = (1 << len(masks)) - 1
         k = _packing(masks, index[0], everything)
         self.packed += k
@@ -609,6 +606,7 @@ class _Search:
             settled = False
         self._stop, self._limit = math.inf, self.budget
         self.refute_nodes += self.nodes - before
+        self._prune = not settled and self.graph is not None  # for the walk after it
         if settled:
             return k, None
         found = self._first(masks, index, k)
@@ -678,7 +676,7 @@ class _Search:
             else:
                 return None  # every open mask ends below every allowed vertex
             candidates = allowed & ((end << 1) - 1)
-            if self.nodes >= self._gate:
+            if self._prune:
                 cut = self._leaders(candidates, picked)
         else:
             # every set that meets the open masks meets the one of least id
@@ -728,8 +726,8 @@ class _Search:
 
         The group's guards are built at the first call, one ``_guard`` for
         each involution that maps the group's vertices onto themselves and
-        moves one.  A group no involution moves gets its gate back at
-        infinity."""
+        moves one.  A group no involution moves turns the walk's pruning
+        off."""
         guards = self._guards
         if guards is None:
             if self._found is None:
@@ -740,7 +738,7 @@ class _Search:
                                      if all(sigma[v] in inside for v in verts)
                                      and any(sigma[v] != v for v in verts)]
             if not guards:
-                self._gate = math.inf
+                self._prune = False
                 return 0
         picks = sum(1 << v for v in picked)
         cut = 0

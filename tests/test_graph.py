@@ -586,6 +586,18 @@ def test_a_bridgeless_graph_takes_n_bfs_runs(g):
     _assert_oracle_rows(g, rows)
 
 
+@pytest.mark.parametrize("pendant", [0, 5, 9])
+def test_a_pendant_vertex_does_not_keep_the_ring_walk_from_settling(pendant):
+    # K10's tree edges all lie in one class after 8 of its 36 rings; the
+    # edge to a vertex of degree 1 is a bridge and lies on no ring
+    k10 = complete_graph(10)
+    g = build_graph(11, [*k10.edges, (pendant, 10)])
+    for h in (k10, g):
+        assert len(graph._rings(h.adjacency, list(h.distances[0]), settle=True)[2]) == 8
+    assert len(graph._rings(g.adjacency, list(g.distances[0]))[2]) == 36
+    _assert_oracle_rows(g, g.distances)
+
+
 # on a path the one BFS runs from vertex 0, an end, at n - 1 from the
 # other: 2 * 127 fits a byte lane, 2 * 128 takes two bytes.  The rows are
 # bytes while the diameter, n - 1, is below 256, and tuples from n = 257

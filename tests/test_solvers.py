@@ -884,6 +884,37 @@ def test_symmetry_pruning_solves_dim_of_total_g10_within_a_small_budget():
     assert cert.stats.symmetry_pruned > 0
 
 
+def _no_involutions(g):
+    raise AssertionError("a walk after a settled existence search looked for involutions")
+
+
+@pytest.mark.parametrize("make, kind, witness, nodes", [
+    pytest.param(lambda: subdivision(gn_graph(6)[0]).graph, "mdim", (2, 3, 11, 12, 19, 20), 171,
+                 id="mdim S(G_6)"),
+    pytest.param(lambda: total(random_cactus(12, 3, 2)).graph, "dim", (0, 6, 10, 12), 136,
+                 id="dim T(random_cactus(12, 3, 2))"),
+])
+def test_a_walk_after_a_settled_existence_search_never_prunes(make, kind, witness, nodes):
+    # every group's existence search finds its size within the cap, so each
+    # walk runs unpruned and never looks for the graph's involutions
+    g = make()
+    with patch.object(solvers, "_involutions", _no_involutions):
+        cert = solve_dimension(g, kind)
+    assert (cert.vertices, cert.value, cert.forced) == (witness, len(witness), ())
+    assert (cert.stats.search_nodes, cert.stats.symmetry_pruned) == (nodes, 0)
+
+
+def test_a_walk_after_a_capped_existence_search_prunes_from_its_first_node():
+    # T(G_6)'s one group spends the existence search's cap; its walk looks
+    # for the involutions once and cuts children from its first node on
+    g = total(gn_graph(6)[0]).graph
+    calls = []
+    with patch.object(solvers, "_involutions", lambda h: calls.append(h) or _involutions(h)):
+        cert = solve_dimension(g, "dim")
+    assert calls == [g]
+    assert (cert.stats.search_nodes, cert.stats.symmetry_pruned, cert.stats.refute_nodes) == (286, 382, 84)
+
+
 # the existence search off, as shipped, and with no cap
 CAPS = {"walk-only": lambda size: 0, "shipped": solvers._refute_cap,
         "uncapped": lambda size: math.inf}
