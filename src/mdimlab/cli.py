@@ -163,11 +163,12 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _emit_report(args, report: Report) -> None:
+def _emit_report(args, report: Report) -> int:
     if args.format == "csv":
         _write(args, report.to_csv())
     else:
         _write(args, report.to_json(timings=args.timings))
+    return report.exit_code(strict=args.strict)
 
 
 def _cmd_verify(args) -> int:
@@ -176,25 +177,13 @@ def _cmd_verify(args) -> int:
         t.strip() for t in args.theorems.split(",") if t.strip()]
     report = run_checks(instances, theorems=theorems, budget=args.budget,
                         phi_cap=args.phi_cap, source=source)
-    _emit_report(args, report)
-    return report.exit_code(strict=args.strict)
+    return _emit_report(args, report)
 
 
 def _cmd_explore(args) -> int:
     instances, source = _corpus(args)
     report = explore(instances, target=args.target, budget=args.budget, source=source)
-    _emit_report(args, report)
-    return report.exit_code(strict=args.strict)
-
-
-def _add_input_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", action="append", metavar="FILE",
-                   help="graph file (graph6 or edge list); repeatable")
-    p.add_argument("--family", action="append", metavar="SPEC",
-                   help="family spec NAME:n=N[,cycles=C][,seed=S], each value a number "
-                        "or range A..B, like random_cactus:n=10,cycles=2,seed=1..30; "
-                        "repeatable; generate, transform and solve need exactly one "
-                        "graph in all")
+    return _emit_report(args, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,57 +195,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mdimlab {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="emit a family graph")
-    _add_input_options(p)
+    # the options that several commands share, each written once
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--input", action="append", metavar="FILE",
+                    help="graph file (graph6 or edge list); repeatable")
+    io.add_argument("--family", action="append", metavar="SPEC",
+                    help="family spec NAME:n=N[,cycles=C][,seed=S], each value a number "
+                         "or range A..B, like random_cactus:n=10,cycles=2,seed=1..30; "
+                         "repeatable; generate, transform and solve need exactly one "
+                         "graph in all")
+    io.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
+                        help="cap on search nodes (default %(default)s)")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=["json", "csv"], default="json")
+    report.add_argument("--strict", action="store_true",
+                        help="exit nonzero when any check was skipped for budget reasons")
+    report.add_argument("--timings", action="store_true",
+                        help="include wall-clock timings (JSON only; breaks byte-identical output)")
+
+    p = sub.add_parser("generate", parents=[io], help="emit a family graph")
     p.add_argument("--format", choices=[EDGE_LIST, GRAPH6, "dot", "json"], default=EDGE_LIST)
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("transform", help="build a derived graph with provenance")
-    _add_input_options(p)
+    p = sub.add_parser("transform", parents=[io], help="build a derived graph with provenance")
     p.add_argument("--derived", choices=[*DERIVED_NAMES, "l"], required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("solve", help="exact dimension with a witness certificate")
-    _add_input_options(p)
+    p = sub.add_parser("solve", parents=[io, budget],
+                       help="exact dimension with a witness certificate")
     p.add_argument("--kind", choices=list(KINDS), required=True)
     p.add_argument("--derived", choices=["none", *DERIVED_NAMES], default="none")
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
-                   help="cap on search nodes (default %(default)s)")
     p.add_argument("--stats", action="store_true",
                    help="add the search counters to the output: search_nodes, "
                         "masks_kept, lower_bound, symmetry_pruned (the children "
                         "skipped by the lex-leader rule, which a mask group's walk "
                         "applies only when the group's existence search ran out "
                         "of its 4*|V(group)| nodes) and refute_nodes")
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="run named checks over a corpus")
-    _add_input_options(p)
+    p = sub.add_parser("verify", parents=[io, budget, report], help="run named checks over a corpus")
     p.add_argument("--theorems", default="all",
                    help=f"comma list from: {', '.join(THEOREM_IDS)} (default all)")
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    p.add_argument("--phi-cap", type=_count, default=DEFAULT_PHI_CAP)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero when any check was skipped for budget reasons")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (JSON only; breaks byte-identical output)")
-    p.add_argument("--output", metavar="FILE")
+    p.add_argument("--phi-cap", type=_count, default=DEFAULT_PHI_CAP,
+                   help="cap on the k-subsets phi enumeration may list (default %(default)s)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("explore", help="scan for subdivision-gap behavior")
-    _add_input_options(p)
+    p = sub.add_parser("explore", parents=[io, budget, report], help="scan for subdivision-gap behavior")
     p.add_argument("--target", choices=list(EXPLORE_TARGETS), required=True)
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (JSON only; breaks byte-identical output)")
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(func=_cmd_explore)
 
     return parser

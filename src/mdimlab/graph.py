@@ -10,8 +10,8 @@ its bridges or cycle blocks, found by one walk of the rings that its
 other edges close, takes its row from the block's top vertex's row by a
 few big-int sums, and every other vertex runs BFS, so a tree or a cactus
 of any size takes one BFS.  Rows are read with one lane per vertex, of
-one byte, or two, four or eight where twice vertex 0's eccentricity
-needs them.
+one byte, or two where twice vertex 0's eccentricity needs them, and a
+graph that needs wider lanes is refused before any row is read.
 Input graphs go through ``build_graph``, which normalises and checks an
 edge list.  The subdivision, middle and total graphs of ``transforms``
 are built as ``Graph`` directly, valid by construction, and take no BFS:
@@ -56,8 +56,8 @@ class Graph:
 
     ``distances[u][v]`` is the hop distance from u to v.  Every row is
     ``bytes`` (one byte per entry) when the diameter is below 256, and every
-    row is a tuple of ints otherwise; rows are only indexed and iterated, so
-    the two read alike.
+    row is a tuple of ints below 65,536 otherwise (``_all_pairs_bfs``); rows
+    are only indexed and iterated, so the two read alike.
 
     The vertex-edge and edge-edge blocks of the metric, and the pieces that
     the graphs derived from this one share, are computed on first use and
@@ -189,23 +189,25 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
     p, c.  A vertex whose tree edge lies in a larger block runs BFS, and
     rows below it are read from its row, so a tree or a cactus takes one BFS.
 
-    Every distance is at most twice vertex 0's eccentricity, so the rows
-    are read in the narrowest struct lane that holds that: one byte while
-    it is below 256, and two, four or eight bytes past it (``_read_rows``)."""
+    Every distance is at most twice vertex 0's eccentricity, which sets
+    the lanes: one byte below 256, two up to 65,535 (``_read_rows``), and
+    past that GraphError, before any of the table's 10^9 or more entries."""
     first = _bfs(n, adjacency, 0)
     if -1 in first:
         raise DisconnectedError("graph is not connected")
-    width = next(w for w in (1, 2, 4, 8) if 2 * max(first) < 1 << 8 * w)
-    return _read_rows(n, adjacency, first, width)
+    reach = 2 * max(first)
+    if reach >= 1 << 16:
+        raise GraphError(f"distances up to {reach} need lanes wider than two bytes")
+    return _read_rows(n, adjacency, first, 1 if reach < 256 else 2)
 
 
 def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int],
                width: int) -> tuple[Row, ...]:
     """The rows of ``_all_pairs_bfs`` read around the bridges and rings of
     the BFS tree that the row ``dist`` of its root gives, each a
-    little-endian int of n lanes of ``width`` bytes while it is read.  At
-    one byte the rows are ``bytes`` as they stand.  Wider rows become
-    ``bytes`` of their lowest lane bytes when no distance in the table
+    little-endian int of n lanes of ``width`` bytes, one or two, while it
+    is read.  At one byte the rows are ``bytes`` as they stand.  Two-byte
+    rows become ``bytes`` of their low bytes when no distance in the table
     reaches 256, and tuples of ints otherwise, so the diameter alone sets
     the row type.  Each row is checked for such a distance as it is made:
     a BFS row by its largest entry, a row read as an int by its lanes'
@@ -221,7 +223,7 @@ def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int],
         below = [0, *map(subtree.__getitem__, arm)]
         return [_lanes(subtree[x] - b, width) for x, b in zip(arm, below)]
 
-    shape = struct.Struct(f"<{n}{'BHIQ'[width.bit_length() - 1]}")  # n lanes of width bytes
+    shape = struct.Struct(f"<{n}{'BH'[width - 1]}")  # n lanes of width bytes
     pack = bytes if width == 1 else lambda row: shape.pack(*row)
     rows = [b""] * n
     rows[order[0]] = pack(dist)
@@ -304,8 +306,8 @@ def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: boo
     is walked twice.  Ring i is (u, v, the vertex its walk ended at, the
     common ancestor unless it met another), and ``block[i]`` its class, or
     -1 if it shares no edge.  With ``settle`` the walk stops once every tree
-    edge but those at a vertex of degree 1, bridges, lies in a class of two
-    or more rings, which no later ring undoes."""
+    edge but the bridges outside the 2-core, peeled when a ring first meets
+    another, lies in a class of two or more rings, which no later ring undoes."""
     n = len(adjacency)
     parent = list(range(n))
     for v, d in enumerate(depth):
@@ -315,8 +317,7 @@ def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: boo
                 break
     owner, root, rings = [-1] * n, [], []
     lone = {}  # the rings that met no other, to the tree edges each owns
-    # tree edges on no ring or on a lone one; an edge at a leaf is a bridge
-    loose = n - 1 - sum(len(near) == 1 for near in adjacency)
+    loose, peeled = n - 1, not settle  # tree edges on no ring or on a lone one
     closing = ((u, v) for u in range(n) for v in adjacency[u]
                if u < v and parent[v] != u and parent[u] != v)
     for u, v in closing:
@@ -337,6 +338,8 @@ def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: boo
         if not met:
             lone[i] = new
             continue
+        if not peeled:  # one bridge outside the 2-core per vertex outside it; no cactus gets here
+            loose, peeled = loose - _outside_core(adjacency), True
         loose -= new
         for j in met:
             loose -= lone.pop(j, 0)
@@ -349,6 +352,18 @@ def _rings(adjacency: tuple[tuple[int, ...], ...], depth: list[int], settle: boo
             root[j] = j = root[root[j]]
         block.append(-1 if j in lone else j)
     return parent, owner, rings, block
+
+
+def _outside_core(adjacency: tuple[tuple[int, ...], ...]) -> int:
+    """How many vertices of a graph other than a tree lie outside its 2-core."""
+    degree = list(map(len, adjacency))
+    peel = [v for v, d in enumerate(degree) if d == 1]
+    for v in peel:
+        for w in adjacency[v]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                peel.append(w)
+    return len(peel)
 
 
 def _floor_means(pairs: Iterable[tuple[int, int]], width: int) -> Iterator[int]:

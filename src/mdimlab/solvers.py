@@ -13,9 +13,9 @@ hitting set (Khuller, Raghavachari and Rosenfeld, *Landmarks in graphs*,
 of vertices at different distances from the two, and W resolves exactly
 when it meets every separator mask.  The masks are built from packed
 columns: the distances from one element to all vertices sit in one int,
-one field per vertex, each field wide enough for the graph's diameter.
-The xor of two columns is nonzero in exactly the fields of the separating
-vertices.  Only the inclusion-minimal masks are kept.
+one field per vertex, one byte wide for ``bytes`` rows and two for tuple
+rows.  The xor of two columns is nonzero in exactly the fields of the
+separating vertices.  Only the inclusion-minimal masks are kept.
 
 Masks that share no vertex, even through other masks, form independent
 groups: a minimum hitting set is one minimum hitting set per group, and
@@ -320,20 +320,17 @@ def _separator_masks(g: Graph, kind: str, forced: Sequence[int] = ()) -> list[in
         for x, key in enumerate(zip(*rows)):
             by_key.setdefault(key, []).append(x)
         classes = [c for c in by_key.values() if len(c) > 1]
-    diameter = max(map(max, g.distances))
-    code = next(c for c in "BHIQ" if diameter < 1 << 8 * struct.calcsize(f"<{c}"))
-    step = struct.calcsize(f"<{code}")
+    # little-endian, one field per vertex: bytes rows (diameter below 256)
+    # are that already, and tuple rows, whose distances stay below 65,536
+    # (graph._all_pairs_bfs), are packed in two-byte fields
+    step = 1 if isinstance(g.distances[0], bytes) else 2
     width = 8 * step
     low = int.from_bytes((b"\x01" + bytes(step - 1)) * g.n, "little")  # bit 0 of every field
     high = low << (width - 1)
     rest = high - low  # the other width - 1 bits of every field
-
-    # little-endian, one field per vertex: bytes rows (diameter below 256)
-    # are that already, and only tuple rows are packed
     packed = _universe_columns(g, kind)
     if step > 1:
-        pack = struct.Struct(f"<{g.n}{code}").pack
-        packed = [pack(*c) for c in packed]
+        packed = [struct.pack(f"<{g.n}H", *c) for c in packed]
     fields = set()
     for group in [packed] if classes is None else [[packed[x] for x in c] for c in classes]:
         columns = [int.from_bytes(c, "little") for c in group]

@@ -560,10 +560,27 @@ def test_rows_match_the_oracle_on_cacti_cycles_and_chorded_cacti(g):
 
 @given(_RINGS_AND_CHORDS)
 def test_rows_read_in_every_lane_width_equal_the_byte_rows(g):
-    # no graph small enough to test reaches four- or eight-byte lanes, so
-    # the reading is run at each width on rows that fit a byte
-    for width in (2, 4, 8):
-        assert graph._read_rows(g.n, g.adjacency, list(g.distances[0]), width) == g.distances
+    # the rows read in two-byte lanes, which these graphs do not need,
+    # are narrowed to the byte rows
+    assert graph._read_rows(g.n, g.adjacency, list(g.distances[0]), 2) == g.distances
+
+
+def _fail_to_read(*args):
+    raise AssertionError("rows were read")
+
+
+def test_a_table_past_two_byte_lanes_is_refused_before_any_row_is_read(monkeypatch):
+    # the 32,769-path's rows from an end reach 32,768, so 2 ecc(0) is 65,536
+    monkeypatch.setattr(graph, "_read_rows", _fail_to_read)
+    with pytest.raises(GraphError, match="distances up to 65536 need lanes wider than two bytes"):
+        path_graph(32769)
+
+
+def test_a_table_at_the_two_byte_bound_is_read_in_two_byte_lanes(monkeypatch):
+    # the 32,768-path's 2 ecc(0), 65,534, is the last that two bytes hold;
+    # the table stands in for the lane width it would be read in
+    monkeypatch.setattr(graph, "_read_rows", lambda n, adjacency, dist, width: width)
+    assert path_graph(32768).distances == 2
 
 
 @pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(100), cycle_graph(255),
@@ -594,6 +611,18 @@ def test_a_pendant_vertex_does_not_keep_the_ring_walk_from_settling(pendant):
     g = build_graph(11, [*k10.edges, (pendant, 10)])
     for h in (k10, g):
         assert len(graph._rings(h.adjacency, list(h.distances[0]), settle=True)[2]) == 8
+    assert len(graph._rings(g.adjacency, list(g.distances[0]))[2]) == 36
+    _assert_oracle_rows(g, g.distances)
+
+
+@pytest.mark.parametrize("tail", [2, 3])
+@pytest.mark.parametrize("pendant", [0, 5, 9])
+def test_a_pendant_path_does_not_keep_the_ring_walk_from_settling(pendant, tail):
+    # the path's edges lie outside the 2-core, so they are bridges and lie
+    # on no ring, as the edge to a pendant vertex does
+    path = [pendant, *range(10, 10 + tail)]
+    g = build_graph(10 + tail, [*complete_graph(10).edges, *zip(path, path[1:])])
+    assert len(graph._rings(g.adjacency, list(g.distances[0]), settle=True)[2]) == 8
     assert len(graph._rings(g.adjacency, list(g.distances[0]))[2]) == 36
     _assert_oracle_rows(g, g.distances)
 

@@ -571,6 +571,15 @@ def test_cli_bad_file_is_exit_2(tmp_path, capsys):
     assert "mdimlab:" in capsys.readouterr().err
 
 
+def test_cli_graph_past_two_byte_lanes_is_exit_2(capsys):
+    # the 32,769-path's distances from vertex 0 reach 32,768, twice which
+    # no two-byte lane holds
+    assert main(["solve", "--family", "path:n=32769", "--kind", "dim"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "mdimlab: distances up to 65536 need lanes wider than two bytes\n"
+    assert captured.out == ""
+
+
 def test_cli_missing_file_is_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["solve", "--input", str(missing), "--kind", "mdim"]) == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mdimlab import (
     Certificate,
     EnumerationOverflowError,
+    Graph,
     GraphError,
     NotABasisError,
     SearchBudgetExceededError,
@@ -153,6 +154,35 @@ def test_distances_beyond_one_byte():
         assert (cert.value, cert.vertices) == (1, (0,))
         assert cert.stats.masks_kept > 0
     assert solve_dimension(g, "mdim").vertices == (0, 299)
+
+
+def _with_tuple_rows(g):
+    """g with its distance rows as tuples of ints, which the separator
+    masks read in two-byte fields, as they read a table of diameter 256 or
+    more."""
+    return Graph(g.n, g.edges, g.adjacency, tuple(map(tuple, g.distances)))
+
+
+_SMALL_BASES = st.one_of(
+    st.builds(random_tree, st.integers(2, 12), st.integers(0, 2**16)),
+    st.builds(random_cactus, st.integers(6, 12), st.integers(1, 2), st.integers(0, 2**16)),
+    st.integers(2, 6).map(lambda n: gn_graph(n)[0]),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(connected_graphs(),
+                 st.builds(lambda g, derive: DERIVED[derive](g), _SMALL_BASES, st.sampled_from("SMT"))),
+       st.sampled_from(KINDS))
+@example(gn_graph(6)[0], "mdim")
+@example(total(random_cactus(12, 3, 2)).graph, "dim")
+def test_tuple_rows_solve_as_the_byte_rows_do(g, kind):
+    # the field width follows the row type alone, and no choice of it may
+    # change a certificate or a counter
+    assert isinstance(g.distances[0], bytes)
+    byte_rows, tuple_rows = solve_dimension(g, kind), solve_dimension(_with_tuple_rows(g), kind)
+    assert tuple_rows == byte_rows
+    assert tuple_rows.stats == byte_rows.stats
 
 
 def _phi_listing(search, part):
