@@ -11,7 +11,7 @@ other edges close, takes its row from the block's top vertex's row by a
 few big-int sums, and every other vertex runs BFS, so a tree or a cactus
 of any size takes one BFS.  Rows are read with one lane per vertex, of
 one byte, or two where twice vertex 0's eccentricity needs them, and a
-graph that needs wider lanes is refused before any row is read.
+graph of more than 32,768 vertices is refused before its first BFS.
 Input graphs go through ``build_graph``, which normalises and checks an
 edge list.  The subdivision, middle and total graphs of ``transforms``
 are built as ``Graph`` directly, valid by construction, and take no BFS:
@@ -56,7 +56,7 @@ class Graph:
 
     ``distances[u][v]`` is the hop distance from u to v.  Every row is
     ``bytes`` (one byte per entry) when the diameter is below 256, and every
-    row is a tuple of ints below 65,536 otherwise (``_all_pairs_bfs``); rows
+    row is a tuple of ints below 32,768 otherwise (``_all_pairs_bfs``); rows
     are only indexed and iterated, so the two read alike.
 
     The vertex-edge and edge-edge blocks of the metric, and the pieces that
@@ -190,15 +190,15 @@ def _all_pairs_bfs(n: int, adjacency: tuple[tuple[int, ...], ...]) -> tuple[Row,
     rows below it are read from its row, so a tree or a cactus takes one BFS.
 
     Every distance is at most twice vertex 0's eccentricity, which sets
-    the lanes: one byte below 256, two up to 65,535 (``_read_rows``), and
-    past that GraphError, before any of the table's 10^9 or more entries."""
+    the lanes: one byte below 256, two otherwise (``_read_rows``), which
+    hold every distance of a graph of at most 32,768 vertices; a larger
+    one, whose table would hold 10^9 entries, is refused before any BFS."""
+    if n > 1 << 15:
+        raise GraphError(f"graph has {n} vertices, more than the 32768 whose distances are tabled")
     first = _bfs(n, adjacency, 0)
     if -1 in first:
         raise DisconnectedError("graph is not connected")
-    reach = 2 * max(first)
-    if reach >= 1 << 16:
-        raise GraphError(f"distances up to {reach} need lanes wider than two bytes")
-    return _read_rows(n, adjacency, first, 1 if reach < 256 else 2)
+    return _read_rows(n, adjacency, first, 1 if 2 * max(first) < 256 else 2)
 
 
 def _read_rows(n: int, adjacency: tuple[tuple[int, ...], ...], dist: list[int],
@@ -443,9 +443,9 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int],
     second, the own entries, zeroed at once.  The split rows depend only
     on the two maps, so when another derived graph maps both blocks alike
     (``shared``, as M(G) and T(G) do) base keeps them (``Graph._shared``)
-    and both hold the same row objects; S(G)'s are not kept.  These rows
-    are the only statement of the identities in the package:
-    ``transforms.check_distance_identities`` compares BFS rows with them."""
+    and both hold the same row objects; S(G)'s are not kept.
+    ``transforms.check_distance_identities`` compares BFS rows with these
+    rows, or with ``_mapped_rows`` where they are None."""
     fits, (vertex_map, split_map, pair_map) = _affine_maps(scale, offsets)
     rows, m = base.distances, base.m
     if not isinstance(rows[0], bytes) or not _blocks_fit(base, fits):
@@ -454,6 +454,26 @@ def _table_from_base(base: Graph, scale: int, offsets: tuple[int, int, int],
     blob = base._vertex_major
     return (*[row.translate(vertex_map) + blob[m * x:m * x + m].translate(split_map)
               for x, row in enumerate(rows)], *splits)
+
+
+def _mapped_rows(base: Graph, scale: int, offsets: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``_table_from_base`` as tuples, each distance mapped on
+    its own, so for either row type and past a byte.  Row x is base row x
+    and then vertex x's column of ``Graph._vertex_edge``; row n + j is edge
+    j's row of that block and then the lane-wise least of the columns of
+    its ends, d(e_j, e_k).  An entry takes the offset of as many splits as
+    it joins, and own entries are 0."""
+    n, blob = base.n, base._vertex_edge
+    columns = [blob[x::n] for x in range(n)]  # d(x, e_k) for every edge k
+    heads = (*base.distances, *_edge_rows(base))
+    tails = (*columns, *(map(min, columns[a], columns[b]) for a, b in base.edges))
+    rows = []
+    for i, (head, tail) in enumerate(zip(heads, tails)):
+        near, far = offsets[i >= n], offsets[1 + (i >= n)]
+        row = [scale * d + near for d in head] + [scale * d + far for d in tail]
+        row[i] = 0
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _split_rows(base: Graph, split_map: bytes, pair_map: bytes, shared: bool) -> tuple[bytes, ...]:

@@ -321,7 +321,7 @@ def _separator_masks(g: Graph, kind: str, forced: Sequence[int] = ()) -> list[in
             by_key.setdefault(key, []).append(x)
         classes = [c for c in by_key.values() if len(c) > 1]
     # little-endian, one field per vertex: bytes rows (diameter below 256)
-    # are that already, and tuple rows, whose distances stay below 65,536
+    # are that already, and tuple rows, whose distances stay below 32,768
     # (graph._all_pairs_bfs), are packed in two-byte fields
     step = 1 if isinstance(g.distances[0], bytes) else 2
     width = 8 * step

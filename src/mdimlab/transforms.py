@@ -29,20 +29,18 @@ construction, and an edge's class follows from which of its ends are
 original vertices.
 ``check_distance_identities`` checks the S and M identities against BFS
 over the derived graphs' adjacency, not against their stored tables, and
-compares each BFS row whole with the row ``graph._table_from_base`` reads
-off G, so the identities are written down once, in ``graph``.
+compares each BFS row with the row that S(G) or M(G) is built from,
+``graph._table_from_base``'s, or ``graph._mapped_rows``' where that gives
+none, so the identities are written down once, as the constants below.
 """
 
 from __future__ import annotations
 
-import operator
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 from .errors import DisconnectedError, TooSmallError
-from .graph import (Graph, _all_pairs_bfs, _bfs, _edge_rows, _table_from_base, build_graph,
-                    edge_edge_distance)
+from .graph import Graph, _all_pairs_bfs, _bfs, _mapped_rows, _table_from_base, build_graph
 
 ORIGINAL = "original"
 SUBDIVISION = "subdivision"
@@ -194,16 +192,6 @@ class IdentityReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _first_bad(pairs, got, expected, holds=operator.eq) -> tuple | None:
-    """The first ``(a, b, got, expected)`` over ``pairs`` where
-    ``holds(expected, got)`` is false, or None when every pair holds."""
-    for a, b in pairs:
-        value, want = got(a, b), expected(a, b)
-        if not holds(want, value):
-            return a, b, value, want
-    return None
-
-
 def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -> IdentityReport:
     """Exhaustively verify the distance identities tying ``base`` = G to
     ``sg`` = S(G) and ``mg`` = M(G).
@@ -235,78 +223,64 @@ def check_distance_identities(base: Graph, sg: DerivedGraph, mg: DerivedGraph) -
     disconnected S(G), which only a wrong one is, takes one BFS per
     vertex, whose lists keep -1 for the vertices each misses.
 
-    The expected rows are the ones ``graph._table_from_base`` builds for
-    S(G) and M(G), so the identities are stated once, there.  Each row of
-    an identity's domain (one x, or one e for eq3) is first compared whole
-    with its part of the expected row, own entries 0 on both sides, and
-    only a row that differs is scanned pair by pair, so the first
-    counterexample is the pair scan's.  M(G)'s BFS lists become bytes
-    unless one holds a -1 or a distance past 255; a list, like a tuple
-    row, equals no byte row.  When ``_table_from_base`` returns None
-    (tuple rows, or a distance past a byte), every row is scanned.
+    The expected rows are S(G)'s and M(G)'s from ``graph._table_from_base``,
+    or from ``graph._mapped_rows`` where it gives none, so the identities
+    are stated once.  Each identity but eq4 reports the first (row, column)
+    where a BFS row differs from its expected row on its vertex or split
+    columns; own entries are 0 on both sides.  M(G)'s BFS lists become
+    bytes, or tuples where one holds a -1 or a distance past 255.
 
-    eq4 has no expected row.  When every S(G)-edge is (a, s_e) with a an
-    end of e, as in a true S(G), row x of eq4 holds whenever rows x of eq1
-    and eq2 do: d_G(x, a) is d_G(x, e) or d_G(x, e) + 1, since the ends of
-    e are adjacent, so d_S(x, f) = min(2 d_G(x, a), 2 d_G(x, e) + 1) is
-    2 d_G(x, e) or 2 d_G(x, e) + 1.  Otherwise every row of eq4 is scanned.
+    eq4 reads 2 d_G(x, e) as the expected S entry at (x, s_e), less one.
+    When every S(G)-edge is (a, s_e) with a an end of e, as in a true S(G),
+    row x of eq4 holds whenever rows x of eq1 and eq2 do, since d_G(x, a)
+    is d_G(x, e) or d_G(x, e) + 1, so its scan starts at the first row
+    where either fails.
     """
     n, m = base.n, base.m
-    dg = base.distances
     try:
         ds = _all_pairs_bfs(sg.graph.n, sg.graph.adjacency)
     except DisconnectedError:
         ds = [_bfs(sg.graph.n, sg.graph.adjacency, v) for v in range(sg.graph.n)]
     dm = [_bfs(mg.graph.n, mg.graph.adjacency, x) for x in range(n)]  # eq5 and eq6 read x < n
-    with suppress(ValueError):  # a -1 or a distance past 255 keeps the lists
+    try:
         dm = list(map(bytes, dm))
-    xs, js, ks = range(n), range(m), range(sg.graph.m)
-    ve = _edge_rows(base)  # ve[j][x] = d_G(x, e_j)
-    s_want = _table_from_base(base, *_SUBDIVISION_DISTANCES, shared=False)
-    m_want = _table_from_base(base, *_MIDDLE_DISTANCES, shared=True)
-    head, tail = slice(n), slice(n, None)
+    except ValueError:  # a -1 or a distance past 255
+        dm = list(map(tuple, dm))
+    s_want, m_want = (_table_from_base(base, *maps, shared=shared) or _mapped_rows(base, *maps)
+                      for maps, shared in ((_SUBDIVISION_DISTANCES, False), (_MIDDLE_DISTANCES, True)))
+    xs, splits = range(n), range(n, n + m)
 
-    def whole(got, want, rows, part):
-        if want is None:
-            return [False] * len(rows)
-        return [got[r][part] == want[r][part] for r in rows]
+    def first_difference(got, want, rows, columns):
+        # (row, column, got, expected), each index counted from its range's start
+        part = slice(columns.start, columns.stop)
+        for r in rows:
+            if got[r][part] != want[r][part]:
+                for c in columns:
+                    if got[r][c] != want[r][c]:
+                        return r - rows.start, c - columns.start, got[r][c], want[r][c]
+        return None
 
-    def eq4_range(x, k):
-        # the base edge S(G)-edge k arises from is the one its split end
-        # splits, or its lower end's when both ends are splits; an edge with
-        # no split end (only a wrong S(G) has one) arises from none, so no
-        # distance is expected
-        a, b = sg.graph.edges[k]
-        if b < n:
-            return ()
-        d = 2 * ve[(a if a >= n else b) - n][x]
-        return d, d + 1
+    def eq4(start):
+        for x in range(start, n):
+            for k, (a, b) in enumerate(sg.graph.edges):
+                # the base edge S(G)-edge k arises from is the one its split
+                # end splits, or its lower end's when both ends are splits; an
+                # edge with no split end (only a wrong S(G) has one) arises
+                # from none, so no distance is expected
+                got, d = min(ds[x][a], ds[x][b]), s_want[x][a if a >= n else b] - 1
+                want = (d, d + 1) if b >= n else ()
+                if got not in want:
+                    return x, k, got, want
+        return None
 
-    def eq4_got(x, k):
-        a, b = sg.graph.edges[k]
-        return min(ds[x][a], ds[x][b])
-
-    eq1, eq2 = whole(ds, s_want, xs, head), whole(ds, s_want, xs, tail)
+    eq1, eq2 = first_difference(ds, s_want, xs, xs), first_difference(ds, s_want, xs, splits)
     split_ends = all(a < n <= b < n + m and a in base.edges[b - n] for a, b in sg.graph.edges)
-    # (identity, domain size, its rows, whether each holds whole, the pairs
-    # of a row, got, expected[, holds])
-    rows = (
-        ("eq1", n * n, xs, eq1, lambda x: xs,
-         lambda x, y: ds[x][y], lambda x, y: 2 * dg[x][y]),
-        ("eq2", n * m, xs, eq2, lambda x: js,
-         lambda x, j: ds[x][n + j], lambda x, j: 2 * ve[j][x] + 1),
-        ("eq3", m * (m - 1), js, whole(ds, s_want, range(n, n + m), tail),
-         lambda e: (f for f in js if f != e),
-         lambda e, f: ds[n + e][n + f], lambda e, f: 2 * edge_edge_distance(base, e, f) + 2),
-        ("eq4", n * len(ks), xs, map(operator.and_, eq1, eq2) if split_ends else [False] * n,
-         lambda x: ks, eq4_got, eq4_range, operator.contains),
-        ("eq5", n * (n - 1), xs, whole(dm, m_want, xs, head), lambda x: (y for y in xs if y != x),
-         lambda x, y: dm[x][y], lambda x, y: dg[x][y] + 1),
-        ("eq6", n * m, xs, whole(dm, m_want, xs, tail), lambda x: js,
-         lambda x, j: dm[x][n + j], lambda x, j: 1 if x in base.edges[j] else ve[j][x] + 1),
-    )
-    checks = []
-    for name, size, domain, held, pairs, *rules in rows:
-        scan = ((a, b) for a in compress(domain, map(operator.not_, held)) for b in pairs(a))
-        checks.append(IdentityCheck(name, size, _first_bad(scan, *rules)))
-    return IdentityReport(tuple(checks))
+    return IdentityReport((
+        IdentityCheck("eq1", n * n, eq1),
+        IdentityCheck("eq2", n * m, eq2),
+        IdentityCheck("eq3", m * (m - 1), first_difference(ds, s_want, splits, splits)),
+        IdentityCheck("eq4", n * sg.graph.m,
+                      eq4(min((c[0] for c in (eq1, eq2) if c), default=n) if split_ends else 0)),
+        IdentityCheck("eq5", n * (n - 1), first_difference(dm, m_want, xs, xs)),
+        IdentityCheck("eq6", n * m, first_difference(dm, m_want, xs, splits)),
+    ))

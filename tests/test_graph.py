@@ -572,8 +572,26 @@ def _fail_to_read(*args):
 def test_a_table_past_two_byte_lanes_is_refused_before_any_row_is_read(monkeypatch):
     # the 32,769-path's rows from an end reach 32,768, so 2 ecc(0) is 65,536
     monkeypatch.setattr(graph, "_read_rows", _fail_to_read)
-    with pytest.raises(GraphError, match="distances up to 65536 need lanes wider than two bytes"):
+    with pytest.raises(GraphError, match="graph has 32769 vertices, more than the 32768 whose"):
         path_graph(32769)
+
+
+def _path_from_its_centre(n):
+    # the n-path with vertex 0 at its centre: position p is labelled by its
+    # rank in distance from the centre, so 2 ecc(0) is n - 1
+    order = sorted(range(n), key=lambda p: abs(2 * p - (n - 1)))
+    label = {p: i for i, p in enumerate(order)}
+    return build_graph(n, [(label[p], label[p + 1]) for p in range(n - 1)])
+
+
+@pytest.mark.parametrize("make", [_path_from_its_centre, star_graph], ids=["centre-path", "star"])
+def test_a_graph_past_32768_vertices_is_refused_whatever_its_labelling(monkeypatch, make):
+    # twice vertex 0's eccentricity fits two-byte lanes in both, yet each
+    # table would hold 1.07e9 entries; both are refused before any BFS
+    monkeypatch.setattr(graph, "_read_rows", _fail_to_read)
+    monkeypatch.setattr(graph, "_bfs", _fail_to_read)
+    with pytest.raises(GraphError, match="graph has 32769 vertices, more than the 32768 whose"):
+        make(32769)
 
 
 def test_a_table_at_the_two_byte_bound_is_read_in_two_byte_lanes(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from mdimlab import (BadSpecError, Certificate, build_graph, complete_graph, cycle_graph, emit_graph6,
                      enumerate_small_trees, gn_graph, path_graph)
-from mdimlab import families, harness, middle, solvers, transforms
+from mdimlab import families, graph, harness, middle, random_tree, solvers, transforms
 from mdimlab.cli import main
 from mdimlab.harness import (
     HOLDS,
@@ -295,6 +295,28 @@ def test_identity_check_reports_a_wrong_subdivision_as_violated(monkeypatch):
     assert report.exit_code() == 1
 
 
+def test_identity_check_reports_a_wrong_entry_of_the_rows_s_is_built_from(monkeypatch):
+    # S(G)'s table and E1-E6's expected rows are read off G alike, so one
+    # wrong d(e, f) entry in S's split rows is in both; BFS over S(G)'s
+    # adjacency still gives the true 2, against the table's 3
+    split_rows = graph._split_rows
+
+    def corrupted(base, split_map, pair_map, shared):
+        rows = split_rows(base, split_map, pair_map, shared)
+        if shared:  # M(G)'s and T(G)'s split rows
+            return rows
+        first = bytearray(rows[0])
+        first[-1] += 1
+        return (bytes(first), *rows[1:])
+
+    monkeypatch.setattr(graph, "_split_rows", corrupted)
+    report = run_checks([Instance(id="random_tree:n=12,seed=3", graph=random_tree(12, 3))],
+                        theorems=["E1-E6-identities"])
+    (record,) = report.records
+    assert record.status == VIOLATED
+    assert record.values["counterexample"] == "eq3:(0, 10, 2, 3)"
+
+
 def test_explore_budget_skip_is_reported():
     instances = [Instance(id="C8", graph=cycle_graph(8)), Instance(id="P3", graph=path_graph(3))]
     report = explore(instances, "gap_gt_2", budget=3)
@@ -572,11 +594,11 @@ def test_cli_bad_file_is_exit_2(tmp_path, capsys):
 
 
 def test_cli_graph_past_two_byte_lanes_is_exit_2(capsys):
-    # the 32,769-path's distances from vertex 0 reach 32,768, twice which
-    # no two-byte lane holds
+    # the 32,769-path has more vertices than any table is built for
     assert main(["solve", "--family", "path:n=32769", "--kind", "dim"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "mdimlab: distances up to 65536 need lanes wider than two bytes\n"
+    assert captured.err == ("mdimlab: graph has 32769 vertices, more than the 32768 whose"
+                            " distances are tabled\n")
     assert captured.out == ""
 
 

@@ -381,8 +381,9 @@ def test_identities_by_rows_equal_a_pair_scan(inputs):
     lambda: cycle_graph(254),  # S's diameter is 254, and d(e, f) is at most 126
     lambda: cycle_graph(255),
     lambda: cycle_graph(256),
+    lambda: path_graph(256),  # byte rows, and M's d(x, y) + 1 reaches 256
     lambda: path_graph(300),  # tuple rows
-], ids=[*(f"P{n}" for n in range(126, 131)), "C254", "C255", "C256", "P300"])
+], ids=[*(f"P{n}" for n in range(126, 131)), "C254", "C255", "C256", "P256", "P300"])
 def test_identities_equal_a_pair_scan_on_both_sides_of_the_byte_bound(monkeypatch, make):
     g = make()
     sg, mg = subdivision(g), middle(g)
@@ -397,6 +398,14 @@ def test_identities_equal_a_pair_scan_on_both_sides_of_the_byte_bound(monkeypatc
     assert len(runs) == g.n and tables == [sg.graph.adjacency]
     posing = check_distance_identities(g, mg, mg)  # M(G) posing as S(G)
     assert posing == _scan_identities(g, mg, mg) and not posing.ok
+
+
+@given(connected_graphs())
+def test_mapped_rows_equal_the_byte_rows_of_s_m_and_t(g):
+    for maps in (transforms._SUBDIVISION_DISTANCES, transforms._MIDDLE_DISTANCES,
+                 transforms._TOTAL_DISTANCES):
+        table = graph._table_from_base(g, *maps, shared=False)
+        assert table is not None and graph._mapped_rows(g, *maps) == tuple(map(tuple, table))
 
 
 def test_identities_of_a_disconnected_subdivision_keep_its_missed_vertices():
